@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,11 +34,14 @@ from .core import (
     PolarState,
     Trajectory,
     _fd2,
+    _rpow,
+    bisect_root,
+    crossing_times,
     longest_monotone_run,
     real_power,
     resample,
 )
-from .integrate import _hermite
+from .invariants import angular_momentum
 
 __all__ = [
     "NonRealLambda",
@@ -69,8 +72,6 @@ __all__ = [
 ]
 
 _N_DEFAULT = 2.0
-
-_rpow = np.vectorize(real_power, otypes=[float])
 
 
 class NonRealLambda(ValueError):
@@ -194,6 +195,39 @@ def _r0_power(r0: float, p: float) -> float:
     return r0 ** p
 
 
+def _polar_columns(traj: Trajectory, mu: float,
+                   what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, rdot, r^2 thetadot) of a polar run checked for the torque map."""
+    if mu == -2.0:
+        raise ValueError("mu = -2 is excluded: the map divides by mu + 2")
+    if traj.y.shape[1] != 4:
+        raise ValueError(f"{what} needs a polar trajectory with 4 state columns")
+    r = traj.y[:, 0]
+    if np.any(r <= 0.0):
+        raise DomainError(f"{what} needs r > 0 throughout the trajectory")
+    return r, traj.y[:, 2], angular_momentum(traj)
+
+
+def _monotone_run(what: str, key: np.ndarray,
+                  *arrays: np.ndarray) -> list[np.ndarray]:
+    """key and arrays ordered by increasing key, cut to key's longest monotone run.
+
+    A strictly monotone key keeps every sample; otherwise the cut is made
+    with a warning.
+    """
+    d = np.diff(key)
+    out = [key, *arrays]
+    if not (np.all(d > 0.0) or np.all(d < 0.0)):
+        run = longest_monotone_run(key)
+        warnings.warn(
+            f"{what} not strictly monotone; keeping the longest monotone run "
+            f"of {run.stop - run.start} of {key.size} samples", stacklevel=3)
+        out = [a[run] for a in out]
+    if out[0].size >= 2 and out[0][1] < out[0][0]:
+        out = [a[::-1] for a in out]
+    return out
+
+
 def torque_map(traj: Trajectory, mu: float, r0: float = 0.0,
                apply_scaling: bool = True) -> EFSeries:
     """Map a polar trajectory to the integrated-torque series (J, T, T').
@@ -204,18 +238,9 @@ def torque_map(traj: Trajectory, mu: float, r0: float = 0.0,
     Jt (impossible for the azimuthal power-law family, whose torque is
     r^(mu+1) > 0) is reduced to its longest monotone run with a warning.
     """
-    if mu == -2.0:
-        raise ValueError("mu = -2 is excluded: the map divides by mu + 2")
-    if traj.y.shape[1] != 4:
-        raise ValueError("torque_map needs a polar trajectory with 4 state columns")
-    r = traj.y[:, 0]
-    if np.any(r <= 0.0):
-        raise DomainError("torque_map needs r > 0 throughout the trajectory")
-    rdot = traj.y[:, 2]
-    thetadot = traj.y[:, 3]
+    r, rdot, j_raw = _polar_columns(traj, mu, "torque_map")
     r0p = _r0_power(r0, mu + 2.0)
     t_raw = (r ** (mu + 2.0) - r0p) / (mu + 2.0)
-    j_raw = r * r * thetadot
     tp_raw = rdot
 
     if apply_scaling:
@@ -230,16 +255,7 @@ def torque_map(traj: Trajectory, mu: float, r0: float = 0.0,
     else:
         T, J, Tp = t_raw, j_raw, tp_raw
 
-    d = np.diff(J)
-    if not np.all(d > 0.0):
-        run = longest_monotone_run(J)
-        kept = run.stop - run.start
-        warnings.warn(
-            f"torque map: J not strictly increasing; keeping the longest "
-            f"monotone run of {kept} of {J.size} samples", stacklevel=2)
-        J, T, Tp = J[run], T[run], Tp[run]
-        if J.size >= 2 and J[1] < J[0]:
-            J, T, Tp = J[::-1], T[::-1], Tp[::-1]
+    J, T, Tp = _monotone_run("torque map: J", J, T, Tp)
     return EFSeries(J=J.copy(), T=T.copy(), Tprime=Tp.copy(),
                     mu=float(mu), r0=float(r0), scaled=bool(apply_scaling))
 
@@ -255,17 +271,16 @@ class ResidualStats:
     count: int
 
 
+def _rms_max(resid: np.ndarray) -> tuple[float, float]:
+    return float(np.sqrt(np.mean(resid * resid))), float(np.max(np.abs(resid)))
+
+
 def _residual_stats(fd2: np.ndarray, model: np.ndarray,
                     slope_max: float) -> ResidualStats:
     resid = fd2 - model
     scale = max(float(np.max(np.abs(fd2))), 1e-30)
-    return ResidualStats(
-        rms=float(np.sqrt(np.mean(resid * resid))),
-        max_abs=float(np.max(np.abs(resid))),
-        scale=scale,
-        slope_max=slope_max,
-        count=int(resid.size),
-    )
+    return ResidualStats(*_rms_max(resid), scale=scale, slope_max=slope_max,
+                         count=int(resid.size))
 
 
 def _slope_consistency(J: np.ndarray, T: np.ndarray, Tp: np.ndarray) -> float:
@@ -336,17 +351,32 @@ def _check_r_grid(r_grid) -> np.ndarray:
     return rg
 
 
-def _cumulative_quadrature(integrand, rg: np.ndarray,
-                           tol: float) -> tuple[np.ndarray, float, int]:
+def _positive_branch(mu: float, n: float) -> tuple[float, ParticularSolution]:
+    """(m, particular solution) for mu; DomainError unless Lambda > 0."""
+    m = m_from_mu(mu)
+    sol = particular_solution(n, m)
+    if sol.Lambda <= 0.0:
+        raise DomainError(
+            f"(n, m) = ({n}, {m}) gives Lambda = {sol.Lambda}; the particular "
+            "branch needs a positive coefficient")
+    return m, sol
+
+
+def _cumulative_quadrature(chain, printed, rg: np.ndarray,
+                           tol: float) -> ChainQuadrature:
+    """Integral of chain from rg[0] to each rg[i], with printed/chain at each r."""
     values = np.zeros(rg.size)
     err = 0.0
     evals = 0
     for i in range(1, rg.size):
-        res = quad_adaptive(integrand, rg[i - 1], rg[i], tol)
+        res = quad_adaptive(chain, rg[i - 1], rg[i], tol)
         values[i] = values[i - 1] + res.value
         err += res.abs_error_estimate
         evals += res.evaluations
-    return values, err, evals
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.array([printed(r) / chain(r) for r in rg])
+    return ChainQuadrature(r=rg, values=values, printed_ratio=ratio,
+                           abs_error_estimate=err, evaluations=evals)
 
 
 def orbit_theta_of_r(mu: float, r0: float, r_grid,
@@ -360,12 +390,7 @@ def orbit_theta_of_r(mu: float, r0: float, r_grid,
     ((1-m)/(n+2)) * Lambda^(-2(1-m)/(n+2)) * (r^(mu+2)-r0^(mu+2))^(-2(n+m+3)/(n+2))
     is evaluated alongside and reported as a pointwise integrand ratio.
     """
-    m = m_from_mu(mu)
-    sol = particular_solution(n, m)
-    if sol.Lambda <= 0.0:
-        raise DomainError(
-            f"(n, m) = ({n}, {m}) gives Lambda = {sol.Lambda}; the orbit "
-            "quadrature needs a positive coefficient")
+    m, sol = _positive_branch(mu, n)
     rg = _check_r_grid(r_grid)
     s = math.sqrt(abs(mu + 2.0))
     q = (1.0 - m) / (n + 2.0)
@@ -382,11 +407,7 @@ def orbit_theta_of_r(mu: float, r0: float, r_grid,
         return q * real_power(sol.Lambda, -2.0 * q) \
             * real_power(d, -2.0 * (n + m + 3.0) / (n + 2.0))
 
-    values, err, evals = _cumulative_quadrature(chain, rg, tol)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.array([printed(r) / chain(r) for r in rg])
-    return ChainQuadrature(r=rg, values=values, printed_ratio=ratio,
-                           abs_error_estimate=err, evaluations=evals)
+    return _cumulative_quadrature(chain, printed, rg, tol)
 
 
 def time_of_r(mu: float, r0: float, r_grid, n: float = _N_DEFAULT,
@@ -401,12 +422,7 @@ def time_of_r(mu: float, r0: float, r_grid, n: float = _N_DEFAULT,
     reported as a ratio.  With physical_time the values are multiplied by
     |mu+2|^(-1/(n+2)), which converts tau to the unscaled time variable.
     """
-    m = m_from_mu(mu)
-    sol = particular_solution(n, m)
-    if sol.Lambda <= 0.0:
-        raise DomainError(
-            f"(n, m) = ({n}, {m}) gives Lambda = {sol.Lambda}; the time "
-            "quadrature needs a positive coefficient")
+    m, sol = _positive_branch(mu, n)
     rg = _check_r_grid(r_grid)
     q = (1.0 - m) / (n + 2.0)
     a = abs(mu + 2.0)
@@ -422,14 +438,11 @@ def time_of_r(mu: float, r0: float, r_grid, n: float = _N_DEFAULT,
         return q * (mu + 2.0) * real_power(sol.Lambda, (n + m + 1.0) / (n + 2.0)) \
             * real_power(d, -(n + m + 3.0) / (n + 2.0))
 
-    values, err, evals = _cumulative_quadrature(chain, rg, tol)
-    values = values + tau0
+    res = _cumulative_quadrature(chain, printed, rg, tol)
+    values = res.values + tau0
     if physical_time:
         values = values * a ** (-1.0 / (n + 2.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.array([printed(r) / chain(r) for r in rg])
-    return ChainQuadrature(r=rg, values=values, printed_ratio=ratio,
-                           abs_error_estimate=err, evaluations=evals)
+    return replace(res, values=values)
 
 
 def seed_polar_from_particular(mu: float, r0: float, J1: float,
@@ -445,12 +458,7 @@ def seed_polar_from_particular(mu: float, r0: float, J1: float,
         raise DomainError("seeding needs mu > -2 (fractional powers of mu + 2)")
     if J1 <= 0.0:
         raise DomainError(f"seeding needs J1 > 0, got {J1}")
-    m = m_from_mu(mu)
-    sol = particular_solution(n, m)
-    if sol.Lambda <= 0.0:
-        raise DomainError(
-            f"(n, m) = ({n}, {m}) gives Lambda = {sol.Lambda}; there is no "
-            "positive branch to seed from")
+    _, sol = _positive_branch(mu, n)
     a = mu + 2.0
     t1 = sol.T(J1)
     tp1 = sol.Tprime(J1)
@@ -471,36 +479,11 @@ def reparametrize_by_angle(traj: Trajectory,
 
     Requires theta strictly increasing along the trajectory.  Each crossing
     time is located by bisection on the cubic Hermite interpolant of the
-    theta column, then the full state is resampled there.  Returns
-    (times, states) with states of shape (len(theta_values), 4).
+    theta column (core.crossing_times), then the full state is resampled
+    there.  Returns (times, states) with states of shape
+    (len(theta_values), 4).
     """
-    th = traj.y[:, 1]
-    if not np.all(np.diff(th) > 0.0):
-        raise DomainError("reparametrization needs strictly increasing theta")
-    thd = traj.dy[:, 1]
-    t = traj.t
-    targets = np.asarray(theta_values, dtype=float)
-    if np.any(targets < th[0]) or np.any(targets > th[-1]):
-        raise DomainError(
-            f"angles must lie within [{th[0]}, {th[-1]}]")
-    times = np.empty(targets.size)
-    for iq, target in enumerate(targets.ravel()):
-        k = int(np.searchsorted(th, target, side="right"))
-        k = min(max(k, 1), th.size - 1)
-        a, b = t[k - 1], t[k]
-        ga = th[k - 1] - target
-        if ga == 0.0:
-            times[iq] = a
-            continue
-        while (b - a) > 1e-13 * max(1.0, abs(b)):
-            mid = 0.5 * (a + b)
-            gm = _hermite(t[k - 1], th[k - 1], thd[k - 1],
-                          t[k], th[k], thd[k], mid) - target
-            if ga * gm <= 0.0:
-                b = mid
-            else:
-                a, ga = mid, gm
-        times[iq] = 0.5 * (a + b)
+    times = crossing_times(traj, 1, theta_values)
     return times, resample(traj, times)
 
 
@@ -524,7 +507,8 @@ def scaling_map_residual(traj: Trajectory, alpha: float, beta: float,
     if not (hi > lo):
         raise ValueError("the scaled J-window is empty for this eps")
     grid = np.linspace(lo, hi, num)
-    states = resample(traj, grid * c)
+    # the window edge can round an ulp outside the run
+    states = resample(traj, np.clip(grid * c, t0, t1))
     T_hat = amp * states[:, 0]
     Tp_hat = amp * c * states[:, 1]
     fd2 = _fd2(grid, T_hat)
@@ -569,36 +553,17 @@ def drag_map_residual(traj: Trajectory, mu: float,
     reduces (D) to the undamped power-law residual; (P) is then undefined
     (its sigma depends on nu) and reported as NaN.
     """
-    if mu == -2.0:
-        raise ValueError("mu = -2 is excluded: the map divides by mu + 2")
-    if traj.y.shape[1] != 4:
-        raise ValueError("drag_map_residual needs a polar trajectory")
-    r = traj.y[:, 0]
-    if np.any(r <= 0.0):
-        raise DomainError("drag_map_residual needs r > 0 throughout")
-    rdot = traj.y[:, 2]
-    thetadot = traj.y[:, 3]
+    if nu is None:
+        lam, sigma, rho = m_from_mu(mu), math.nan, math.nan
+    else:
+        lam, sigma, rho = drag_exponents(mu, nu)
+    r, rdot, j_raw = _polar_columns(traj, mu, "drag_map_residual")
     t_raw = r ** (mu + 2.0) / (mu + 2.0)
-    j_raw = r * r * thetadot
     w = r ** (mu + 2.0)
 
-    d = np.diff(j_raw)
-    if not np.all(d > 0.0):
-        run = longest_monotone_run(j_raw)
-        warnings.warn(
-            f"drag map: J not strictly increasing; keeping the longest "
-            f"monotone run of {run.stop - run.start} of {j_raw.size} samples",
-            stacklevel=2)
-        j_raw, t_raw, rdot, w = (j_raw[run], t_raw[run], rdot[run], w[run])
-        if j_raw.size >= 2 and j_raw[1] < j_raw[0]:
-            j_raw, t_raw, rdot, w = (j_raw[::-1], t_raw[::-1],
-                                     rdot[::-1], w[::-1])
+    j_raw, t_raw, rdot, w = _monotone_run("drag map: J", j_raw, t_raw, rdot, w)
     if j_raw.size < 3:
         raise ValueError("residual needs at least 3 samples")
-
-    lam = -(mu + 4.0) / (mu + 2.0)
-    rho = (nu - mu - 1.0) / (mu + 2.0) if nu is not None else math.nan
-    sigma = nu / (mu + 2.0) if nu is not None else math.nan
 
     fd2 = _fd2(j_raw, t_raw)
     ji = j_raw[1:-1]
@@ -611,13 +576,11 @@ def drag_map_residual(traj: Trajectory, mu: float,
     if nu is not None:
         derived = derived - _rpow(wi, rho) * tpi
         printed = fd2 - _rpow(ti, lam) * tpi - ji * ji * _rpow(ti, sigma)
-        rms_p = float(np.sqrt(np.mean(printed * printed)))
-        max_p = float(np.max(np.abs(printed)))
+        rms_p, max_p = _rms_max(printed)
     else:
         rms_p = math.nan
         max_p = math.nan
-    rms_d = float(np.sqrt(np.mean(derived * derived)))
-    max_d = float(np.max(np.abs(derived)))
+    rms_d, max_d = _rms_max(derived)
 
     if math.isnan(rms_p) or rms_d < 0.1 * rms_p:
         winner = "derived"
@@ -668,13 +631,7 @@ def abel_reduction_residual(lam: float, traj: Trajectory) -> AbelReport:
     w = J ** (1.0 / lam) * T
     u = J ** ((lam + 1.0) / lam) * Tp
 
-    d = np.diff(w)
-    if not (np.all(d > 0.0) or np.all(d < 0.0)):
-        run = longest_monotone_run(w)
-        warnings.warn(
-            f"abel reduction: w not monotone; keeping the longest run of "
-            f"{run.stop - run.start} of {w.size} samples", stacklevel=2)
-        w, u = w[run], u[run]
+    w, u = _monotone_run("abel reduction: w", w, u)
     if w.size < 3:
         raise ValueError("residual needs at least 3 samples")
     dudw = _fd1(w, u)
@@ -686,9 +643,7 @@ def abel_reduction_residual(lam: float, traj: Trajectory) -> AbelReport:
     resid = t1 - t2 - t3
     scale = max(float(np.max(np.abs(t1))), float(np.max(np.abs(t2))),
                 float(np.max(np.abs(t3))), 1e-30)
-    return AbelReport(rms=float(np.sqrt(np.mean(resid * resid))),
-                      max_abs=float(np.max(np.abs(resid))),
-                      scale=scale, count=int(resid.size))
+    return AbelReport(*_rms_max(resid), scale=scale, count=int(resid.size))
 
 
 def power_solution_y0(lam: float) -> float:
@@ -727,15 +682,7 @@ def power_solution_y0(lam: float) -> float:
             f"no sign change of the power-solution condition for lambda={lam} "
             "in [1e-6, 1e6]")
     lo, hi = bracket
-    glo = g(lo)
-    while (hi - lo) > 2e-14 * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if glo * gm <= 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
+    return bisect_root(g, lo, hi, g(lo), 2e-14)
 
 
 _QUAD_MAX_DEPTH = 60

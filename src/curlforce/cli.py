@@ -11,6 +11,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -18,12 +19,12 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import __version__, analysis, invariants, systems
-from .core import DomainError, Trajectory, drift_metric, resample
+from .core import DomainError, Trajectory, crossing_times, drift_metric, resample
 from .integrate import Event, IntegrationError, IntegratorSettings, integrate
 from .systems import AngleFunction
 
@@ -50,147 +51,197 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _check_keys(obj: dict, allowed: Iterable[str], required: Iterable[str],
-                where: str) -> None:
+# A schema maps each allowed key to (checker, default).  A checker takes
+# (value, where) and returns the parsed value or raises ConfigError; a
+# nested schema checks a nested object.  An absent or null key takes the
+# default, which is checked like a given value, except that None stays None.
+
+_REQUIRED = object()
+
+
+def _parse(obj: Any, schema: dict, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    allowed = set(allowed)
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - set(schema))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    missing = sorted(set(required) - set(obj))
-    if missing:
-        raise ConfigError(f"missing key(s) in {where}: {', '.join(missing)}")
+    out = {}
+    for key, (check, default) in schema.items():
+        value = obj.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing key {key} in {where}")
+            value = default
+        if value is not None:
+            sub = f"{where}.{key}"
+            value = (_parse(value, check, sub) if isinstance(check, dict)
+                     else check(value, sub))
+        out[key] = value
+    return out
 
 
-def _number(obj: dict, key: str, where: str, default: float | None = None,
-            allow_inf: bool = False) -> float:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"missing key {key} in {where}")
-        return default
-    v = obj[key]
-    if v == "inf" and allow_inf:
-        return math.inf
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
+def _any(value: Any, where: str) -> Any:
+    return value
 
 
-_ANGLE_KEYS = {
-    "zero": set(),
-    "constant": {"c"},
-    "linear_theta": {"c"},
-    "cos": {"c", "k"},
-    "sin": {"c", "k"},
-    "poly": {"coeffs"},
+def _num(value: Any, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _num_or_inf(value: Any, where: str) -> float:
+    return math.inf if value == "inf" else _num(value, where)
+
+
+def _positive(value: Any, where: str) -> float:
+    x = _num(value, where)
+    if not x > 0.0:
+        raise ConfigError(f"{where} must be positive, got {value!r}")
+    return x
+
+
+def _int(lo: int) -> Callable[[Any, str], int]:
+    def check(value: Any, where: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+            raise ConfigError(f"{where} must be an integer >= {lo}, got {value!r}")
+        return value
+    return check
+
+
+def _typed(kind: type, what: str) -> Callable[[Any, str], Any]:
+    def check(value: Any, where: str) -> Any:
+        if not isinstance(value, kind):
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+_bool = _typed(bool, "a boolean")
+
+
+def _choice(*options: str) -> Callable[[Any, str], str]:
+    def check(value: Any, where: str) -> str:
+        if value not in options:
+            raise ConfigError(
+                f"{where} must be one of {', '.join(options)}, got {value!r}")
+        return value
+    return check
+
+
+def _list(item: Callable[[Any, str], Any], lo: int = 0,
+          hi: int | None = None) -> Callable[[Any, str], list]:
+    """A list of lo to hi items, each passing `item`."""
+    size = f"{lo}" if lo == hi else f"{lo} to {hi}" if hi else f"at least {lo}"
+
+    def check(value: Any, where: str) -> list:
+        if (not isinstance(value, list) or len(value) < lo
+                or (hi is not None and len(value) > hi)):
+            raise ConfigError(f"{where} must be a list of {size} items")
+        return [item(x, f"{where}[{i}]") for i, x in enumerate(value)]
+    return check
+
+
+def _nums(lo: int, hi: int | None = None) -> Callable[[Any, str], list]:
+    return _list(_num, lo, hi)
+
+
+def _span(value: Any, where: str) -> tuple[float, float]:
+    start, stop = _nums(2, 2)(value, where)
+    if not start < stop:
+        raise ConfigError(f"{where} must be [start, stop] with start < stop")
+    return start, stop
+
+
+def _family(obj: Any, table: dict, where: str) -> Any:
+    """Build table[family] from an object {"family": name, **keys}."""
+    family = obj.get("family") if isinstance(obj, dict) else None
+    if not isinstance(family, str) or family not in table:
+        raise ConfigError(f"{where}.family must be one of {sorted(table)}")
+    make, schema = table[family]
+    keys = _parse({k: v for k, v in obj.items() if k != "family"}, schema,
+                  where)
+    try:
+        return make(**keys)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+_ANGLES = {
+    "zero": (AngleFunction.zero, {}),
+    "constant": (AngleFunction.constant, {"c": (_num, 0.0)}),
+    "linear_theta": (AngleFunction.linear_theta, {"c": (_num, 1.0)}),
+    "cos": (AngleFunction.cos, {"c": (_num, 1.0), "k": (_num, 1.0)}),
+    "sin": (AngleFunction.sin, {"c": (_num, 1.0), "k": (_num, 1.0)}),
+    "poly": (lambda coeffs: AngleFunction.poly(*coeffs),
+             {"coeffs": (_nums(0, 4), _REQUIRED)}),
 }
 
 
-def _parse_angle(obj: Any, where: str) -> AngleFunction:
-    if obj is None:
-        return AngleFunction.zero()
-    if isinstance(obj, str):
-        obj = {"family": obj}
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ConfigError(f"{where} must name an angle-function family")
-    family = obj["family"]
-    if family not in _ANGLE_KEYS:
-        raise ConfigError(
-            f"{where}.family must be one of {sorted(_ANGLE_KEYS)}, got {family!r}")
-    _check_keys(obj, {"family"} | _ANGLE_KEYS[family], {"family"}, where)
-    if family == "zero":
-        return AngleFunction.zero()
-    if family == "constant":
-        return AngleFunction.constant(_number(obj, "c", where, 0.0))
-    if family == "linear_theta":
-        return AngleFunction.linear_theta(_number(obj, "c", where, 1.0))
-    if family in ("cos", "sin"):
-        c = _number(obj, "c", where, 1.0)
-        k = _number(obj, "k", where, 1.0)
-        return AngleFunction.cos(c, k) if family == "cos" else AngleFunction.sin(c, k)
-    coeffs = obj.get("coeffs")
-    if (not isinstance(coeffs, list) or len(coeffs) > 4
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in coeffs)):
-        raise ConfigError(f"{where}.coeffs must be a list of at most 4 numbers")
-    return AngleFunction.poly(*(float(x) for x in coeffs))
+def _angle(value: Any, where: str) -> AngleFunction:
+    return _family({"family": value} if isinstance(value, str) else value,
+                   _ANGLES, where)
 
 
-def _parse_field(obj: Any) -> systems.ForceField:
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ConfigError("config.system must be an object with a family key")
-    family = obj["family"]
+_FIELDS = {
+    "ermakov": (systems.ErmakovField, {"w": (_num, 0.0),
+                                       "U": (_angle, "zero"),
+                                       "V": (_angle, "zero")}),
+    "gorringe_leach": (systems.GorringeLeachField, {"U": (_angle, "zero"),
+                                                    "V": (_angle, "zero")}),
+    "isotropic": (systems.IsotropicField, {"mu": (_num, _REQUIRED)}),
+    "isotropic_drag": (systems.IsotropicDragField, {"mu": (_num, _REQUIRED),
+                                                    "nu": (_num, _REQUIRED)}),
+}
+
+
+def _field(value: Any, where: str) -> systems.ForceField:
+    return _family(value, _FIELDS, where)
+
+
+_STATE = {"r": (_positive, _REQUIRED), "theta": (_num, 0.0),
+          "rdot": (_num, 0.0), "thetadot": (_num, 0.0)}
+
+
+def _state(value: Any, where: str) -> np.ndarray:
+    s = _parse(value, _STATE, where)
+    return np.array([s["r"], s["theta"], s["rdot"], s["thetadot"]])
+
+
+# the integrator block; an absent t_span takes the command's default span
+_INTEGRATOR = {
+    "method": (_typed(str, "a string"), "rk45"),
+    "rel_tol": (_num, 1e-10),
+    "abs_tol": (_num, 1e-12),
+    "h": (_num, 1e-3),
+    "t_span": (_span, None),
+    "max_steps": (_int(1), 1_000_000),
+    "h0": (_num, None),
+    "h_max": (_num, math.inf),
+}
+
+
+def _settings(span: tuple[float, float], events: Sequence[Event] = (),
+              **kwargs: Any) -> IntegratorSettings:
     try:
-        if family == "ermakov":
-            _check_keys(obj, {"family", "w", "U", "V"}, {"family"}, "system")
-            return systems.ErmakovField(w=_number(obj, "w", "system", 0.0),
-                                        U=_parse_angle(obj.get("U"), "system.U"),
-                                        V=_parse_angle(obj.get("V"), "system.V"))
-        if family == "gorringe_leach":
-            _check_keys(obj, {"family", "U", "V"}, {"family"}, "system")
-            return systems.GorringeLeachField(U=_parse_angle(obj.get("U"), "system.U"),
-                                              V=_parse_angle(obj.get("V"), "system.V"))
-        if family == "isotropic":
-            _check_keys(obj, {"family", "mu"}, {"family", "mu"}, "system")
-            return systems.IsotropicField(mu=_number(obj, "mu", "system"))
-        if family == "isotropic_drag":
-            _check_keys(obj, {"family", "mu", "nu"}, {"family", "mu", "nu"}, "system")
-            return systems.IsotropicDragField(mu=_number(obj, "mu", "system"),
-                                              nu=_number(obj, "nu", "system"))
+        return IntegratorSettings(t_span=span, events=tuple(events), **kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown system family {family!r}")
+        raise ConfigError(f"bad integrator settings: {exc}") from exc
 
 
-def _parse_state(obj: Any) -> np.ndarray:
-    _check_keys(obj, {"r", "theta", "rdot", "thetadot"}, {"r"},
-                "initial_state")
-    return np.array([
-        _number(obj, "r", "initial_state"),
-        _number(obj, "theta", "initial_state", 0.0),
-        _number(obj, "rdot", "initial_state", 0.0),
-        _number(obj, "thetadot", "initial_state", 0.0),
-    ])
-
-
-_SETTINGS_KEYS = {"method", "rel_tol", "abs_tol", "h", "t_span", "max_steps",
-                  "h0", "h_max"}
-
-
-def _parse_settings(obj: Any, default_span: tuple[float, float],
-                    events: Sequence[Event] = ()) -> IntegratorSettings:
-    obj = {} if obj is None else obj
-    _check_keys(obj, _SETTINGS_KEYS, (), "integrator")
-    span = obj.get("t_span", list(default_span))
-    if (not isinstance(span, list) or len(span) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in span)):
-        raise ConfigError("integrator.t_span must be a 2-element number list")
-    max_steps = obj.get("max_steps", 1_000_000)
+def _integrator(block: dict, default_span: tuple[float, float],
+                events: Sequence[Event] = ()) -> IntegratorSettings:
+    """Settings from a parsed integrator block; CURLFORCE_MAX_STEPS wins."""
+    kwargs = dict(block)
+    span = kwargs.pop("t_span") or default_span
     env = os.environ.get("CURLFORCE_MAX_STEPS")
     if env is not None:
         try:
-            max_steps = int(env)
+            kwargs["max_steps"] = int(env)
         except ValueError as exc:
             raise ConfigError(
                 f"CURLFORCE_MAX_STEPS must be an integer, got {env!r}") from exc
-    kwargs: dict[str, Any] = {
-        "method": obj.get("method", "rk45"),
-        "rel_tol": _number(obj, "rel_tol", "integrator", 1e-10),
-        "abs_tol": _number(obj, "abs_tol", "integrator", 1e-12),
-        "h": _number(obj, "h", "integrator", 1e-3),
-        "t_span": (float(span[0]), float(span[1])),
-        "max_steps": max_steps,
-        "h_max": _number(obj, "h_max", "integrator", math.inf),
-        "events": tuple(events),
-    }
-    if "h0" in obj:
-        kwargs["h0"] = _number(obj, "h0", "integrator")
-    try:
-        return IntegratorSettings(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad integrator settings: {exc}") from exc
+    return _settings(span, events, **kwargs)
 
 
 # -- artifact emission -------------------------------------------------------
@@ -203,32 +254,29 @@ def _write_table(out: Path, stem: str, fmt: str, header: Sequence[str],
                  columns: Sequence[np.ndarray],
                  labels: Sequence[str] | None = None) -> str:
     """Write a data table; labels, when given, prepend a string curve column."""
-    rows = zip(*columns)
+    rows = np.column_stack(columns).tolist()
     if fmt == "json":
-        payload: dict[str, Any] = {"columns": list(header)}
-        if labels is None:
-            payload["rows"] = [[float(v) for v in row] for row in rows]
-        else:
-            payload["rows"] = [[lab, *[float(v) for v in row]]
-                               for lab, row in zip(labels, rows)]
+        if labels is not None:
+            rows = [[lab, *row] for lab, row in zip(labels, rows)]
         name = f"{stem}.json"
-        (out / name).write_text(json.dumps(payload, sort_keys=True) + "\n")
+        (out / name).write_text(
+            json.dumps({"columns": list(header), "rows": rows},
+                       sort_keys=True) + "\n")
         return name
+    lines = [",".join(map(_fmt, row)) for row in rows]
+    if labels is not None:
+        lines = [f"{lab},{line}" for lab, line in zip(labels, lines)]
     name = f"{stem}.csv"
-    with open(out / name, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        if labels is None:
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        else:
-            for lab, row in zip(labels, rows):
-                fh.write(lab + "," + ",".join(_fmt(v) for v in row) + "\n")
+    (out / name).write_text("\n".join([",".join(header), *lines]) + "\n")
     return name
 
 
-def _write_manifest(out: Path, manifest: dict) -> None:
+def _write_manifest(out: Path, manifest: dict, code: int = 0) -> int:
+    """Write run_manifest.json with the exit code; returns the code."""
+    manifest["exit_code"] = code
     (out / "run_manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2, allow_nan=True) + "\n")
+    return code
 
 
 def _traj_block(traj: Trajectory) -> dict:
@@ -246,65 +294,44 @@ def _base_manifest(command: str, cfg: dict) -> dict:
             "command": command, "config": cfg}
 
 
-# -- invariant columns for simulate ------------------------------------------
-
-_INVARIANT_NAMES = ("lrr", "mu3", "angular_momentum")
-
-
-def _invariant_column(name: str, traj: Trajectory,
-                      field: systems.ForceField) -> tuple[str, np.ndarray]:
-    r = traj.y[:, 0]
-    theta = traj.y[:, 1]
-    thetadot = traj.y[:, 3]
-    j = r * r * thetadot
-    if name == "angular_momentum":
-        return "L", j
-    if name == "mu3":
-        return "I_mu3", 0.5 * j * j - theta
-    if name == "lrr":
-        if not isinstance(field, systems.ErmakovField):
-            raise ConfigError(
-                "the lrr invariant needs an ermakov system (it uses V(theta))")
-        return "I_lrr", 0.5 * j * j + field.V(theta)
-    raise ConfigError(
-        f"unknown invariant {name!r}; choose from {sorted(_INVARIANT_NAMES)}")
-
-
 # -- commands ----------------------------------------------------------------
 
-_SIM_KEYS = {"system", "initial_state", "integrator", "invariants", "events",
-             "label"}
+# invariant name -> (table column, values along a polar run)
+_INVARIANTS = {
+    "lrr": ("I_lrr", lambda traj, field: invariants.lrr_invariant(traj, field.V)),
+    "mu3": ("I_mu3", lambda traj, field: invariants.mu3_invariant(traj)),
+    "angular_momentum": ("L", lambda traj, field:
+                         invariants.angular_momentum(traj)),
+}
+
+_EVENT = {"type": (_choice("r_floor"), _REQUIRED), "threshold": (_num, 1e-8)}
 
 
-def _parse_sim_events(obj: Any) -> list[Event]:
-    if obj is None:
-        return []
-    if not isinstance(obj, list):
-        raise ConfigError("config.events must be a list")
-    out = []
-    for i, ev in enumerate(obj):
-        where = f"events[{i}]"
-        _check_keys(ev, {"type", "threshold"}, {"type"}, where)
-        if ev["type"] == "r_floor":
-            out.append(systems.r_floor_event(_number(ev, "threshold", where, 1e-8)))
-        else:
-            raise ConfigError(f"{where}.type must be 'r_floor', got {ev['type']!r}")
-    return out
+def _event(value: Any, where: str) -> Event:
+    return systems.r_floor_event(_parse(value, _EVENT, where)["threshold"])
 
 
-def cmd_simulate(cfg: dict, out: Path, fmt: str) -> int:
-    _check_keys(cfg, _SIM_KEYS, {"system", "initial_state"}, "config")
-    field = _parse_field(cfg["system"])
-    y0 = _parse_state(cfg["initial_state"])
-    events = _parse_sim_events(cfg.get("events"))
-    settings = _parse_settings(cfg.get("integrator"), (0.0, 10.0), events)
-    inv_names = cfg.get("invariants", [])
-    if not isinstance(inv_names, list):
-        raise ConfigError("config.invariants must be a list of names")
+_SIMULATE = {
+    "system": (_field, _REQUIRED),
+    "initial_state": (_state, _REQUIRED),
+    "integrator": (_INTEGRATOR, {}),
+    "invariants": (_list(_choice(*_INVARIANTS)), []),
+    "events": (_list(_event), []),
+    "label": (_any, None),
+}
+
+
+def cmd_simulate(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
+    c = _parse(cfg, _SIMULATE, "config")
+    field = c["system"]
+    if "lrr" in c["invariants"] and not isinstance(field, systems.ErmakovField):
+        raise ConfigError(
+            "the lrr invariant needs an ermakov system (it uses V(theta))")
+    settings = _integrator(c["integrator"], (0.0, 10.0), c["events"])
 
     code = 0
     try:
-        traj = integrate(systems.polar_rhs(field), y0, settings)
+        traj = integrate(systems.polar_rhs(field), c["initial_state"], settings)
     except IntegrationError as exc:
         traj = exc.trajectory
         code = 2
@@ -319,11 +346,12 @@ def cmd_simulate(cfg: dict, out: Path, fmt: str) -> int:
     header = ["t", "r", "theta", "rdot", "thetadot"]
     columns = [traj.t] + [traj.y[:, i] for i in range(4)]
     drifts = {}
-    for name in inv_names:
-        col_name, values = _invariant_column(str(name), traj, field)
+    for name in c["invariants"]:
+        col_name, invariant = _INVARIANTS[name]
+        values = invariant(traj, field)
         header.append(col_name)
         columns.append(values)
-        drifts[str(name)] = {
+        drifts[name] = {
             "initial": float(values[0]),
             "final": float(values[-1]),
             "drift": drift_metric(values),
@@ -333,13 +361,18 @@ def cmd_simulate(cfg: dict, out: Path, fmt: str) -> int:
     manifest["data"] = data_name
     manifest["run"] = _traj_block(traj)
     manifest["invariant_drifts"] = drifts
-    manifest["exit_code"] = code
-    _write_manifest(out, manifest)
-    return code
+    return _write_manifest(out, manifest, code)
 
 
-_FIG_KEYS = {"which", "I_values", "initial_conditions", "theta_span",
-             "literal_caption", "variant"}
+_FIGURE = {
+    "which": (_choice("fig1", "fig2", "fig3"), _REQUIRED),
+    "I_values": (_nums(1), None),
+    "initial_conditions": (_list(_nums(2, 2), 1), None),
+    "theta_span": (_span, [0.0, 20.0]),
+    "literal_caption": (_bool, False),
+    "variant": (_choice("derived", "as_printed"), "derived"),
+    "label": (_any, None),
+}
 _FIG_DEFAULT_I = {
     "fig1": [1.1, 1.2, 2.0],
     "fig2": [-1.1, -1.2, -2.0],
@@ -348,34 +381,22 @@ _FIG_DEFAULT_I = {
 _FIG3_ICS = [[0.1, 0.1], [-0.1, 0.1], [0.1, -0.1]]
 
 
-def _figure_curves(cfg: dict) -> list[tuple[str, float, tuple[float, float]]]:
-    which = cfg.get("which")
-    if which not in _FIG_DEFAULT_I:
-        raise ConfigError("config.which must be one of fig1, fig2, fig3")
-    i_values = cfg.get("I_values", _FIG_DEFAULT_I[which])
-    if which == "fig2" and cfg.get("literal_caption", False):
+def _figure_curves(c: dict) -> list[tuple[str, float, tuple[float, float]]]:
+    which = c["which"]
+    i_values = c["I_values"] or _FIG_DEFAULT_I[which]
+    if which == "fig2" and c["literal_caption"]:
         # the caption lists +1.1 alongside values below -1; the sign-typo
         # reading is the default, this option reproduces the literal text
         i_values = [1.1, -1.2, -2.0]
-    if (not isinstance(i_values, list) or not i_values
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in i_values)):
-        raise ConfigError("config.I_values must be a nonempty number list")
-    if which == "fig3":
-        ics = cfg.get("initial_conditions", _FIG3_ICS)
-    else:
-        ics = cfg.get("initial_conditions", [[0.1, 0.1]])
-    if (not isinstance(ics, list)
-            or not all(isinstance(p, list) and len(p) == 2 for p in ics)):
-        raise ConfigError(
-            "config.initial_conditions must be a list of [psi, dpsi] pairs")
+    ics = c["initial_conditions"] or (_FIG3_ICS if which == "fig3"
+                                      else [[0.1, 0.1]])
     curves = []
     for I in i_values:
         for ic in ics:
             label = f"I={I:g}"
             if len(ics) > 1:
                 label += f";psi0={ic[0]:g};dpsi0={ic[1]:g}"
-            curves.append((label, float(I), (float(ic[0]), float(ic[1]))))
+            curves.append((label, I, tuple(ic)))
     return curves
 
 
@@ -390,52 +411,40 @@ def _figure_run(I: float, ic: tuple[float, float], span: tuple[float, float],
 
 
 def cmd_figure(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
-    _check_keys(cfg, _FIG_KEYS, {"which"}, "config")
-    variant = variant or cfg.get("variant", "derived")
-    if variant not in ("derived", "as_printed"):
-        raise ConfigError(f"variant must be derived or as_printed, got {variant!r}")
-    span_cfg = cfg.get("theta_span", [0.0, 20.0])
-    if not (isinstance(span_cfg, list) and len(span_cfg) == 2):
-        raise ConfigError("config.theta_span must be a 2-element list")
-    span = (float(span_cfg[0]), float(span_cfg[1]))
-    curves = _figure_curves(cfg)
+    c = _parse(cfg, _FIGURE, "config")
+    variant = variant or c["variant"]
+    span = c["theta_span"]
+    curves = _figure_curves(c)
 
     labels: list[str] = []
-    theta_col: list[np.ndarray] = []
-    psi_col: list[np.ndarray] = []
-    dpsi_col: list[np.ndarray] = []
+    runs: list[Trajectory] = []
     curve_blocks = []
     other = "as_printed" if variant == "derived" else "derived"
-    try:
-        for label, I, ic in curves:
-            main_run = _figure_run(I, ic, span, variant)
-            twin_run = _figure_run(I, ic, span, other)
-            labels.extend([label] * main_run.t.size)
-            theta_col.append(main_run.t)
-            psi_col.append(main_run.y[:, 0])
-            dpsi_col.append(main_run.y[:, 1])
-            t_end = min(main_run.t[-1], twin_run.t[-1])
-            grid = np.linspace(span[0], t_end, 2001)
-            delta = resample(main_run, grid)[:, 0] - resample(twin_run, grid)[:, 0]
-            curve_blocks.append({
-                "label": label,
-                "I": I,
-                "initial_psi": ic[0],
-                "initial_dpsi": ic[1],
-                "termination": main_run.termination,
-                "theta_final": float(main_run.t[-1]),
-                "events": [{"name": n, "theta": float(t)}
-                           for t, n in main_run.events],
-                "max_abs_delta_psi_vs_other_variant": float(np.max(np.abs(delta))),
-            })
-    except IntegrationError as exc:
-        print(f"curlforce figure: {exc}", file=sys.stderr)
-        return 2
+    for label, I, ic in curves:
+        main_run = _figure_run(I, ic, span, variant)
+        twin_run = _figure_run(I, ic, span, other)
+        labels.extend([label] * main_run.t.size)
+        runs.append(main_run)
+        t_end = min(main_run.t[-1], twin_run.t[-1])
+        grid = np.linspace(span[0], t_end, 2001)
+        delta = resample(main_run, grid)[:, 0] - resample(twin_run, grid)[:, 0]
+        curve_blocks.append({
+            "label": label,
+            "I": I,
+            "initial_psi": ic[0],
+            "initial_dpsi": ic[1],
+            "termination": main_run.termination,
+            "theta_final": float(main_run.t[-1]),
+            "events": [{"name": n, "theta": float(t)}
+                       for t, n in main_run.events],
+            "max_abs_delta_psi_vs_other_variant": float(np.max(np.abs(delta))),
+        })
 
+    states = np.concatenate([run.y for run in runs])
     data_name = _write_table(
-        out, cfg["which"], fmt, ["curve", "theta", "psi", "dpsi"],
-        [np.concatenate(theta_col), np.concatenate(psi_col),
-         np.concatenate(dpsi_col)], labels=labels)
+        out, c["which"], fmt, ["curve", "theta", "psi", "dpsi"],
+        [np.concatenate([run.t for run in runs]), states[:, 0], states[:, 1]],
+        labels=labels)
     manifest = _base_manifest("figure", cfg)
     manifest["data"] = data_name
     manifest["variant"] = variant
@@ -445,36 +454,32 @@ def cmd_figure(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
         "default (psi, dpsi) = (0.1, 0.1) at theta = 0; not dictated by the "
         "underlying family, recorded here for reproducibility")
     manifest["curves"] = curve_blocks
-    manifest["exit_code"] = 0
-    _write_manifest(out, manifest)
-    return 0
+    return _write_manifest(out, manifest)
 
 
-_MAPEF_KEYS = {"system", "initial_state", "integrator", "r0", "apply_scaling",
-               "label"}
+_MAP_EF = {
+    "system": (_field, _REQUIRED),
+    "initial_state": (_state, _REQUIRED),
+    "integrator": (_INTEGRATOR, {}),
+    "r0": (_num_or_inf, None),
+    "apply_scaling": (_bool, None),
+    "label": (_any, None),
+}
 
 
-def cmd_map_ef(cfg: dict, out: Path, fmt: str) -> int:
-    _check_keys(cfg, _MAPEF_KEYS, {"system", "initial_state"}, "config")
-    field = _parse_field(cfg["system"])
+def cmd_map_ef(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
+    c = _parse(cfg, _MAP_EF, "config")
+    field = c["system"]
     if not isinstance(field, (systems.IsotropicField, systems.IsotropicDragField)):
         raise ConfigError("map-ef needs an isotropic or isotropic_drag system")
     mu = field.mu
     drag = isinstance(field, systems.IsotropicDragField)
-    r0 = _number(cfg, "r0", "config", math.inf if mu < -2.0 else 0.0,
-                 allow_inf=True)
-    default_scaling = (mu > -2.0) and not drag
-    apply_scaling = cfg.get("apply_scaling", default_scaling)
-    if not isinstance(apply_scaling, bool):
-        raise ConfigError("config.apply_scaling must be a boolean")
-
-    y0 = _parse_state(cfg["initial_state"])
-    settings = _parse_settings(cfg.get("integrator"), (0.0, 10.0))
-    try:
-        traj = integrate(systems.polar_rhs(field), y0, settings)
-    except IntegrationError as exc:
-        print(f"curlforce map-ef: {exc}", file=sys.stderr)
-        return 2
+    r0 = c["r0"] if c["r0"] is not None else (math.inf if mu < -2.0 else 0.0)
+    apply_scaling = c["apply_scaling"]
+    if apply_scaling is None:
+        apply_scaling = (mu > -2.0) and not drag
+    settings = _integrator(c["integrator"], (0.0, 10.0))
+    traj = integrate(systems.polar_rhs(field), c["initial_state"], settings)
 
     manifest = _base_manifest("map-ef", cfg)
     manifest["run"] = _traj_block(traj)
@@ -487,34 +492,24 @@ def cmd_map_ef(cfg: dict, out: Path, fmt: str) -> int:
             warnings.simplefilter("always")
             series = analysis.torque_map(traj, mu, r0, apply_scaling=apply_scaling)
             if drag:
-                report = analysis.drag_map_residual(traj, mu, field.nu)
-                manifest["drag_map_residual"] = {
-                    "lambda": report.lam, "sigma": report.sigma, "rho": report.rho,
-                    "rms_printed": report.rms_printed,
-                    "max_printed": report.max_printed,
-                    "rms_derived": report.rms_derived,
-                    "max_derived": report.max_derived,
-                    "scale": report.scale, "count": report.count,
-                    "winner": report.winner,
-                }
+                report = dataclasses.asdict(
+                    analysis.drag_map_residual(traj, mu, field.nu))
+                report["lambda"] = report.pop("lam")
+                manifest["drag_map_residual"] = report
             else:
                 m = analysis.m_from_mu(mu)
-                stats = analysis.ef_residual(series, 2.0, m)
-                manifest["ef_residual"] = {
-                    "rms": stats.rms, "max_abs": stats.max_abs,
-                    "scale": stats.scale, "slope_max": stats.slope_max,
-                    "count": stats.count,
-                }
+                manifest["ef_residual"] = dataclasses.asdict(
+                    analysis.ef_residual(series, 2.0, m))
                 drifts = {}
                 if abs(m + 5.0) < 1e-9:
                     vals = invariants.ef_integral_m5(series.J, series.T,
                                                      series.Tprime)
                     drifts["ef_integral_m5"] = drift_metric(vals)
                 if abs(m + 7.0) < 1e-9:
-                    for c, key in ((1.0 / 3.0, "ef_integral_m7_c_one_third"),
+                    for k, key in ((1.0 / 3.0, "ef_integral_m7_c_one_third"),
                                    (1.0, "ef_integral_m7_c_one")):
                         vals = invariants.ef_integral_m7(series.J, series.T,
-                                                        series.Tprime, c=c)
+                                                        series.Tprime, c=k)
                         drifts[key] = drift_metric(vals)
                 manifest["invariant_drifts"] = drifts
         manifest["warnings"] = [str(w.message) for w in caught]
@@ -523,49 +518,47 @@ def cmd_map_ef(cfg: dict, out: Path, fmt: str) -> int:
     data_name = _write_table(out, "map_ef", fmt, ["J", "T", "Tprime"],
                              [series.J, series.T, series.Tprime])
     manifest["data"] = data_name
-    manifest["exit_code"] = 0
-    _write_manifest(out, manifest)
-    return 0
+    return _write_manifest(out, manifest)
 
 
-_NOETHER_KEYS = {"n", "m", "generator", "potential_scale", "grid", "run",
-                 "label"}
 _NAMED_GENERATORS: dict[str, Callable[..., invariants.GeneratorSpec]] = {
     "g1": invariants.generator_g1,
     "g2": invariants.generator_g2,
     "half": invariants.generator_half,
 }
+_GENERATOR = {"xi": (_nums(3, 3), _REQUIRED), "eta": (_nums(2, 2), _REQUIRED),
+              "gauge": (_nums(2, 2), [0.0, 0.0])}
 
 
-def _parse_generator(obj: Any) -> tuple[invariants.GeneratorSpec, Any]:
-    if isinstance(obj, str):
-        if obj in _NAMED_GENERATORS:
-            return _NAMED_GENERATORS[obj](), obj
+def _generator(value: Any, where: str) -> invariants.GeneratorSpec:
+    """A generator name, {"scaling": lambda}, or explicit coefficients."""
+    if isinstance(value, str):
+        if value in _NAMED_GENERATORS:
+            return _NAMED_GENERATORS[value]()
         raise ConfigError(
-            f"unknown generator name {obj!r}; choose from "
+            f"unknown generator name {value!r}; choose from "
             f"{sorted(_NAMED_GENERATORS)} or give an explicit object")
-    if isinstance(obj, dict):
-        if set(obj) == {"scaling"}:
-            lam = obj["scaling"]
-            if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-                raise ConfigError("generator.scaling must be a number")
-            return invariants.generator_scaling(float(lam)), obj
-        _check_keys(obj, {"xi", "eta", "gauge"}, {"xi", "eta"}, "generator")
-        xi = obj["xi"]
-        eta = obj["eta"]
-        gauge = obj.get("gauge", [0.0, 0.0])
-        for name, val, length in (("xi", xi, 3), ("eta", eta, 2),
-                                  ("gauge", gauge, 2)):
-            if (not isinstance(val, list) or len(val) != length
-                    or not all(isinstance(x, (int, float))
-                               and not isinstance(x, bool) for x in val)):
-                raise ConfigError(
-                    f"generator.{name} must be a {length}-element number list")
-        return invariants.GeneratorSpec(
-            xi=tuple(float(x) for x in xi),
-            eta=tuple(float(x) for x in eta),
-            gauge=tuple(float(x) for x in gauge)), obj
-    raise ConfigError("config.generator must be a name or an object")
+    if isinstance(value, dict) and "scaling" in value:
+        lam = _parse(value, {"scaling": (_num, _REQUIRED)}, where)["scaling"]
+        return invariants.generator_scaling(lam)
+    return invariants.GeneratorSpec(**_parse(value, _GENERATOR, where))
+
+
+_NOETHER = {
+    "n": (_num, _REQUIRED),
+    "m": (_num, _REQUIRED),
+    "generator": (_generator, _REQUIRED),
+    "potential_scale": (_num, 1.0),
+    "grid": ({"J": (_nums(1), _REQUIRED), "T": (_nums(1), _REQUIRED),
+              "Tprime": (_nums(1), _REQUIRED)}, None),
+    "run": ({"initial": (_nums(2, 2), [1.0, 0.0]),
+             "J_span": (_span, [1.0, 3.0]),
+             "rel_tol": (_num, 1e-12),
+             "abs_tol": (_num, 1e-13)}, {}),
+    "label": (_any, None),
+}
+# (J, T, T') points where the constructed integral meets its known form
+_KNOWN_FORM_PROBE = [(0.9, 1.1, 0.3), (1.4, 0.8, -0.2), (2.0, 1.7, 0.6)]
 
 
 def _default_grid() -> list[tuple[float, float, float]]:
@@ -575,26 +568,20 @@ def _default_grid() -> list[tuple[float, float, float]]:
             for J in pts for T in pts for Tp in tps]
 
 
-def cmd_noether(cfg: dict, out: Path, fmt: str) -> int:
-    _check_keys(cfg, _NOETHER_KEYS, {"n", "m", "generator"}, "config")
-    n = _number(cfg, "n", "config")
-    m = _number(cfg, "m", "config")
-    scale = _number(cfg, "potential_scale", "config", 1.0)
+def cmd_noether(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
+    c = _parse(cfg, _NOETHER, "config")
+    n, m, scale, G = c["n"], c["m"], c["potential_scale"], c["generator"]
     try:
         L = invariants.PowerLagrangian(n, m, potential_scale=scale)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    G, gen_echo = _parse_generator(cfg["generator"])
 
-    grid_cfg = cfg.get("grid")
-    if grid_cfg is None:
+    if c["grid"] is None:
         grid = _default_grid()
     else:
-        _check_keys(grid_cfg, {"J", "T", "Tprime"}, {"J", "T", "Tprime"},
-                    "grid")
-        grid = [(float(J), float(T), float(Tp))
-                for J in grid_cfg["J"] for T in grid_cfg["T"]
-                for Tp in grid_cfg["Tprime"]]
+        g = c["grid"]
+        grid = [(J, T, Tp) for J in g["J"] for T in g["T"]
+                for Tp in g["Tprime"]]
     residuals = invariants.noether_residual(L, G, grid)
     max_resid = max(abs(r) for r in residuals)
     rms_resid = math.sqrt(sum(r * r for r in residuals) / len(residuals))
@@ -604,27 +591,16 @@ def cmd_noether(cfg: dict, out: Path, fmt: str) -> int:
         warnings.simplefilter("ignore", invariants.NonNoetherianWarning)
         evaluator = invariants.noether_integral(L, G)
 
-    run_cfg = cfg.get("run") or {}
-    _check_keys(run_cfg, {"initial", "J_span", "rel_tol", "abs_tol"}, (),
-                "run")
-    initial = run_cfg.get("initial", [1.0, 0.0])
-    j_span = run_cfg.get("J_span", [1.0, 3.0])
-    settings = IntegratorSettings(
-        rel_tol=_number(run_cfg, "rel_tol", "run", 1e-12),
-        abs_tol=_number(run_cfg, "abs_tol", "run", 1e-13),
-        t_span=(float(j_span[0]), float(j_span[1])))
-    try:
-        traj = integrate(systems.ef_rhs(n, m), np.array(initial, dtype=float),
-                         settings)
-    except IntegrationError as exc:
-        print(f"curlforce noether: {exc}", file=sys.stderr)
-        return 2
+    run = c["run"]
+    settings = _settings(run["J_span"], rel_tol=run["rel_tol"],
+                         abs_tol=run["abs_tol"])
+    traj = integrate(systems.ef_rhs(n, m), np.array(run["initial"]), settings)
     values = np.array([evaluator(float(J), float(T), float(Tp))
                        for J, (T, Tp) in zip(traj.t, traj.y)])
 
     manifest = _base_manifest("noether", cfg)
     manifest["lagrangian"] = {"n": n, "m": m, "potential_scale": scale}
-    manifest["generator"] = gen_echo
+    manifest["generator"] = cfg["generator"]
     manifest["residual"] = {"max_abs": max_resid, "rms": rms_resid,
                             "grid_points": len(grid)}
     manifest["noetherian"] = noetherian
@@ -641,13 +617,12 @@ def cmd_noether(cfg: dict, out: Path, fmt: str) -> int:
             "generator is not Noetherian for this Lagrangian; the evaluator "
             "is generally not conserved")
     if n == 2.0 and m == -7.0:
-        probe = [(0.9, 1.1, 0.3), (1.4, 0.8, -0.2), (2.0, 1.7, 0.6)]
         diff_third = max(
             abs(evaluator(*p) - float(invariants.ef_integral_m7(*p, c=1.0 / 3.0)))
-            for p in probe)
+            for p in _KNOWN_FORM_PROBE)
         diff_one = max(
             abs(evaluator(*p) - float(invariants.ef_integral_m7(*p, c=1.0)))
-            for p in probe)
+            for p in _KNOWN_FORM_PROBE)
         manifest["integral"]["matches_known_form"] = {
             "coefficient_one_third_max_diff": diff_third,
             "coefficient_one_max_diff": diff_one,
@@ -655,82 +630,46 @@ def cmd_noether(cfg: dict, out: Path, fmt: str) -> int:
                      "coefficient-1 variant is not constant along solutions"),
         }
     if n == 2.0 and m == -5.0:
-        probe = [(0.9, 1.1, 0.3), (1.4, 0.8, -0.2), (2.0, 1.7, 0.6)]
         diff = max(abs(evaluator(*p) - float(invariants.ef_integral_m5(*p)))
-                   for p in probe)
+                   for p in _KNOWN_FORM_PROBE)
         manifest["integral"]["matches_known_form"] = {
             "quartic_form_max_diff": diff}
-    manifest["exit_code"] = 0
-    _write_manifest(out, manifest)
-    return 0
+    return _write_manifest(out, manifest)
 
 
-_ORBIT_KEYS = {"mu", "r0", "r_grid", "n", "tol", "compare_simulation",
-               "integrator", "label"}
+_LINSPACE = {"start": (_num, _REQUIRED), "stop": (_num, _REQUIRED),
+             "num": (_int(2), _REQUIRED)}
 
 
-def _parse_r_grid(obj: Any) -> np.ndarray:
-    if isinstance(obj, list):
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                   for x in obj):
-            raise ConfigError("config.r_grid list must contain numbers")
-        return np.array([float(x) for x in obj])
-    if isinstance(obj, dict):
-        _check_keys(obj, {"start", "stop", "num"}, {"start", "stop", "num"},
-                    "r_grid")
-        num = obj["num"]
-        if isinstance(num, bool) or not isinstance(num, int) or num < 2:
-            raise ConfigError("r_grid.num must be an integer >= 2")
-        return np.linspace(_number(obj, "start", "r_grid"),
-                           _number(obj, "stop", "r_grid"), num)
-    raise ConfigError("config.r_grid must be a list or {start, stop, num}")
+def _r_grid(value: Any, where: str) -> np.ndarray:
+    """A list of radii or {start, stop, num}."""
+    if isinstance(value, dict):
+        g = _parse(value, _LINSPACE, where)
+        return np.linspace(g["start"], g["stop"], g["num"])
+    return np.array(_nums(1)(value, where))
 
 
-def _locate_radius(traj: Trajectory, targets: np.ndarray) -> np.ndarray:
-    """Times at which a polar run with increasing r crosses each target radius."""
-    r = traj.y[:, 0]
-    if not np.all(np.diff(r) > 0.0):
-        raise DomainError("simulated comparison needs monotone r(t)")
-    rd = traj.dy[:, 0]
-    t = traj.t
-    from .integrate import _hermite
-    times = np.empty(targets.size)
-    for i, target in enumerate(targets):
-        if target < r[0] - 1e-9 or target > r[-1] + 1e-9:
-            raise DomainError(f"radius {target} outside simulated span")
-        k = int(np.clip(np.searchsorted(r, target, side="right"), 1, r.size - 1))
-        a, b = t[k - 1], t[k]
-        ga = r[k - 1] - target
-        if ga == 0.0:
-            times[i] = a
-            continue
-        for _ in range(200):
-            if (b - a) <= 1e-13 * max(1.0, abs(b)):
-                break
-            mid = 0.5 * (a + b)
-            gm = _hermite(t[k - 1], r[k - 1], rd[k - 1], t[k], r[k], rd[k],
-                          mid) - target
-            if ga * gm <= 0.0:
-                b = mid
-            else:
-                a, ga = mid, gm
-        times[i] = 0.5 * (a + b)
-    return times
+_ORBIT = {
+    "mu": (_num, _REQUIRED),
+    "r0": (_num_or_inf, 0.0),
+    "r_grid": (_r_grid, _REQUIRED),
+    "n": (_num, 2.0),
+    "tol": (_num, 1e-10),
+    "compare_simulation": (_bool, False),
+    "integrator": (_INTEGRATOR, {}),
+    "label": (_any, None),
+}
 
 
-def cmd_orbit(cfg: dict, out: Path, fmt: str) -> int:
-    _check_keys(cfg, _ORBIT_KEYS, {"mu", "r_grid"}, "config")
-    mu = _number(cfg, "mu", "config")
-    r0 = _number(cfg, "r0", "config", 0.0, allow_inf=True)
-    n = _number(cfg, "n", "config", 2.0)
-    tol = _number(cfg, "tol", "config", 1e-10)
-    rg = _parse_r_grid(cfg["r_grid"])
-    compare = cfg.get("compare_simulation", False)
-    if not isinstance(compare, bool):
-        raise ConfigError("config.compare_simulation must be a boolean")
+def cmd_orbit(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
+    c = _parse(cfg, _ORBIT, "config")
+    mu, r0, n, tol, rg = c["mu"], c["r0"], c["n"], c["tol"], c["r_grid"]
 
-    theta_rep = analysis.orbit_theta_of_r(mu, r0, rg, n=n, tol=tol)
-    time_rep = analysis.time_of_r(mu, r0, rg, n=n, tol=tol)
+    try:
+        theta_rep = analysis.orbit_theta_of_r(mu, r0, rg, n=n, tol=tol)
+        time_rep = analysis.time_of_r(mu, r0, rg, n=n, tol=tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     header = ["r", "theta", "tau"]
     columns = [rg, theta_rep.values, time_rep.values]
@@ -738,20 +677,15 @@ def cmd_orbit(cfg: dict, out: Path, fmt: str) -> int:
     manifest["mu"] = mu
     manifest["m"] = analysis.m_from_mu(mu)
     manifest["Lambda"] = analysis.lambda_coeff(n, analysis.m_from_mu(mu))
+    reps = {"theta": theta_rep, "tau": time_rep}
     manifest["quadrature"] = {
-        "theta": {"abs_error_estimate": theta_rep.abs_error_estimate,
-                  "evaluations": theta_rep.evaluations},
-        "tau": {"abs_error_estimate": time_rep.abs_error_estimate,
-                "evaluations": time_rep.evaluations},
-    }
+        k: {"abs_error_estimate": rep.abs_error_estimate,
+            "evaluations": rep.evaluations} for k, rep in reps.items()}
     manifest["printed_form_ratio"] = {
-        "theta": {"min": float(np.min(theta_rep.printed_ratio)),
-                  "max": float(np.max(theta_rep.printed_ratio))},
-        "tau": {"min": float(np.min(time_rep.printed_ratio)),
-                "max": float(np.max(time_rep.printed_ratio))},
-    }
+        k: {"min": float(np.min(rep.printed_ratio)),
+            "max": float(np.max(rep.printed_ratio))} for k, rep in reps.items()}
 
-    if compare:
+    if c["compare_simulation"]:
         if mu <= -2.0:
             raise ConfigError("compare_simulation needs mu > -2")
         j1 = analysis.j_of_r(float(rg[0]), mu, r0, n, analysis.m_from_mu(mu))
@@ -759,15 +693,12 @@ def cmd_orbit(cfg: dict, out: Path, fmt: str) -> int:
         t_phys = abs(mu + 2.0) ** (-1.0 / (n + 2.0)) * time_rep.values
         duration = 3.0 * (t_phys[-1] - t_phys[0]) + 1.0
         stop = Event("r-target", lambda t, y: float(y[0]) - float(rg[-1]))
-        settings = _parse_settings(cfg.get("integrator"), (0.0, duration),
-                                   events=(stop,))
-        try:
-            traj = integrate(systems.polar_rhs(systems.IsotropicField(mu)),
-                             seed.as_array(), settings)
-        except IntegrationError as exc:
-            print(f"curlforce orbit: {exc}", file=sys.stderr)
-            return 2
-        times = _locate_radius(traj, rg)
+        settings = _integrator(c["integrator"], (0.0, duration), (stop,))
+        traj = integrate(systems.polar_rhs(systems.IsotropicField(mu)),
+                         seed.as_array(), settings)
+        # the seeded radius and the stopping event may round a hair past
+        # the grid's ends
+        times = crossing_times(traj, 0, rg, slack=1e-9)
         states = resample(traj, times)
         theta_sim = states[:, 1] - states[0, 1]
         t_sim = times - times[0]
@@ -783,21 +714,30 @@ def cmd_orbit(cfg: dict, out: Path, fmt: str) -> int:
 
     data_name = _write_table(out, "orbit", fmt, header, columns)
     manifest["data"] = data_name
-    manifest["exit_code"] = 0
-    _write_manifest(out, manifest)
-    return 0
+    return _write_manifest(out, manifest)
 
 
-_SPECIAL_KEYS = {"lambda", "sigma", "Y0", "eps", "run", "label"}
+_SPECIAL = {
+    "lambda": (_num, _REQUIRED),
+    "sigma": (_num, None),
+    "Y0": (_num, 1.0),
+    "eps": (_num, 0.3),
+    "run": ({"initial": (_nums(2, 2), [0.5, 0.0]),
+             "J_span": (_span, [1.0, 2.0]),
+             "h": (_num, 2e-4)}, {}),
+    "label": (_any, None),
+}
 
 
-def cmd_special(cfg: dict, out: Path, fmt: str) -> int:
-    _check_keys(cfg, _SPECIAL_KEYS, {"lambda"}, "config")
-    lam = _number(cfg, "lambda", "config")
+def cmd_special(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
+    c = _parse(cfg, _SPECIAL, "config")
+    lam = c["lambda"]
     if lam == 0.0:
         raise ConfigError("lambda = 0 is excluded (exponents divide by lambda)")
-    sigma = _number(cfg, "sigma", "config", 1.0 + 4.0 * lam)
-    eps = _number(cfg, "eps", "config", 0.3)
+    sigma = c["sigma"] if c["sigma"] is not None else 1.0 + 4.0 * lam
+    eps = c["eps"]
+    run = c["run"]
+    settings = _settings(run["J_span"], method="rk4", h=run["h"])
 
     manifest = _base_manifest("special", cfg)
     manifest["lambda"] = lam
@@ -805,7 +745,7 @@ def cmd_special(cfg: dict, out: Path, fmt: str) -> int:
     manifest["sigma_matches_scaling_family"] = (sigma == 1.0 + 4.0 * lam)
 
     if lam == -1.0:
-        y0 = _number(cfg, "Y0", "config", 1.0)
+        y0 = c["Y0"]
         z = np.linspace(0.0, 2.0, 101)
         y = y0 * np.exp(-z)
         resid = systems.third_order_residual(y, -y, y, -y, lam, sigma)
@@ -819,10 +759,8 @@ def cmd_special(cfg: dict, out: Path, fmt: str) -> int:
             y0 = analysis.power_solution_y0(lam)
         except analysis.NoRoot as exc:
             manifest["power_solution"] = {"error": str(exc)}
-            manifest["exit_code"] = 2
-            _write_manifest(out, manifest)
             print(f"curlforce special: {exc}", file=sys.stderr)
-            return 2
+            return _write_manifest(out, manifest, 2)
         p = lam / (1.0 + lam)
         z = np.linspace(0.5, 2.0, 61)
         y = y0 * z ** p
@@ -838,25 +776,16 @@ def cmd_special(cfg: dict, out: Path, fmt: str) -> int:
             "note": "Y = Y0*z^(lambda/(1+lambda)) solves the sigma = 1+4*lambda case",
         }
 
-    run_cfg = cfg.get("run") or {}
-    _check_keys(run_cfg, {"initial", "J_span", "h"}, (), "run")
-    initial = run_cfg.get("initial", [0.5, 0.0])
-    j_span = run_cfg.get("J_span", [1.0, 2.0])
-    h = _number(run_cfg, "h", "run", 2e-4)
-    settings = IntegratorSettings(method="rk4", h=h,
-                                  t_span=(float(j_span[0]), float(j_span[1])))
+    rhs = systems.drag_ef_rhs(lam, sigma)
     try:
-        traj = integrate(systems.drag_ef_rhs(lam, sigma),
-                         np.array(initial, dtype=float), settings)
-        model = _drag_model(lam, sigma)
-        stats = analysis.scaling_map_residual(traj, alpha=-1.0, beta=-lam,
-                                              eps=eps, model=model)
+        traj = integrate(rhs, np.array(run["initial"]), settings)
+        stats = analysis.scaling_map_residual(
+            traj, alpha=-1.0, beta=-lam, eps=eps,
+            model=lambda J, T, Tp: rhs(J, (T, Tp))[1])
     except (IntegrationError, DomainError, ValueError) as exc:
         print(f"curlforce special: {exc}", file=sys.stderr)
         manifest["scaling_map"] = {"error": str(exc)}
-        manifest["exit_code"] = 2
-        _write_manifest(out, manifest)
-        return 2
+        return _write_manifest(out, manifest, 2)
     manifest["scaling_map"] = {
         "eps": eps,
         "rms": stats.rms,
@@ -867,21 +796,31 @@ def cmd_special(cfg: dict, out: Path, fmt: str) -> int:
                  "against the damped equation; near zero only when "
                  "sigma = 1 + 4*lambda"),
     }
-    manifest["exit_code"] = 0
-    _write_manifest(out, manifest)
-    return 0
+    return _write_manifest(out, manifest)
 
 
-def _drag_model(lam: float, sigma: float) -> Callable[[float, float, float], float]:
-    def model(J: float, T: float, Tp: float) -> float:
-        from .core import real_power
-        return real_power(T, lam) * Tp + J * J * real_power(T, sigma)
-    return model
+_SWEEPABLE = ("simulate", "figure", "map-ef", "noether", "orbit", "special")
 
 
-_SWEEP_KEYS = {"runs", "max_workers", "label"}
-_RUN_KEYS = {"name", "command", "config", "variant", "format"}
-_SWEEPABLE = {"simulate", "figure", "map-ef", "noether", "orbit", "special"}
+def _run_name(value: Any, where: str) -> str:
+    if (not isinstance(value, str) or not value
+            or any(sep in value for sep in ("/", "\\", ".."))):
+        raise ConfigError(f"{where} must be a plain directory name")
+    return value
+
+
+_RUN = {
+    "name": (_run_name, _REQUIRED),
+    "command": (_choice(*_SWEEPABLE), _REQUIRED),
+    "config": (_typed(dict, "an object"), _REQUIRED),
+    "variant": (_choice("derived", "as_printed"), None),
+    "format": (_choice("csv", "json"), None),
+}
+_SWEEP = {
+    "runs": (_list(lambda v, where: _parse(v, _RUN, where), 1), _REQUIRED),
+    "max_workers": (_int(1), None),
+    "label": (_any, None),
+}
 
 
 def _sweep_worker(args: tuple[str, dict, str, str | None, str]) -> int:
@@ -892,36 +831,15 @@ def _sweep_worker(args: tuple[str, dict, str, str | None, str]) -> int:
 
 
 def cmd_sweep(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
-    _check_keys(cfg, _SWEEP_KEYS, {"runs"}, "config")
-    runs = cfg["runs"]
-    if not isinstance(runs, list) or not runs:
-        raise ConfigError("config.runs must be a nonempty list")
-    jobs = []
-    names = set()
-    for i, run in enumerate(runs):
-        where = f"runs[{i}]"
-        _check_keys(run, _RUN_KEYS, {"name", "command", "config"}, where)
-        name = run["name"]
-        if (not isinstance(name, str) or not name
-                or any(sep in name for sep in ("/", "\\", ".."))):
-            raise ConfigError(f"{where}.name must be a plain directory name")
-        if name in names:
-            raise ConfigError(f"duplicate run name {name!r}")
-        names.add(name)
-        if run["command"] not in _SWEEPABLE:
-            raise ConfigError(
-                f"{where}.command must be one of {sorted(_SWEEPABLE)}")
-        if not isinstance(run["config"], dict):
-            raise ConfigError(f"{where}.config must be an object")
-        jobs.append((run["command"], run["config"], str(out / name),
-                     run.get("variant", variant), run.get("format", fmt)))
-
-    max_workers = cfg.get("max_workers")
-    if max_workers is not None and (isinstance(max_workers, bool)
-                                    or not isinstance(max_workers, int)
-                                    or max_workers < 1):
-        raise ConfigError("config.max_workers must be a positive integer")
-    workers = max_workers or min(len(jobs), os.cpu_count() or 1)
+    c = _parse(cfg, _SWEEP, "config")
+    runs = c["runs"]
+    names = [run["name"] for run in runs]
+    dupes = sorted({name for name in names if names.count(name) > 1})
+    if dupes:
+        raise ConfigError(f"duplicate run name(s): {', '.join(dupes)}")
+    jobs = [(run["command"], run["config"], str(out / run["name"]),
+             run["variant"] or variant, run["format"] or fmt) for run in runs]
+    workers = c["max_workers"] or min(len(jobs), os.cpu_count() or 1)
 
     if workers == 1:
         codes = [_sweep_worker(job) for job in jobs]
@@ -933,12 +851,15 @@ def cmd_sweep(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
         ({"name": run["name"], "command": run["command"], "exit_code": code}
          for run, code in zip(runs, codes)),
         key=lambda r: r["name"])
-    manifest = _base_manifest("sweep", {"runs": runs})
+    manifest = _base_manifest("sweep", {"runs": cfg["runs"]})
     manifest["results"] = results
     code = max((r["exit_code"] for r in results), default=0)
-    manifest["exit_code"] = code
-    _write_manifest(out, manifest)
-    return code
+    return _write_manifest(out, manifest, code)
+
+
+_COMMANDS = {"simulate": cmd_simulate, "figure": cmd_figure,
+             "map-ef": cmd_map_ef, "noether": cmd_noether, "orbit": cmd_orbit,
+             "special": cmd_special, "sweep": cmd_sweep}
 
 
 # -- entry point --------------------------------------------------------------
@@ -946,33 +867,13 @@ def cmd_sweep(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
 def _dispatch(command: str, cfg: dict, out: Path, variant: str | None,
               fmt: str) -> int:
     try:
-        if command == "simulate":
-            return cmd_simulate(cfg, out, fmt)
-        if command == "figure":
-            return cmd_figure(cfg, out, fmt, variant)
-        if command == "map-ef":
-            return cmd_map_ef(cfg, out, fmt)
-        if command == "noether":
-            return cmd_noether(cfg, out, fmt)
-        if command == "orbit":
-            return cmd_orbit(cfg, out, fmt)
-        if command == "special":
-            return cmd_special(cfg, out, fmt)
-        if command == "sweep":
-            return cmd_sweep(cfg, out, fmt, variant)
-    except ConfigError as exc:
-        print(f"curlforce {command}: config error: {exc}", file=sys.stderr)
-        return 1
-    except (analysis.NonRealLambda,) as exc:
-        print(f"curlforce {command}: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
+        return _COMMANDS[command](cfg, out, fmt, variant)
+    except (ConfigError, DomainError, analysis.NonRealLambda) as exc:
         print(f"curlforce {command}: config error: {exc}", file=sys.stderr)
         return 1
     except (IntegrationError, analysis.QuadratureError, analysis.NoRoot) as exc:
         print(f"curlforce {command}: numerical failure: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {command}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -980,9 +881,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="curlforce",
         description=("Numerical experiments for planar motion under "
                      "noncentral curl forces"))
-    parser.add_argument("command",
-                        choices=["simulate", "figure", "map-ef", "noether",
-                                 "orbit", "special", "sweep"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True,
                         help="path to a JSON config document")
     parser.add_argument("--out", required=True,

@@ -24,6 +24,8 @@ __all__ = [
     "InvariantReport",
     "polar_states",
     "resample",
+    "bisect_root",
+    "crossing_times",
     "drift_metric",
     "fd_second_derivative",
     "invariant_report",
@@ -60,6 +62,9 @@ def real_power(x: float, p: float) -> float:
         except OverflowError:
             return -math.inf if int(p) % 2 != 0 else math.inf
     return math.nan
+
+
+_rpow = np.vectorize(real_power, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -221,6 +226,20 @@ def invariant_report(name: str, values: Sequence[float]) -> InvariantReport:
     return InvariantReport(name=name, values=vals, drift=drift_metric(vals))
 
 
+def _hermite(t0, y0, f0, t1, y1, f1, t):
+    """Cubic Hermite interpolant of one step; broadcasts over its arguments."""
+    h = t1 - t0
+    s = (t - t0) / h
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        (2.0 * s3 - 3.0 * s2 + 1.0) * y0
+        + (s3 - 2.0 * s2 + s) * h * f0
+        + (-2.0 * s3 + 3.0 * s2) * y1
+        + (s3 - s2) * h * f1
+    )
+
+
 def resample(traj: Trajectory, times: Sequence[float]) -> np.ndarray:
     """States at arbitrary times via per-step cubic Hermite interpolation.
 
@@ -234,24 +253,58 @@ def resample(traj: Trajectory, times: Sequence[float]) -> np.ndarray:
         raise DomainError(
             f"resample times must lie within [{t[0]}, {t[-1]}]"
         )
-    idx = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, t.size - 2 if t.size > 1 else 0)
     if t.size == 1:
         return np.repeat(traj.y, tq.size, axis=0)
-    t0 = t[idx]
-    h = t[idx + 1] - t0
-    s = (tq - t0) / h
-    s2 = s * s
-    s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
-    y0 = traj.y[idx]
-    y1 = traj.y[idx + 1]
-    f0 = traj.dy[idx]
-    f1 = traj.dy[idx + 1]
-    hh = h[:, None]
-    return h00[:, None] * y0 + h10[:, None] * hh * f0 + h01[:, None] * y1 + h11[:, None] * hh * f1
+    idx = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, t.size - 2)
+    return _hermite(t[idx][:, None], traj.y[idx], traj.dy[idx],
+                    t[idx + 1][:, None], traj.y[idx + 1], traj.dy[idx + 1],
+                    tq[:, None])
+
+
+def bisect_root(g: Callable[[float], float], a: float, b: float, ga: float,
+                rel_tol: float) -> float:
+    """Root of g in [a, b] by bisection, given ga = g(a) and g(a)*g(b) <= 0.
+
+    Stops once b - a <= rel_tol * max(1, |b|) and returns the midpoint.
+    """
+    while (b - a) > rel_tol * max(1.0, abs(b)):
+        mid = 0.5 * (a + b)
+        gm = g(mid)
+        if ga * gm <= 0.0:
+            b = mid
+        else:
+            a, ga = mid, gm
+    return 0.5 * (a + b)
+
+
+def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
+                   slack: float = 0.0) -> np.ndarray:
+    """Times at which the strictly increasing state column `col` reaches each target.
+
+    Inside the sampled range each time is a root of the column's Hermite
+    interpolant on the bracketing step (bisection to 1e-13).  A target at
+    most `slack` beyond an end maps to that end's time; one further out
+    raises DomainError.
+    """
+    x = traj.y[:, col]
+    if not np.all(np.diff(x) > 0.0):
+        raise DomainError(f"state column {col} must increase strictly")
+    xd = traj.dy[:, col]
+    t = traj.t
+    targets = np.asarray(targets, dtype=float).ravel()
+    if np.any(targets < x[0] - slack) or np.any(targets > x[-1] + slack):
+        raise DomainError(f"targets must lie within [{x[0]}, {x[-1]}]")
+    times = np.empty(targets.size)
+    for i, target in enumerate(np.clip(targets, x[0], x[-1])):
+        k = int(np.searchsorted(x, target, side="right"))
+        if x[k - 1] == target:
+            times[i] = t[k - 1]
+        else:
+            times[i] = bisect_root(
+                lambda s: _hermite(t[k - 1], x[k - 1], xd[k - 1],
+                                   t[k], x[k], xd[k], s) - target,
+                t[k - 1], t[k], x[k - 1] - target, 1e-13)
+    return times
 
 
 def _fd2(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -18,14 +18,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Trajectory
+from .core import Trajectory, _hermite, bisect_root
 
 __all__ = [
     "Event",
     "IntegratorSettings",
     "IntegrationError",
     "integrate",
-    "solve_orbit_ode",
 ]
 
 # Dormand-Prince 5(4) tableau.  The seventh stage is the FSAL evaluation.
@@ -98,7 +97,8 @@ class IntegratorSettings:
             raise ValueError(f"unknown method {self.method!r}")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.h <= 0.0 or self.h_max <= 0.0:
+        if (self.h <= 0.0 or self.h_max <= 0.0
+                or (self.h0 is not None and self.h0 <= 0.0)):
             raise ValueError("step sizes must be positive")
         t0, t1 = self.t_span
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
@@ -107,33 +107,6 @@ class IntegratorSettings:
             raise ValueError("max_steps must be at least 1")
         object.__setattr__(self, "t_span", (float(t0), float(t1)))
         object.__setattr__(self, "events", tuple(self.events))
-
-
-def _hermite(t0, y0, f0, t1, y1, f1, t):
-    h = t1 - t0
-    s = (t - t0) / h
-    s2 = s * s
-    s3 = s2 * s
-    return (
-        (2.0 * s3 - 3.0 * s2 + 1.0) * y0
-        + (s3 - 2.0 * s2 + s) * h * f0
-        + (-2.0 * s3 + 3.0 * s2) * y1
-        + (s3 - s2) * h * f1
-    )
-
-
-def _locate_event(fn, t0, y0, f0, t1, y1, f1, g0):
-    """Bisect the event function composed with the Hermite interpolant."""
-    a, b = t0, t1
-    ga = g0
-    while (b - a) > _EVENT_RESOLUTION * max(1.0, abs(b)):
-        mid = 0.5 * (a + b)
-        gm = fn(mid, _hermite(t0, y0, f0, t1, y1, f1, mid))
-        if ga * gm <= 0.0:
-            b = mid
-        else:
-            a, ga = mid, gm
-    return 0.5 * (a + b)
 
 
 def _error_norm(err_vec, y_old, y_new, rel_tol, abs_tol):
@@ -274,7 +247,11 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
         for ev, g0 in zip(settings.events, g_prev):
             g1 = float(ev.fn(t_new, y_new))
             if (g0 * g1 < 0.0) or (g1 == 0.0 and g0 != 0.0):
-                te = _locate_event(ev.fn, t, y, f, t_new, y_new, f_new, g0)
+                # bisect the event function along the step's interpolant
+                te = bisect_root(
+                    lambda tm: ev.fn(tm, _hermite(t, y, f, t_new, y_new,
+                                                  f_new, tm)),
+                    t, t_new, g0, _EVENT_RESOLUTION)
                 if stop_at is None or te < stop_at:
                     stop_at, stop_name = te, ev.name
         if stop_at is not None:
@@ -300,17 +277,3 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
 
     return _build(termination)
 
-
-def solve_orbit_ode(rhs2: Callable[[float, float, float], float],
-                    y0: float,
-                    yp0: float,
-                    settings: IntegratorSettings) -> Trajectory:
-    """Integrate the scalar second-order equation y'' = rhs2(x, y, y').
-
-    The trajectory state is (y, y').
-    """
-
-    def f(x, state):
-        return np.array([state[1], rhs2(x, float(state[0]), float(state[1]))])
-
-    return integrate(f, np.array([float(y0), float(yp0)]), settings)

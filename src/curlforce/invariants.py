@@ -1,14 +1,15 @@
 """First integrals and Noether-symmetry verification.
 
-Conserved quantities for the polar systems (lrr_invariant, mu3_invariant)
-and for the integrated-torque equations (ef_integral_m5, ef_integral_m7,
-prop31_integral), plus the point-symmetry machinery for the power-law
-Lagrangian family: the Noether-condition residual, the constructed first
-integral, and the invariants of the scaling symmetry used by the Abel
-reduction.
+Conserved quantities for the polar systems (angular_momentum,
+lrr_invariant, mu3_invariant) and for the integrated-torque equations
+(ef_integral_m5, ef_integral_m7, prop31_integral), plus the point-symmetry
+machinery for the power-law Lagrangian family: the Noether-condition
+residual, the constructed first integral, and the invariants of the scaling
+symmetry used by the Abel reduction.
 
 All evaluators are pure and accept scalars or numpy arrays where that is
-meaningful (J, T, Tprime triples).
+meaningful (J, T, Tprime triples); the polar ones take a PolarState or a
+whole polar Trajectory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import DomainError, PolarState
+from .core import DomainError, PolarState, Trajectory
 from .systems import AngleFunction
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "generator_g2",
     "generator_half",
     "generator_scaling",
+    "angular_momentum",
     "lrr_invariant",
     "mu3_invariant",
     "ef_integral_m5",
@@ -147,16 +149,31 @@ def generator_scaling(lam: float) -> GeneratorSpec:
     return GeneratorSpec(xi=(0.0, float(lam), 0.0), eta=(-1.0, 0.0))
 
 
-def lrr_invariant(state: PolarState, V: AngleFunction) -> float:
+def _polar(state: PolarState | Trajectory):
+    """(r, theta, thetadot) of a PolarState, or their columns along a polar run."""
+    if isinstance(state, PolarState):
+        return state.r, state.theta, state.thetadot
+    if state.y.shape[1] != 4:
+        raise DomainError("polar trajectories carry 4 state components")
+    return state.y[:, 0], state.y[:, 1], state.y[:, 3]
+
+
+def angular_momentum(state: PolarState | Trajectory):
+    """r^2 thetadot; a float for a PolarState, an array along a Trajectory."""
+    r, _, thetadot = _polar(state)
+    return r * r * thetadot
+
+
+def lrr_invariant(state: PolarState | Trajectory, V: AngleFunction):
     """(1/2) (r^2 thetadot)^2 + V(theta); conserved for the Ermakov family."""
-    j = state.r ** 2 * state.thetadot
-    return 0.5 * j * j + V(state.theta)
+    j = angular_momentum(state)
+    return 0.5 * j * j + V(_polar(state)[1])
 
 
-def mu3_invariant(state: PolarState) -> float:
+def mu3_invariant(state: PolarState | Trajectory):
     """(1/2) (r^2 thetadot)^2 - theta; conserved for the azimuthal r^-3 force."""
-    j = state.r ** 2 * state.thetadot
-    return 0.5 * j * j - state.theta
+    j = angular_momentum(state)
+    return 0.5 * j * j - _polar(state)[1]
 
 
 def _check_nonzero_T(T) -> None:

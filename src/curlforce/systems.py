@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, real_power
+from .core import DomainError, _rpow, real_power
 from .integrate import Event
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "third_order_rhs",
     "third_order_residual",
     "r_floor_event",
-    "t_floor_event",
     "h2_singularity_event",
     "yprime_floor_event",
 ]
@@ -62,8 +61,6 @@ _FAMILIES = ("zero", "constant", "linear_theta", "cos", "sin", "poly")
 _NAN2 = np.full(2, np.nan)
 _NAN3 = np.full(3, np.nan)
 _NAN4 = np.full(4, np.nan)
-
-_vec_real_power = np.vectorize(real_power, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -460,8 +457,8 @@ def third_order_residual(y, yp, ypp, yppp, lam: float, sigma: float):
     yp = np.asarray(yp, dtype=float)
     ypp = np.asarray(ypp, dtype=float)
     yppp = np.asarray(yppp, dtype=float)
-    res = yppp * yp - ((ypp + _vec_real_power(yp, 2.0 + lam)) * ypp
-                       + y * y * _vec_real_power(yp, sigma + 3.0))
+    res = yppp * yp - ((ypp + _rpow(yp, 2.0 + lam)) * ypp
+                       + y * y * _rpow(yp, sigma + 3.0))
     if res.ndim == 0:
         return float(res)
     return res
@@ -470,11 +467,6 @@ def third_order_residual(y, yp, ypp, yppp, lam: float, sigma: float):
 def r_floor_event(threshold: float = 1e-8) -> Event:
     """Stop a polar run when the radius reaches the floor."""
     return Event("r-floor", lambda t, y: float(y[0]) - threshold)
-
-
-def t_floor_event(threshold: float = 1e-10) -> Event:
-    """Stop an EF run when T reaches the floor (negative exponents blow up)."""
-    return Event("T-floor", lambda J, y: float(y[0]) - threshold)
 
 
 def h2_singularity_event(I: float, V: AngleFunction,

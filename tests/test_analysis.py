@@ -345,6 +345,19 @@ class TestScalingMap:
                                      eps=0.3, model=_drag_model(1.0, 5.0))
         assert stats.rms > 1e-2 * stats.scale
 
+    @pytest.mark.parametrize("lam", [1.0, -1.0])
+    def test_window_edge_stays_inside_run(self, lam):
+        # the special command's default run; at some eps the scaled window's
+        # edge rounds an ulp outside [1, 2]
+        s = IntegratorSettings(method="rk4", h=2e-4, t_span=(1.0, 2.0))
+        traj = integrate(drag_ef_rhs(lam, 1.0 + 4.0 * lam),
+                         np.array([0.5, 0.0]), s)
+        model = _drag_model(lam, 1.0 + 4.0 * lam)
+        for eps in np.round(np.arange(0.2, 0.4 + 1e-9, 0.005), 3):
+            stats = scaling_map_residual(traj, alpha=-1.0, beta=-lam,
+                                         eps=float(eps), model=model)
+            assert stats.max_abs <= 1e-6 * stats.scale, eps
+
     def test_empty_window_rejected(self, drag_ef_run):
         with pytest.raises(ValueError):
             scaling_map_residual(drag_ef_run, alpha=-1.0, beta=-1.0,

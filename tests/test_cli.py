@@ -360,6 +360,72 @@ class TestSpecial:
         assert man["scaling_map"]["rms"] > 1e-2 * man["scaling_map"]["scale"]
 
 
+class TestEdgeRepros:
+    def test_radius_edge_comparison_meets_a9(self, tmp_path):
+        # the seeded r(0) rounds an ulp above the first grid radius
+        cfg = {"mu": 0.0, "r0": 0.0,
+               "r_grid": {"start": 1.437734, "stop": 2.056757, "num": 100},
+               "compare_simulation": True}
+        code, out = _run(tmp_path, "orbit", cfg)
+        assert code == 0
+        comp = _manifest(out)["simulated_comparison"]
+        assert comp["max_abs_delta_theta"] <= 1e-4
+        assert comp["max_abs_delta_t"] <= 1e-4
+
+    @pytest.mark.parametrize("eps", [0.25, 0.395])
+    def test_window_edge_special_runs(self, tmp_path, eps):
+        # the scaled window's edge rounds an ulp outside the run
+        code, out = _run(tmp_path, "special", {"lambda": 1.0, "eps": eps})
+        assert code == 0
+        block = _manifest(out)["scaling_map"]
+        assert block["max_abs"] <= 1e-6 * block["scale"]
+
+
+_SIM_BASE = {"system": {"family": "ermakov", "w": 1.0},
+             "initial_state": {"r": 1.0, "thetadot": 0.5},
+             "integrator": {"t_span": [0.0, 1.0]}}
+_NOETHER_BASE = {"n": 2.0, "m": -5.0, "generator": "g2"}
+
+
+def _with(base, **changes):
+    cfg = json.loads(json.dumps(base))
+    for path, value in changes.items():
+        *parents, key = path.split("__")
+        node = cfg
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = value
+    return cfg
+
+
+class TestBadInputExits1:
+    @pytest.mark.parametrize("command, cfg", [
+        ("figure", {"which": "fig1", "theta_span": ["a", 1]}),
+        ("figure", {"which": "fig1", "theta_span": [5, 1]}),
+        ("noether", _with(_NOETHER_BASE, run__J_span=["x", 3])),
+        ("noether", _with(_NOETHER_BASE, run__initial=[1.0])),
+        ("noether", _with(_NOETHER_BASE, grid={"J": [], "T": [1.0],
+                                                "Tprime": [0.0]})),
+        ("simulate", _with(_SIM_BASE, integrator__method=7)),
+        ("simulate", _with(_SIM_BASE, initial_state__r=-1)),
+        ("special", {"lambda": 1.0, "run": {"initial": "ab"}}),
+        ("simulate", _with(_SIM_BASE, integrator__h0=0.0)),
+        ("simulate", _with(_SIM_BASE, integrator__h0=-1e-3)),
+        ("orbit", {"mu": 0.0, "r_grid": [2.0, 1.0]}),
+        ("orbit", {"mu": 0.0, "r_grid": [1.0, 2.0], "tol": -1.0}),
+    ], ids=["figure-span-text", "figure-span-reversed", "noether-span-text",
+            "noether-initial-short", "noether-empty-grid", "simulate-method-7",
+            "simulate-negative-r", "special-initial-text", "simulate-h0-zero",
+            "simulate-h0-negative", "orbit-grid-decreasing",
+            "orbit-tol-negative"])
+    def test_clean_config_error(self, tmp_path, capsys, command, cfg):
+        code, _ = _run(tmp_path, command, cfg)
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"curlforce {command}: config error:")
+        assert "\n" not in err
+
+
 class TestSweep:
     _RUNS = {
         "runs": [

@@ -10,6 +10,7 @@ from curlforce.core import (
     PolarState,
     Trajectory,
     _fd2,
+    crossing_times,
     drift_metric,
     fd_second_derivative,
     invariant_report,
@@ -124,6 +125,34 @@ class TestResample:
         traj = _traj([0.0, 1.0, 2.0], [np.array([0.0, 1.0, 2.0])])
         with pytest.raises(DomainError):
             resample(traj, [2.5])
+
+
+class TestCrossingTimes:
+    # x = t^2 on [1, 2]: the target x = c is reached at t = sqrt(c)
+    _T = np.linspace(1.0, 2.0, 11)
+    _RUN = Trajectory(t=_T, y=(_T ** 2)[:, None], dy=(2.0 * _T)[:, None])
+
+    def test_interior_targets_match_inverse(self):
+        targets = np.array([1.0, 1.3, 2.25, 3.9, 4.0])
+        got = crossing_times(self._RUN, 0, targets)
+        assert np.abs(got - np.sqrt(targets)).max() < 1e-12
+
+    def test_targets_within_slack_map_to_ends(self):
+        lo = np.nextafter(1.0, 0.0)
+        hi = np.nextafter(4.0, 5.0)
+        got = crossing_times(self._RUN, 0, [lo, hi], slack=1e-9)
+        assert list(got) == [1.0, 2.0]
+
+    def test_targets_beyond_slack_rejected(self):
+        with pytest.raises(DomainError):
+            crossing_times(self._RUN, 0, [0.99], slack=1e-9)
+        with pytest.raises(DomainError):
+            crossing_times(self._RUN, 0, [np.nextafter(1.0, 0.0)])
+
+    def test_nonincreasing_column_rejected(self):
+        run = Trajectory(t=self._T, y=-self._RUN.y, dy=-self._RUN.dy)
+        with pytest.raises(DomainError):
+            crossing_times(run, 0, [-2.0])
 
 
 class TestFiniteDifferences:
