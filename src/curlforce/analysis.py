@@ -208,23 +208,24 @@ def _polar_columns(traj: Trajectory, mu: float,
     return r, traj.y[:, 2], angular_momentum(traj)
 
 
-def _monotone_run(what: str, key: np.ndarray,
+def _monotone_run(what: str, increasing: bool, key: np.ndarray,
                   *arrays: np.ndarray) -> list[np.ndarray]:
-    """key and arrays ordered by increasing key, cut to key's longest monotone run.
+    """key and arrays, cut with a warning to key's longest monotone run.
 
-    A strictly monotone key keeps every sample; otherwise the cut is made
-    with a warning.
+    No cut is made when key strictly increases, or, unless `increasing`,
+    strictly decreases.  With `increasing` a cut run is returned in
+    increasing order; `what` leads the warning.
     """
     d = np.diff(key)
     out = [key, *arrays]
-    if not (np.all(d > 0.0) or np.all(d < 0.0)):
+    if not (np.all(d > 0.0) or (not increasing and np.all(d < 0.0))):
         run = longest_monotone_run(key)
         warnings.warn(
-            f"{what} not strictly monotone; keeping the longest monotone run "
-            f"of {run.stop - run.start} of {key.size} samples", stacklevel=3)
+            f"{what}; keeping the longest monotone run of "
+            f"{run.stop - run.start} of {key.size} samples", stacklevel=3)
         out = [a[run] for a in out]
-    if out[0].size >= 2 and out[0][1] < out[0][0]:
-        out = [a[::-1] for a in out]
+        if increasing and out[0].size >= 2 and out[0][1] < out[0][0]:
+            out = [a[::-1] for a in out]
     return out
 
 
@@ -255,7 +256,8 @@ def torque_map(traj: Trajectory, mu: float, r0: float = 0.0,
     else:
         T, J, Tp = t_raw, j_raw, tp_raw
 
-    J, T, Tp = _monotone_run("torque map: J", J, T, Tp)
+    J, T, Tp = _monotone_run("torque map: J not strictly increasing", True,
+                             J, T, Tp)
     return EFSeries(J=J.copy(), T=T.copy(), Tprime=Tp.copy(),
                     mu=float(mu), r0=float(r0), scaled=bool(apply_scaling))
 
@@ -561,7 +563,8 @@ def drag_map_residual(traj: Trajectory, mu: float,
     t_raw = r ** (mu + 2.0) / (mu + 2.0)
     w = r ** (mu + 2.0)
 
-    j_raw, t_raw, rdot, w = _monotone_run("drag map: J", j_raw, t_raw, rdot, w)
+    j_raw, t_raw, rdot, w = _monotone_run(
+        "drag map: J not strictly increasing", True, j_raw, t_raw, rdot, w)
     if j_raw.size < 3:
         raise ValueError("residual needs at least 3 samples")
 
@@ -631,7 +634,7 @@ def abel_reduction_residual(lam: float, traj: Trajectory) -> AbelReport:
     w = J ** (1.0 / lam) * T
     u = J ** ((lam + 1.0) / lam) * Tp
 
-    w, u = _monotone_run("abel reduction: w", w, u)
+    w, u = _monotone_run("abel reduction: w not monotone", False, w, u)
     if w.size < 3:
         raise ValueError("residual needs at least 3 samples")
     dudw = _fd1(w, u)

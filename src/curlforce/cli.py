@@ -53,8 +53,9 @@ def _load_config(path: str) -> dict:
 
 # A schema maps each allowed key to (checker, default).  A checker takes
 # (value, where) and returns the parsed value or raises ConfigError; a
-# nested schema checks a nested object.  An absent or null key takes the
-# default, which is checked like a given value, except that None stays None.
+# nested schema checks a nested object.  An absent key takes the default,
+# which is checked like a given value, except that a None default (optional,
+# no value) stays None; a given value, JSON null included, is always checked.
 
 _REQUIRED = object()
 
@@ -67,12 +68,13 @@ def _parse(obj: Any, schema: dict, where: str) -> dict:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
     out = {}
     for key, (check, default) in schema.items():
-        value = obj.get(key)
-        if value is None:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing key {key} in {where}")
+        if key in obj:
+            value = obj[key]
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing key {key} in {where}")
+        else:
             value = default
-        if value is not None:
+        if key in obj or value is not None:
             sub = f"{where}.{key}"
             value = (_parse(value, check, sub) if isinstance(check, dict)
                      else check(value, sub))
@@ -371,7 +373,6 @@ _FIGURE = {
     "theta_span": (_span, [0.0, 20.0]),
     "literal_caption": (_bool, False),
     "variant": (_choice("derived", "as_printed"), "derived"),
-    "label": (_any, None),
 }
 _FIG_DEFAULT_I = {
     "fig1": [1.1, 1.2, 2.0],

@@ -164,6 +164,18 @@ class TestTorqueMap:
         assert 2 <= len(series) < t.size
         assert np.all(np.diff(series.J) > 0.0)
 
+    def test_decreasing_torque_reversed_with_warning(self):
+        # J = r^2 * thetadot strictly decreases: all samples are kept, in
+        # increasing order, and the map still warns that J was not increasing
+        t = np.linspace(0.0, 1.0, 21)
+        y = np.column_stack([np.ones_like(t), 0.1 * t,
+                             np.zeros_like(t), 2.0 - t])
+        traj = Trajectory(t=t, y=y, dy=np.zeros_like(y))
+        with pytest.warns(UserWarning, match="not strictly increasing"):
+            series = torque_map(traj, mu=-1.5)
+        assert len(series) == t.size
+        assert np.all(np.diff(series.J) > 0.0)
+
 
 class TestBranchInversion:
     def test_value_at_unit_radius(self):
@@ -409,6 +421,16 @@ class TestAbelReduction:
         traj = Trajectory(t=t, y=y, dy=np.zeros_like(y))
         with pytest.raises(DomainError):
             abel_reduction_residual(1.0, traj)
+
+    def test_decreasing_w_kept_without_warning(self):
+        # w = J * T strictly decreases; only a non-monotone w is cut
+        t = np.linspace(1.0, 2.0, 11)
+        y = np.column_stack([1.0 / t ** 2, -2.0 / t ** 3])
+        traj = Trajectory(t=t, y=y, dy=np.zeros_like(y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = abel_reduction_residual(1.0, traj)
+        assert report.count == t.size - 2
 
 
 class TestPowerSolutionRoot:

@@ -385,6 +385,8 @@ _SIM_BASE = {"system": {"family": "ermakov", "w": 1.0},
              "initial_state": {"r": 1.0, "thetadot": 0.5},
              "integrator": {"t_span": [0.0, 1.0]}}
 _NOETHER_BASE = {"n": 2.0, "m": -5.0, "generator": "g2"}
+_MAP_EF_BASE = {"system": {"family": "isotropic", "mu": -1.5},
+                "initial_state": {"r": 1.0, "thetadot": 0.6}}
 
 
 def _with(base, **changes):
@@ -413,11 +415,17 @@ class TestBadInputExits1:
         ("simulate", _with(_SIM_BASE, integrator__h0=-1e-3)),
         ("orbit", {"mu": 0.0, "r_grid": [2.0, 1.0]}),
         ("orbit", {"mu": 0.0, "r_grid": [1.0, 2.0], "tol": -1.0}),
+        ("figure", {"which": "fig1", "label": "run"}),
+        ("figure", {"which": "fig1", "theta_span": None}),
+        ("orbit", {"mu": 0.0, "r0": None, "r_grid": [1.0, 2.0]}),
+        ("map-ef", {**_MAP_EF_BASE, "apply_scaling": None}),
+        ("simulate", _with(_SIM_BASE, integrator=None)),
     ], ids=["figure-span-text", "figure-span-reversed", "noether-span-text",
             "noether-initial-short", "noether-empty-grid", "simulate-method-7",
             "simulate-negative-r", "special-initial-text", "simulate-h0-zero",
             "simulate-h0-negative", "orbit-grid-decreasing",
-            "orbit-tol-negative"])
+            "orbit-tol-negative", "figure-label", "figure-span-null",
+            "orbit-r0-null", "map-ef-scaling-null", "simulate-integrator-null"])
     def test_clean_config_error(self, tmp_path, capsys, command, cfg):
         code, _ = _run(tmp_path, command, cfg)
         assert code == 1
