@@ -689,6 +689,11 @@ def power_solution_y0(lam: float) -> float:
 
 
 _QUAD_MAX_DEPTH = 60
+# Integrand evaluations per quad_adaptive call.  A smooth orbit panel takes
+# a few dozen and an integrable endpoint singularity such as x^-1/2 tens of
+# thousands; a nonintegrable one reaches the budget in about a second
+# instead of refining to _QUAD_MAX_DEPTH on each of millions of subintervals.
+_QUAD_MAX_EVALS = 1_000_000
 
 
 class _QuadState:
@@ -723,7 +728,8 @@ def _simpson_rec(f, a: float, fa: float, m: float, fm: float, b: float,
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     s2 = left + right
     delta = s2 - whole
-    if abs(delta) <= 15.0 * tol_density * (b - a) or depth >= _QUAD_MAX_DEPTH:
+    if (abs(delta) <= 15.0 * tol_density * (b - a) or depth >= _QUAD_MAX_DEPTH
+            or state.evals >= _QUAD_MAX_EVALS):
         if abs(delta) > 15.0 * tol_density * (b - a):
             state.depth_failures += 1
         state.err += abs(delta) / 15.0
@@ -756,7 +762,8 @@ def quad_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult
     eps = 1e-12*(b-a) and the missing sliver is estimated as twice the
     integral over the adjacent quarter strip, which is exact for
     inverse-square-root singularities.  More than 60 bisection levels on
-    any subinterval raises QuadratureError carrying the partial value.
+    any subinterval, or more than 1,000,000 integrand evaluations, raises
+    QuadratureError carrying the partial value.
     """
     a = float(a)
     b = float(b)
@@ -788,6 +795,10 @@ def quad_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult
         tail += 2.0 * strip
         state.err += abs(strip)
     value = _simpson_panel(f, lo, hi, tol_density, state) + tail
+    if state.evals >= _QUAD_MAX_EVALS:
+        raise QuadratureError(
+            f"stopped after {state.evals} integrand evaluations (budget "
+            f"{_QUAD_MAX_EVALS})", partial=value)
     if state.depth_failures:
         raise QuadratureError(
             f"no convergence after {_QUAD_MAX_DEPTH} bisection levels on "

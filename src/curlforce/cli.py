@@ -335,11 +335,10 @@ def cmd_simulate(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
     try:
         traj = integrate(systems.polar_rhs(field), c["initial_state"], settings)
     except IntegrationError as exc:
+        if exc.trajectory is None:
+            raise
         traj = exc.trajectory
         code = 2
-        if traj is None:
-            print(f"curlforce simulate: {exc}", file=sys.stderr)
-            return 2
     if traj.termination != "completed":
         # early stop (guard event or breakdown): the requested span was not
         # reached, so the run counts as a numerical failure
@@ -873,8 +872,11 @@ def _dispatch(command: str, cfg: dict, out: Path, variant: str | None,
         print(f"curlforce {command}: config error: {exc}", file=sys.stderr)
         return 1
     except (IntegrationError, analysis.QuadratureError, analysis.NoRoot) as exc:
+        # commands write their manifest last, so none exists for this run yet
         print(f"curlforce {command}: numerical failure: {exc}", file=sys.stderr)
-        return 2
+        manifest = _base_manifest(command, cfg)
+        manifest["error"] = str(exc)
+        return _write_manifest(out, manifest, 2)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -49,6 +49,9 @@ _E = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
+((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65), (_A71, _A72, _A73, _A74, _A75, _A76)) = _A[1:]
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 
 _SAFETY = 0.9
 _ALPHA = 0.7 / 4.0   # exponent on the current scaled error
@@ -57,6 +60,10 @@ _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _UNDERFLOW = 1e-14   # fraction of the integration span
 _EVENT_RESOLUTION = 1e-12
+
+
+class _StageNotFinite(Exception):
+    """A stage's right-hand side is not finite; the step is rejected."""
 
 
 class IntegrationError(RuntimeError):
@@ -109,12 +116,6 @@ class IntegratorSettings:
         object.__setattr__(self, "events", tuple(self.events))
 
 
-def _error_norm(err_vec, y_old, y_new, rel_tol, abs_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    q = err_vec / scale
-    return float(math.sqrt(float(np.mean(q * q))))
-
-
 def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
               y0: Sequence[float],
               settings: IntegratorSettings) -> Trajectory:
@@ -124,29 +125,59 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     "event" and "step-underflow".  Exceeding max_steps raises
     IntegrationError with the partial trajectory attached, as does a
     non-finite right-hand side at an accepted point.
+
+    The states here have two to four components, where numpy's per-call
+    cost outweighs the arithmetic, so each step runs on lists of Python
+    floats.  rhs and the event functions still receive ndarrays.  Each
+    stage and error sum adds its terms in index order, one component at a
+    time, so every component gets the same operations as in elementwise
+    numpy arithmetic on the whole state.
     """
     t0, t1 = settings.t_span
     span = t1 - t0
-    y = np.asarray(y0, dtype=float).copy()
-    if y.ndim != 1:
-        raise ValueError("y0 must be one-dimensional")
-    f = np.asarray(rhs(t0, y), dtype=float)
-    if f.shape != y.shape:
+    y_arr = np.array(y0, dtype=float)
+    if y_arr.ndim != 1 or y_arr.size == 0:
+        raise ValueError("y0 must be a non-empty one-dimensional sequence")
+    f_arr = np.asarray(rhs(t0, y_arr), dtype=float)
+    if f_arr.shape != y_arr.shape:
         raise ValueError("rhs shape does not match the state")
-    if not np.all(np.isfinite(f)):
+    if not np.all(np.isfinite(f_arr)):
         raise IntegrationError("right-hand side not finite at the initial state")
 
+    asarray = np.asarray
+    array = np.array
+    isfinite = math.isfinite
+
+    # rhs at (tc, yc) as a list of floats; stage() also rejects the step
+    # when a value is not finite
+    def call(tc: float, yc: list) -> list:
+        nonlocal n_evals
+        n_evals += 1
+        return asarray(rhs(tc, array(yc)), dtype=float).tolist()
+
+    def stage(tc: float, yc: list) -> list:
+        fc = call(tc, yc)
+        if not all(map(isfinite, fc)):
+            raise _StageNotFinite
+        return fc
+
+    y = y_arr.tolist()
+    f = f_arr.tolist()
+    dim = len(y)
     ts = [t0]
-    ys = [y.copy()]
-    fs = [f.copy()]
+    ys = [y]
+    fs = [f]
+    events = settings.events
     events_log: list[tuple[float, str]] = []
-    g_prev = [ev.fn(t0, y) for ev in settings.events]
+    g_prev = [float(ev.fn(t0, y_arr)) for ev in events]
     n_accept = 0
     n_reject = 0
     n_evals = 1
     termination = "completed"
 
     fixed = settings.method == "rk4"
+    rel_tol = settings.rel_tol
+    abs_tol = settings.abs_tol
     h_fixed = min(settings.h, settings.h_max)
     h = settings.h0 if settings.h0 is not None else span / 100.0
     h = min(h, settings.h_max, span)
@@ -156,8 +187,8 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     def _build(term: str) -> Trajectory:
         meta = {
             "method": settings.method,
-            "rel_tol": settings.rel_tol,
-            "abs_tol": settings.abs_tol,
+            "rel_tol": rel_tol,
+            "abs_tol": abs_tol,
             "t_span": (t0, t1),
             "accepted": n_accept,
             "rejected": n_reject,
@@ -193,42 +224,68 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
         t_new = t1 if final else t + h_use
 
         if fixed:
-            k1 = f
-            k2 = np.asarray(rhs(t + 0.5 * h_use, y + (0.5 * h_use) * k1), dtype=float)
-            k3 = np.asarray(rhs(t + 0.5 * h_use, y + (0.5 * h_use) * k2), dtype=float)
-            k4 = np.asarray(rhs(t_new, y + h_use * k3), dtype=float)
-            n_evals += 3
-            y_new = y + (h_use / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            f_new = np.asarray(rhs(t_new, y_new), dtype=float)
-            n_evals += 1
-            if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(f_new))):
+            hh = 0.5 * h_use
+            k2 = call(t + 0.5 * h_use, [a + hh * b for a, b in zip(y, f)])
+            k3 = call(t + 0.5 * h_use, [a + hh * b for a, b in zip(y, k2)])
+            k4 = call(t_new, [a + h_use * b for a, b in zip(y, k3)])
+            h6 = h_use / 6.0
+            y_new = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(y, f, k2, k3, k4)]
+            f_new = call(t_new, y_new)
+            if not (all(map(isfinite, y_new)) and all(map(isfinite, f_new))):
                 raise IntegrationError(
                     f"right-hand side not finite near t={t_new}",
                     trajectory=_build("aborted"))
         else:
-            k = [f]
-            bad = False
-            yi = y
-            for i in range(1, 7):
-                yi = y.copy()
-                for j, a in enumerate(_A[i]):
-                    if a != 0.0:
-                        yi += (h_use * a) * k[j]
-                fi = np.asarray(rhs(t + _C[i] * h_use, yi), dtype=float)
-                n_evals += 1
-                if not np.all(np.isfinite(fi)):
-                    bad = True
-                    break
-                k.append(fi)
-            if bad:
+            # Stage sums add only the nonzero _A terms, in index order.
+            hu = h_use
+            k1 = f
+            try:
+                b1 = hu * _A21
+                k2 = stage(t + _C[1] * hu, [
+                    u + b1 * v1 for u, v1 in zip(y, k1)])
+                b1, b2 = hu * _A31, hu * _A32
+                k3 = stage(t + _C[2] * hu, [
+                    u + b1 * v1 + b2 * v2
+                    for u, v1, v2 in zip(y, k1, k2)])
+                b1, b2, b3 = hu * _A41, hu * _A42, hu * _A43
+                k4 = stage(t + _C[3] * hu, [
+                    u + b1 * v1 + b2 * v2 + b3 * v3
+                    for u, v1, v2, v3 in zip(y, k1, k2, k3)])
+                b1, b2, b3, b4 = hu * _A51, hu * _A52, hu * _A53, hu * _A54
+                k5 = stage(t + _C[4] * hu, [
+                    u + b1 * v1 + b2 * v2 + b3 * v3 + b4 * v4
+                    for u, v1, v2, v3, v4 in zip(y, k1, k2, k3, k4)])
+                b1, b2, b3, b4, b5 = (hu * _A61, hu * _A62, hu * _A63,
+                                      hu * _A64, hu * _A65)
+                k6 = stage(t + _C[5] * hu, [
+                    u + b1 * v1 + b2 * v2 + b3 * v3 + b4 * v4 + b5 * v5
+                    for u, v1, v2, v3, v4, v5 in zip(y, k1, k2, k3, k4, k5)])
+                # _A72 is zero.  The stage-7 state is the fifth-order
+                # solution and its slope the next step's k1 (FSAL).
+                b1, b3, b4, b5, b6 = (hu * _A71, hu * _A73, hu * _A74,
+                                      hu * _A75, hu * _A76)
+                y_new = [u + b1 * v1 + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6
+                         for u, v1, v3, v4, v5, v6
+                         in zip(y, k1, k3, k4, k5, k6)]
+                f_new = stage(t + _C[6] * hu, y_new)
+            except _StageNotFinite:
                 n_reject += 1
                 h = 0.5 * h_use
                 continue
-            y_new = yi  # stage-7 state is the fifth-order solution (FSAL)
-            f_new = k[6]
-            err_vec = np.abs(h_use * sum(e * ki for e, ki in zip(_E, k)))
-            err = _error_norm(err_vec, y, y_new, settings.rel_tol, settings.abs_tol)
-            if not math.isfinite(err):
+            # RMS of the scaled error; _E2 is zero.  u >= w is False when w
+            # is nan, so nan propagates as it does through np.maximum.
+            sq = 0.0
+            for v1, v3, v4, v5, v6, v7, u, w in zip(k1, k3, k4, k5, k6,
+                                                     f_new, y, y_new):
+                u = abs(u)
+                w = abs(w)
+                q = (abs(hu * (_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5
+                               + _E6 * v6 + _E7 * v7))
+                     / (abs_tol + rel_tol * (u if u >= w else w)))
+                sq += q * q
+            err = math.sqrt(sq / dim)
+            if not isfinite(err):
                 n_reject += 1
                 h = 0.5 * h_use
                 continue
@@ -241,39 +298,39 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
             err_prev = max(err, 1e-4)
             h = min(h_use * max(_FAC_MIN, min(_FAC_MAX, fac)), settings.h_max)
 
-        # Accepted step; look for event crossings on [t, t_new].
-        stop_at = None
-        stop_name = None
-        for ev, g0 in zip(settings.events, g_prev):
-            g1 = float(ev.fn(t_new, y_new))
-            if (g0 * g1 < 0.0) or (g1 == 0.0 and g0 != 0.0):
-                # bisect the event function along the step's interpolant
-                te = bisect_root(
-                    lambda tm: ev.fn(tm, _hermite(t, y, f, t_new, y_new,
-                                                  f_new, tm)),
-                    t, t_new, g0, _EVENT_RESOLUTION)
-                if stop_at is None or te < stop_at:
-                    stop_at, stop_name = te, ev.name
-        if stop_at is not None:
-            n_accept += 1
-            if stop_at > ts[-1]:
-                ye = _hermite(t, y, f, t_new, y_new, f_new, stop_at)
-                fe = np.asarray(rhs(stop_at, ye), dtype=float)
-                n_evals += 1
-                ts.append(stop_at)
-                ys.append(ye)
-                fs.append(fe)
-            events_log.append((stop_at, stop_name))
-            termination = "event"
-            break
+        n_accept += 1
+        if events:
+            # Accepted step; look for event crossings on [t, t_new].
+            y_new_arr = array(y_new)
+            g_new = [float(ev.fn(t_new, y_new_arr)) for ev in events]
+            step = None
+            stop_at = None
+            stop_name = None
+            for ev, g0, g1 in zip(events, g_prev, g_new):
+                if (g0 * g1 < 0.0) or (g1 == 0.0 and g0 != 0.0):
+                    if step is None:
+                        step = (t, array(y), array(f), t_new, y_new_arr,
+                                array(f_new))
+                    # bisect the event function along the step's interpolant
+                    te = bisect_root(
+                        lambda tm: ev.fn(tm, _hermite(*step, tm)),
+                        t, t_new, g0, _EVENT_RESOLUTION)
+                    if stop_at is None or te < stop_at:
+                        stop_at, stop_name = te, ev.name
+            if stop_at is not None:
+                if stop_at > ts[-1]:
+                    ye = _hermite(*step, stop_at)
+                    ts.append(stop_at)
+                    ys.append(ye.tolist())
+                    fs.append(call(stop_at, ys[-1]))
+                events_log.append((stop_at, stop_name))
+                termination = "event"
+                break
+            g_prev = g_new
 
         t, y, f = t_new, y_new, f_new
-        n_accept += 1
         ts.append(t)
-        ys.append(y.copy())
-        fs.append(f.copy())
-        if settings.events:
-            g_prev = [float(ev.fn(t, y)) for ev in settings.events]
+        ys.append(y)
+        fs.append(f)
 
     return _build(termination)
-

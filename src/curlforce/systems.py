@@ -116,54 +116,67 @@ class AngleFunction:
     def __call__(self, theta, order: int = 0):
         if order not in (0, 1, 2, 3):
             raise ValueError("derivative order must be 0, 1, 2 or 3")
+        if isinstance(theta, (float, int)):
+            # scalar callers (the ODE right-hand sides) skip numpy entirely
+            return self._formula(float(theta), order, _cos, _sin, float)
         th = np.asarray(theta, dtype=float)
-        fam = self.family
-        if fam == "zero":
-            out = np.zeros_like(th)
-        elif fam == "constant":
-            out = np.full_like(th, self.c if order == 0 else 0.0)
-        elif fam == "linear_theta":
-            if order == 0:
-                out = self.c * th
-            elif order == 1:
-                out = np.full_like(th, self.c)
-            else:
-                out = np.zeros_like(th)
-        elif fam == "cos":
-            amp = self.c * self.k ** order
-            phase = self.k * th
-            if order == 0:
-                out = amp * np.cos(phase)
-            elif order == 1:
-                out = -amp * np.sin(phase)
-            elif order == 2:
-                out = -amp * np.cos(phase)
-            else:
-                out = amp * np.sin(phase)
-        elif fam == "sin":
-            amp = self.c * self.k ** order
-            phase = self.k * th
-            if order == 0:
-                out = amp * np.sin(phase)
-            elif order == 1:
-                out = amp * np.cos(phase)
-            elif order == 2:
-                out = -amp * np.sin(phase)
-            else:
-                out = -amp * np.cos(phase)
-        else:
-            c0, c1, c2, c3 = self.coeffs
-            if order == 0:
-                out = c0 + th * (c1 + th * (c2 + th * c3))
-            elif order == 1:
-                out = c1 + th * (2.0 * c2 + th * (3.0 * c3))
-            elif order == 2:
-                out = 2.0 * c2 + 6.0 * c3 * th
-            else:
-                out = np.full_like(th, 6.0 * c3)
+        out = self._formula(th, order, np.cos, np.sin,
+                            lambda v: np.full_like(th, v))
         if np.ndim(theta) == 0:
             return float(out)
         return out
+
+    def _formula(self, th, order, cos, sin, const):
+        """Value or derivative at th, a float or an ndarray.
+
+        cos and sin act on th's type; const(v) is v shaped like th.
+        """
+        fam = self.family
+        if fam == "zero":
+            return const(0.0)
+        if fam == "constant":
+            return const(self.c if order == 0 else 0.0)
+        if fam == "linear_theta":
+            if order == 0:
+                return self.c * th
+            return const(self.c if order == 1 else 0.0)
+        if fam == "cos":
+            amp = self.c * self.k ** order
+            phase = self.k * th
+            if order == 0:
+                return amp * cos(phase)
+            if order == 1:
+                return -amp * sin(phase)
+            if order == 2:
+                return -amp * cos(phase)
+            return amp * sin(phase)
+        if fam == "sin":
+            amp = self.c * self.k ** order
+            phase = self.k * th
+            if order == 0:
+                return amp * sin(phase)
+            if order == 1:
+                return amp * cos(phase)
+            if order == 2:
+                return -amp * sin(phase)
+            return -amp * cos(phase)
+        c0, c1, c2, c3 = self.coeffs
+        if order == 0:
+            return c0 + th * (c1 + th * (c2 + th * c3))
+        if order == 1:
+            return c1 + th * (2.0 * c2 + th * (3.0 * c3))
+        if order == 2:
+            return 2.0 * c2 + 6.0 * c3 * th
+        return const(6.0 * c3)
+
+
+def _cos(x: float) -> float:
+    # np.cos returns nan at +-inf, where math.cos raises
+    return math.cos(x) if math.isfinite(x) else math.nan
+
+
+def _sin(x: float) -> float:
+    return math.sin(x) if math.isfinite(x) else math.nan
 
 
 def _require_positive_r(r: float) -> None:
@@ -181,12 +194,12 @@ class ErmakovField:
 
     def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
         _require_positive_r(r)
-        r3 = r ** 3
+        r3 = real_power(r, 3.0)
         return (-self.w ** 2 * r + self.U(theta) / r3, -self.V(theta, 1) / r3)
 
     def curl(self, r: float, theta: float) -> float:
         _require_positive_r(r)
-        return (2.0 * self.V(theta, 1) - self.U(theta, 1)) / r ** 4
+        return (2.0 * self.V(theta, 1) - self.U(theta, 1)) / real_power(r, 4.0)
 
 
 @dataclass(frozen=True)
@@ -202,15 +215,16 @@ class GorringeLeachField:
 
     def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
         _require_positive_r(r)
-        r32 = r ** 1.5
-        f_r = -((self.U(theta, 2) + self.U(theta)) / r ** 2
+        r32 = real_power(r, 1.5)
+        f_r = -((self.U(theta, 2) + self.U(theta)) / real_power(r, 2.0)
                 + 2.0 * self.V(theta, 1) / r32)
         return (f_r, -self.V(theta) / r32)
 
     def curl(self, r: float, theta: float) -> float:
         _require_positive_r(r)
-        return ((self.U(theta, 3) + self.U(theta, 1)) / r ** 3
-                + (0.5 * self.V(theta) + 2.0 * self.V(theta, 2)) / r ** 2.5)
+        return ((self.U(theta, 3) + self.U(theta, 1)) / real_power(r, 3.0)
+                + (0.5 * self.V(theta) + 2.0 * self.V(theta, 2))
+                / real_power(r, 2.5))
 
 
 @dataclass(frozen=True)
@@ -226,11 +240,11 @@ class IsotropicField:
 
     def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
         _require_positive_r(r)
-        return (0.0, r ** self.mu)
+        return (0.0, real_power(r, self.mu))
 
     def curl(self, r: float, theta: float) -> float:
         _require_positive_r(r)
-        return (self.mu + 1.0) * r ** (self.mu - 1.0)
+        return (self.mu + 1.0) * real_power(r, self.mu - 1.0)
 
 
 @dataclass(frozen=True)
@@ -252,11 +266,11 @@ class IsotropicDragField:
 
     def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
         _require_positive_r(r)
-        return (r ** self.nu * rdot, r ** self.mu)
+        return (real_power(r, self.nu) * rdot, real_power(r, self.mu))
 
     def curl(self, r: float, theta: float) -> float:
         _require_positive_r(r)
-        return (self.mu + 1.0) * r ** (self.mu - 1.0)
+        return (self.mu + 1.0) * real_power(r, self.mu - 1.0)
 
 
 ForceField = ErmakovField | GorringeLeachField | IsotropicField | IsotropicDragField

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from curlforce import analysis
 from curlforce.analysis import (
     ChainQuadrature,
     NoRoot,
@@ -508,3 +509,22 @@ class TestQuadAdaptive:
         with pytest.raises(QuadratureError) as info:
             quad_adaptive(lambda x: 1.0 / x, 0.0, 1.0)
         assert math.isfinite(info.value.partial) or math.isnan(info.value.partial)
+
+    def test_evaluation_budget_bounds_cost(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_QUAD_MAX_EVALS", 1000)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / x
+
+        with pytest.raises(QuadratureError,
+                           match="integrand evaluations") as info:
+            quad_adaptive(f, 0.0, 1.0)
+        # subintervals already on the recursion stack finish with one more
+        # pair of evaluations each
+        assert 1000 <= len(calls) <= 1000 + 2 * 61 + 5
+        assert math.isfinite(info.value.partial)
+        # a convergent integral is unaffected while under the budget
+        assert quad_adaptive(math.sin, 0.0, math.pi).value == \
+            pytest.approx(2.0, abs=1e-9)

@@ -434,6 +434,27 @@ class TestBadInputExits1:
         assert "\n" not in err
 
 
+class TestNumericalFailureExits2:
+    @pytest.mark.parametrize("command, cfg", [
+        ("simulate", {"system": {"family": "isotropic", "mu": 1e6},
+                      "initial_state": {"r": 2.0, "thetadot": 1.0}}),
+        ("figure", {"which": "fig1", "I_values": [1.0]}),
+        ("noether", _with(_NOETHER_BASE, run__initial=[0.0, 0.0])),
+    ], ids=["simulate-force-overflow", "figure-singular-start",
+            "noether-zero-start"])
+    def test_one_line_and_manifest(self, tmp_path, capsys, command, cfg):
+        code, out = _run(tmp_path, command, cfg)
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"curlforce {command}: numerical failure:")
+        assert "\n" not in err
+        man = _manifest(out)
+        assert man["exit_code"] == 2
+        assert man["command"] == command
+        assert man["config"] == cfg
+        assert man["error"] in err
+
+
 class TestSweep:
     _RUNS = {
         "runs": [

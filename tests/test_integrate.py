@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -164,3 +165,57 @@ class TestFailureModes:
         s = IntegratorSettings(t_span=(0.0, 1.0))
         with pytest.raises((DomainError, ValueError, IntegrationError)):
             integrate(_exp_rhs, np.array([math.inf]), s)
+
+
+def _trajectory_digest(traj):
+    h = hashlib.sha256()
+    for a in (traj.t, traj.y, traj.dy):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    h.update(repr((traj.termination, traj.events,
+                   sorted(traj.meta.items()))).encode())
+    return h.hexdigest()
+
+
+def _capped_square_rhs(t, y):
+    # y' = y^2, not finite past y = 2 (reached at t = 1/2 from y(0) = 1)
+    return y * y if y[0] < 2.0 else np.array([math.nan])
+
+
+class TestGoldenArithmetic:
+    """Pin the stepper's floating-point operations bit for bit.
+
+    The right-hand sides use only negation and products, so the digests
+    follow the stepper's own arithmetic: stage sums, error norm, step
+    control, event bisection on the Hermite interpolant and the per-stage
+    finiteness checks.  They were recorded with the numpy-array stepper
+    that the Python-float one replaced; reordering any floating-point
+    operation of the stepper changes them.
+    """
+
+    CASES = {
+        "rk45-event": (
+            _circle_rhs, [1.0, 0.0],
+            dict(t_span=(0.0, 20.0), rel_tol=1e-10, abs_tol=1e-12,
+                 events=(Event("x-at-minus-half", lambda t, y: y[0] + 0.5),)),
+            "d1970bfe4b14e1ae68585df53163097c"
+            "507ec0a2033adcdf95577371b73e604e",
+        ),
+        "rk4": (
+            _circle_rhs, [0.3, -0.2],
+            dict(method="rk4", h=0.01, t_span=(0.0, 10.0)),
+            "bacc41a129bc0d6097f9086b9536c804"
+            "e5eddb141bd77c190e25b4887438a0b2",
+        ),
+        "rk45-nonfinite": (
+            _capped_square_rhs, [1.0],
+            dict(t_span=(0.0, 2.0), rel_tol=1e-10, abs_tol=1e-12),
+            "d0e777057298b12d4d31b0a9a991ea70"
+            "d44c691e08cdf01cffa9b1dd00d2bbc3",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digest(self, name):
+        rhs, y0, kwargs, digest = self.CASES[name]
+        traj = integrate(rhs, np.array(y0), IntegratorSettings(**kwargs))
+        assert _trajectory_digest(traj) == digest

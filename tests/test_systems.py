@@ -71,6 +71,32 @@ class TestAngleFunction:
         with pytest.raises(ValueError):
             AngleFunction("quartic")
 
+    @pytest.mark.parametrize("name", sorted(_SYMBOLIC))
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_scalar_path_matches_array_path_bitwise(self, name, order):
+        # floats and ints take the math-module path, arrays the numpy one;
+        # both must give the same bits, signed zeros included
+        fn, _ = _SYMBOLIC[name]
+        thetas = np.concatenate([np.linspace(-40.0, 40.0, 801),
+                                 [-1e6, -0.0, 1e-300, 3e5]])
+        ints = np.arange(-25, 26)
+        for grid, kind in ((thetas, float), (thetas, np.float64),
+                           (ints, int)):
+            scalars = [fn(kind(x), order) for x in grid]
+            assert all(type(v) is float for v in scalars)
+            array_path = fn(grid.astype(float), order)
+            assert np.array(scalars).tobytes() == array_path.tobytes()
+        # non-finite angles give nan (or the same value) instead of raising
+        special = np.array([math.inf, -math.inf, math.nan])
+        with np.errstate(invalid="ignore"):
+            array_path = fn(special, order)
+        np.testing.assert_array_equal([fn(x, order) for x in special],
+                                      array_path)
+        with pytest.raises(ValueError):
+            fn(0.5, order + 4)
+        with pytest.raises(ValueError):
+            fn(np.array([0.5]), -1 - order)
+
 
 def _curl_grid():
     rs = np.linspace(0.5, 2.5, 5)
