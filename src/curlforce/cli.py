@@ -248,10 +248,6 @@ def _integrator(block: dict, default_span: tuple[float, float],
 
 # -- artifact emission -------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_table(out: Path, stem: str, fmt: str, header: Sequence[str],
                  columns: Sequence[np.ndarray],
                  labels: Sequence[str] | None = None) -> str:
@@ -265,7 +261,9 @@ def _write_table(out: Path, stem: str, fmt: str, header: Sequence[str],
             json.dumps({"columns": list(header), "rows": rows},
                        sort_keys=True) + "\n")
         return name
-    lines = [",".join(map(_fmt, row)) for row in rows]
+    # one %-format per row; %.17g prints exactly what format(x, ".17g") does
+    row_fmt = ",".join(["%.17g"] * (len(rows[0]) if rows else 0))
+    lines = [row_fmt % tuple(row) for row in rows]
     if labels is not None:
         lines = [f"{lab},{line}" for lab, line in zip(labels, lines)]
     name = f"{stem}.csv"
@@ -661,6 +659,22 @@ _ORBIT = {
 }
 
 
+def _ratio_range(rep: analysis.ChainQuadrature) -> dict:
+    """Min and max of the finite printed/chain ratios.
+
+    A ratio is not finite where the chain integrand is singular, as at an
+    r_grid that starts at r0; its radius is listed under excluded_r.
+    """
+    ratio = rep.printed_ratio
+    finite = np.isfinite(ratio)
+    kept = ratio[finite]
+    block = {"min": float(np.min(kept)) if kept.size else None,
+             "max": float(np.max(kept)) if kept.size else None}
+    if not finite.all():
+        block["excluded_r"] = rep.r[~finite].tolist()
+    return block
+
+
 def cmd_orbit(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
     c = _parse(cfg, _ORBIT, "config")
     mu, r0, n, tol, rg = c["mu"], c["r0"], c["n"], c["tol"], c["r_grid"]
@@ -682,8 +696,7 @@ def cmd_orbit(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
         k: {"abs_error_estimate": rep.abs_error_estimate,
             "evaluations": rep.evaluations} for k, rep in reps.items()}
     manifest["printed_form_ratio"] = {
-        k: {"min": float(np.min(rep.printed_ratio)),
-            "max": float(np.max(rep.printed_ratio))} for k, rep in reps.items()}
+        k: _ratio_range(rep) for k, rep in reps.items()}
 
     if c["compare_simulation"]:
         if mu <= -2.0:

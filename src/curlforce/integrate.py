@@ -126,12 +126,19 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     IntegrationError with the partial trajectory attached, as does a
     non-finite right-hand side at an accepted point.
 
-    The states here have two to four components, where numpy's per-call
-    cost outweighs the arithmetic, so each step runs on lists of Python
-    floats.  rhs and the event functions still receive ndarrays.  Each
-    stage and error sum adds its terms in index order, one component at a
-    time, so every component gets the same operations as in elementwise
-    numpy arithmetic on the whole state.
+    rhs is any callable rhs(t, y) -> array-like taking an ndarray y.  The
+    states here have two to four components, where numpy's per-call cost
+    outweighs the arithmetic, so each step runs on lists of Python floats.
+    An rhs may expose the same formula as a float kernel, an attribute
+    rhs.kernel(t, y) that takes a float and a list of floats and returns a
+    new list of floats; the step loop then calls the kernel and builds no
+    ndarray per stage.  The systems.*_rhs builders all do.  Any other
+    callable gets an ndarray of the stage state.  rhs itself is called once
+    at the initial state to check its shape and finiteness; the event
+    functions always receive ndarrays.  Each stage and error sum adds its
+    terms in index order, one component at a time, so every component gets
+    the same operations as in elementwise numpy arithmetic on the whole
+    state.
     """
     t0, t1 = settings.t_span
     span = t1 - t0
@@ -147,16 +154,17 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     asarray = np.asarray
     array = np.array
     isfinite = math.isfinite
+    kernel = getattr(rhs, "kernel", None)
+    if kernel is None:
+        def kernel(tc: float, yc: list) -> list:
+            return asarray(rhs(tc, array(yc)), dtype=float).tolist()
 
-    # rhs at (tc, yc) as a list of floats; stage() also rejects the step
-    # when a value is not finite
-    def call(tc: float, yc: list) -> list:
+    # rhs at (tc, yc) as a list of floats; rejects the step when a value is
+    # not finite.  Every kernel call adds one to n_evals.
+    def stage(tc: float, yc: list) -> list:
         nonlocal n_evals
         n_evals += 1
-        return asarray(rhs(tc, array(yc)), dtype=float).tolist()
-
-    def stage(tc: float, yc: list) -> list:
-        fc = call(tc, yc)
+        fc = kernel(tc, yc)
         if not all(map(isfinite, fc)):
             raise _StageNotFinite
         return fc
@@ -225,13 +233,14 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
 
         if fixed:
             hh = 0.5 * h_use
-            k2 = call(t + 0.5 * h_use, [a + hh * b for a, b in zip(y, f)])
-            k3 = call(t + 0.5 * h_use, [a + hh * b for a, b in zip(y, k2)])
-            k4 = call(t_new, [a + h_use * b for a, b in zip(y, k3)])
+            k2 = kernel(t + 0.5 * h_use, [a + hh * b for a, b in zip(y, f)])
+            k3 = kernel(t + 0.5 * h_use, [a + hh * b for a, b in zip(y, k2)])
+            k4 = kernel(t_new, [a + h_use * b for a, b in zip(y, k3)])
             h6 = h_use / 6.0
             y_new = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                      for a, b1, b2, b3, b4 in zip(y, f, k2, k3, k4)]
-            f_new = call(t_new, y_new)
+            f_new = kernel(t_new, y_new)
+            n_evals += 4
             if not (all(map(isfinite, y_new)) and all(map(isfinite, f_new))):
                 raise IntegrationError(
                     f"right-hand side not finite near t={t_new}",
@@ -322,7 +331,8 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
                     ye = _hermite(*step, stop_at)
                     ts.append(stop_at)
                     ys.append(ye.tolist())
-                    fs.append(call(stop_at, ys[-1]))
+                    fs.append(kernel(stop_at, ys[-1]))
+                    n_evals += 1
                 events_log.append((stop_at, stop_name))
                 termination = "event"
                 break

@@ -6,7 +6,9 @@ Every family exposes analytic force components and the analytic curl
 (1/r)[d(r F_theta)/dr - dF_r/dtheta]; curl_fd is the finite-difference
 oracle for the same expression.
 
-The *_rhs builders return closures suitable for integrate.integrate.
+The *_rhs builders return closures suitable for integrate.integrate: each
+formula is written once, as a kernel on Python floats that integrate calls
+directly, and the closure rhs(t, y) -> ndarray wraps it for everyone else.
 State conventions:
 
     polar_rhs        y = (r, theta, rdot, thetadot), independent t
@@ -57,10 +59,6 @@ __all__ = [
 ]
 
 _FAMILIES = ("zero", "constant", "linear_theta", "cos", "sin", "poly")
-
-_NAN2 = np.full(2, np.nan)
-_NAN3 = np.full(3, np.nan)
-_NAN4 = np.full(4, np.nan)
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ class AngleFunction:
                 return self.c * th
             return const(self.c if order == 1 else 0.0)
         if fam == "cos":
-            amp = self.c * self.k ** order
+            amp = self.c * real_power(self.k, order)
             phase = self.k * th
             if order == 0:
                 return amp * cos(phase)
@@ -151,7 +149,7 @@ class AngleFunction:
                 return -amp * cos(phase)
             return amp * sin(phase)
         if fam == "sin":
-            amp = self.c * self.k ** order
+            amp = self.c * real_power(self.k, order)
             phase = self.k * th
             if order == 0:
                 return amp * sin(phase)
@@ -195,7 +193,8 @@ class ErmakovField:
     def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
         _require_positive_r(r)
         r3 = real_power(r, 3.0)
-        return (-self.w ** 2 * r + self.U(theta) / r3, -self.V(theta, 1) / r3)
+        return (-real_power(self.w, 2.0) * r + self.U(theta) / r3,
+                -self.V(theta, 1) / r3)
 
     def curl(self, r: float, theta: float) -> float:
         _require_positive_r(r)
@@ -300,28 +299,42 @@ def curl_fd(field: ForceField, r: float, theta: float, h: float = 1e-4) -> float
     return (d_rft - d_fr) / r
 
 
+def _rhs(kernel):
+    """The public rhs(t, y) -> ndarray around a float kernel.
+
+    kernel(t, y) takes a float and a list of floats and returns a new list
+    of floats.  integrate.integrate calls it directly (as rhs.kernel), so
+    its step loop builds no ndarray; everyone else calls the returned
+    function with an ndarray or any sequence of numbers.
+    """
+
+    def rhs(t, y):
+        return np.array(kernel(float(t), [float(v) for v in y]))
+
+    rhs.kernel = kernel
+    return rhs
+
+
 def polar_rhs(field: ForceField):
     """Planar Newtonian motion: y = (r, theta, rdot, thetadot).
 
     rddot = r*thetadot^2 + F_r, thetaddot = (F_theta - 2*rdot*thetadot)/r.
     """
+    force = field.force
 
-    def rhs(t, y):
-        r = float(y[0])
+    def kernel(t, y):
+        r, theta, rdot, thetadot = y
         if not (r > 0.0):
-            return _NAN4
-        theta = float(y[1])
-        rdot = float(y[2])
-        thetadot = float(y[3])
-        f_r, f_t = field.force(r, theta, rdot)
-        return np.array([
+            return [math.nan] * 4
+        f_r, f_t = force(r, theta, rdot)
+        return [
             rdot,
             thetadot,
             r * thetadot * thetadot + f_r,
             (f_t - 2.0 * rdot * thetadot) / r,
-        ])
+        ]
 
-    return rhs
+    return _rhs(kernel)
 
 
 def _variant_factor(variant: str) -> float:
@@ -344,20 +357,18 @@ def psi_reduced_rhs(I: float, U: AngleFunction, V: AngleFunction,
     """
     factor = _variant_factor(variant)
 
-    def rhs(theta, y):
-        theta = float(theta)
+    def kernel(theta, y):
         h2 = 2.0 * (I - V(theta))
         if h2 == 0.0:
-            return _NAN2
+            return [math.nan] * 2
         h2p = -2.0 * V(theta, 1)
-        psi = float(y[0])
-        dpsi = float(y[1])
-        return np.array([
+        psi, dpsi = y
+        return [
             dpsi,
             -(factor * h2p / h2) * dpsi - (1.0 + U(theta) / h2) * psi,
-        ])
+        ]
 
-    return rhs
+    return _rhs(kernel)
 
 
 def mu_minus3_rhs(I: float, variant: str = "derived"):
@@ -376,44 +387,35 @@ def orbit_polar_rhs(I: float):
     r'' = [2 r'^2 - r*r'*sin(theta)/(2*(I - cos(theta))) + r^2] / r
     """
 
-    def rhs(theta, y):
-        theta = float(theta)
-        r = float(y[0])
-        rp = float(y[1])
+    def kernel(theta, y):
+        r, rp = y
         denom = I - math.cos(theta)
         if not (r > 0.0) or denom == 0.0:
-            return _NAN2
+            return [math.nan] * 2
         a = math.sin(theta) / (2.0 * denom)
-        return np.array([rp, (2.0 * rp * rp - r * rp * a + r * r) / r])
+        return [rp, (2.0 * rp * rp - r * rp * a + r * r) / r]
 
-    return rhs
+    return _rhs(kernel)
 
 
 def ef_rhs(n: float, m: float):
     """T'' = J^n * T^m with y = (T, T')."""
 
-    def rhs(J, y):
-        return np.array([
-            float(y[1]),
-            real_power(float(J), n) * real_power(float(y[0]), m),
-        ])
+    def kernel(J, y):
+        t, tp = y
+        return [tp, real_power(J, n) * real_power(t, m)]
 
-    return rhs
+    return _rhs(kernel)
 
 
 def drag_ef_rhs(lam: float, sigma: float):
     """T'' = T^lambda * T' + J^2 * T^sigma with y = (T, T')."""
 
-    def rhs(J, y):
-        t = float(y[0])
-        tp = float(y[1])
-        jj = float(J)
-        return np.array([
-            tp,
-            real_power(t, lam) * tp + jj * jj * real_power(t, sigma),
-        ])
+    def kernel(J, y):
+        t, tp = y
+        return [tp, real_power(t, lam) * tp + J * J * real_power(t, sigma)]
 
-    return rhs
+    return _rhs(kernel)
 
 
 def geodesic_rhs(lam: float, sigma: float):
@@ -430,35 +432,31 @@ def geodesic_rhs(lam: float, sigma: float):
     damping term negated instead.
     """
 
-    def rhs(s, y):
-        t = float(y[0])
-        j = float(y[1])
-        jd = float(y[3])
+    def kernel(s, y):
+        t, j, td, jd = y
         jd2 = jd * jd
-        return np.array([
-            float(y[2]),
+        return [
+            td,
             jd,
             j * j * real_power(t, sigma) * jd2,
             -real_power(t, lam) * jd2,
-        ])
+        ]
 
-    return rhs
+    return _rhs(kernel)
 
 
 def third_order_rhs(lam: float, sigma: float):
     """Y''' = [(Y'' + (Y')^(2+lambda)) Y'' + Y^2 (Y')^(sigma+3)] / Y'."""
 
-    def rhs(z, y):
-        yy = float(y[0])
-        yp = float(y[1])
-        ypp = float(y[2])
+    def kernel(z, y):
+        yy, yp, ypp = y
         if yp == 0.0:
-            return _NAN3
+            return [math.nan] * 3
         num = (ypp + real_power(yp, 2.0 + lam)) * ypp \
             + yy * yy * real_power(yp, sigma + 3.0)
-        return np.array([yp, ypp, num / yp])
+        return [yp, ypp, num / yp]
 
-    return rhs
+    return _rhs(kernel)
 
 
 def third_order_residual(y, yp, ypp, yppp, lam: float, sigma: float):

@@ -311,6 +311,26 @@ class TestOrbit:
         ratios = man["printed_form_ratio"]
         assert math.isfinite(ratios["theta"]["max"])
 
+    def test_singular_start_excluded_from_ratio_range(self, tmp_path):
+        # r_grid starts at r0, where the chain integrand is singular and
+        # printed/chain is nan; min and max cover the other radii
+        cfg = {"mu": -0.5, "r0": 1.227768,
+               "r_grid": {"start": 1.227768, "stop": 2.127262, "num": 155}}
+        code, out = _run(tmp_path, "orbit", cfg)
+        assert code == 0
+        for block in _manifest(out)["printed_form_ratio"].values():
+            assert block["excluded_r"] == [1.227768]
+            assert math.isfinite(block["min"])
+            assert math.isfinite(block["max"])
+            assert block["min"] <= block["max"]
+
+    def test_regular_ratio_range_lists_no_exclusions(self, tmp_path):
+        cfg = {"mu": 0.0, "r0": 0.0, "r_grid": [1.0, 1.5, 2.0]}
+        code, out = _run(tmp_path, "orbit", cfg)
+        assert code == 0
+        for block in _manifest(out)["printed_form_ratio"].values():
+            assert set(block) == {"min", "max"}
+
     def test_compare_needs_mu_above_minus_two(self, tmp_path):
         cfg = {"mu": -4.0, "r0": "inf", "r_grid": [1.0, 2.0],
                "compare_simulation": True}
@@ -434,14 +454,26 @@ class TestBadInputExits1:
         assert "\n" not in err
 
 
+# k ** order overflows a float for k = 1e200
+_ANGLE_K_OVERFLOW = {
+    "system": {"family": "gorringe_leach",
+               "U": {"family": "cos", "k": 1e200}},
+    "initial_state": {"r": 1.0, "thetadot": 1.0},
+}
+
+
 class TestNumericalFailureExits2:
     @pytest.mark.parametrize("command, cfg", [
         ("simulate", {"system": {"family": "isotropic", "mu": 1e6},
                       "initial_state": {"r": 2.0, "thetadot": 1.0}}),
         ("figure", {"which": "fig1", "I_values": [1.0]}),
         ("noether", _with(_NOETHER_BASE, run__initial=[0.0, 0.0])),
+        ("simulate", _ANGLE_K_OVERFLOW),
+        ("simulate", {"system": {"family": "ermakov", "w": 1e200},
+                      "initial_state": {"r": 1.0, "thetadot": 1.0}}),
     ], ids=["simulate-force-overflow", "figure-singular-start",
-            "noether-zero-start"])
+            "noether-zero-start", "simulate-angle-k-overflow",
+            "simulate-ermakov-w-overflow"])
     def test_one_line_and_manifest(self, tmp_path, capsys, command, cfg):
         code, out = _run(tmp_path, command, cfg)
         assert code == 2
@@ -486,6 +518,20 @@ class TestSweep:
         assert code == 2
         codes = {r["name"]: r["exit_code"] for r in _manifest(out)["results"]}
         assert codes == {"ok": 0, "bad": 2}
+
+    def test_numerical_failure_keeps_sweep_manifest(self, tmp_path):
+        # the failing run exits 2 on its own; the other run and the sweep
+        # manifest are still written
+        cfg = {"runs": [
+            {"name": "ok", "command": "special", "config": {"lambda": -1.0}},
+            {"name": "overflow", "command": "simulate",
+             "config": _ANGLE_K_OVERFLOW},
+        ]}
+        code, out = _run(tmp_path, "sweep", cfg)
+        assert code == 2
+        codes = {r["name"]: r["exit_code"] for r in _manifest(out)["results"]}
+        assert codes == {"ok": 0, "overflow": 2}
+        assert _manifest(out / "overflow")["exit_code"] == 2
 
     def test_duplicate_names_rejected(self, tmp_path):
         cfg = {"runs": [

@@ -219,3 +219,46 @@ class TestGoldenArithmetic:
         rhs, y0, kwargs, digest = self.CASES[name]
         traj = integrate(rhs, np.array(y0), IntegratorSettings(**kwargs))
         assert _trajectory_digest(traj) == digest
+
+
+class TestFloatKernel:
+    """An rhs with a kernel attribute is stepped through the kernel."""
+
+    @staticmethod
+    def _counted(rejecting):
+        calls = {"rhs": 0, "kernel": 0}
+
+        def kernel(t, y):
+            calls["kernel"] += 1
+            if rejecting and y[0] >= 2.0:
+                return [math.nan]
+            return [y[1], -y[0]] if len(y) == 2 else [y[0] * y[0]]
+
+        def rhs(t, y):
+            calls["rhs"] += 1
+            return np.array(kernel(t, y.tolist()))
+
+        rhs.kernel = kernel
+        return rhs, calls
+
+    @pytest.mark.parametrize("name", sorted(TestGoldenArithmetic.CASES))
+    def test_same_digest_as_ndarray_path(self, name):
+        # the golden cases again, their rhs rewritten as a counted kernel:
+        # the public rhs runs once, at the initial state, and every
+        # evaluation the stepper counts is a kernel call
+        _, y0, kwargs, digest = TestGoldenArithmetic.CASES[name]
+        rhs, calls = self._counted(rejecting=name == "rk45-nonfinite")
+        traj = integrate(rhs, np.array(y0), IntegratorSettings(**kwargs))
+        assert _trajectory_digest(traj) == digest
+        assert calls["rhs"] == 1
+        assert calls["kernel"] == traj.meta["rhs_evals"]
+
+    def test_plain_callable_gets_ndarrays(self):
+        seen = set()
+
+        def rhs(t, y):
+            seen.add(type(y))
+            return -y
+
+        integrate(rhs, [1.0, 2.0], IntegratorSettings(t_span=(0.0, 0.1)))
+        assert seen == {np.ndarray}

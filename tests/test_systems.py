@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import sympy as sp
 
 from curlforce.core import DomainError
+from curlforce.integrate import IntegratorSettings, integrate
 from curlforce.systems import (
     AngleFunction,
     ErmakovField,
@@ -361,3 +363,162 @@ class TestEvents:
         ev = yprime_floor_event(1e-6)
         assert ev.fn(0.0, np.array([1.0, 0.5])) > 0.0
         assert ev.fn(0.0, np.array([1.0, 1e-8])) < 0.0
+
+
+# Every rhs builder with a short integration and points at which to compare
+# its float kernel with the public ndarray callable, NaN returns included.
+_POLAR_POINTS = [(0.0, [1.4, 0.6, -0.2, 0.9]), (2.5, [0.3, -4.0, 1.5, -0.7]),
+                 (0.0, [0.0, 0.0, 0.0, 0.0]), (1.0, [-0.5, 0.1, 0.2, 0.3])]
+_BUILDERS = {
+    "polar-ermakov": (
+        lambda: polar_rhs(ErmakovField(w=0.5, U=AngleFunction.cos(0.3, 2.0),
+                                       V=AngleFunction.sin(0.2))),
+        [1.0, 0.0, 0.1, 0.5],
+        dict(t_span=(0.0, 5.0), events=(r_floor_event(),)),
+        _POLAR_POINTS),
+    "polar-gorringe-leach": (
+        lambda: polar_rhs(GorringeLeachField(U=AngleFunction.cos(0.2),
+                                             V=AngleFunction.sin(0.1, 0.5))),
+        [1.0, 0.3, 0.0, 0.8], dict(t_span=(0.0, 5.0)), _POLAR_POINTS),
+    "polar-isotropic": (
+        lambda: polar_rhs(IsotropicField(mu=-1.5)),
+        [1.0, 0.0, 0.1, 0.6], dict(method="rk4", h=1e-2, t_span=(0.0, 3.0)),
+        _POLAR_POINTS),
+    "polar-isotropic-drag": (
+        lambda: polar_rhs(IsotropicDragField(mu=-1.5, nu=-3.0)),
+        [1.0, 0.0, 0.1, 0.6], dict(method="rk4", h=1e-2, t_span=(0.0, 3.0)),
+        _POLAR_POINTS),
+    "psi-derived": (
+        lambda: psi_reduced_rhs(0.9, AngleFunction.constant(0.2),
+                                AngleFunction.cos(), "derived"),
+        [1.0, 0.1],
+        dict(t_span=(-2.0, 0.0),
+             events=(h2_singularity_event(0.9, AngleFunction.cos()),)),
+        [(0.8, [0.7, -0.3]), (-1.0, [1.0, 0.0]),
+         (math.acos(0.9), [1.0, 0.5])]),
+    "psi-as-printed": (
+        lambda: psi_reduced_rhs(1.0, AngleFunction.poly(0.1, 0.2),
+                                AngleFunction.cos(), "as_printed"),
+        [1.0, 0.1], dict(t_span=(0.5, 3.0)),
+        [(0.8, [0.7, -0.3]), (0.0, [1.0, 0.0]), (3.0, [-2.0, 4.0])]),
+    "mu-minus3": (
+        lambda: mu_minus3_rhs(0.7, "as_printed"),
+        [1.0, -0.2], dict(t_span=(0.0, 3.0)),
+        [(1.1, [0.0, -0.4]), (-0.7, [1.0, 1.0]), (2.0, [0.5, 0.5])]),
+    "orbit-polar": (
+        lambda: orbit_polar_rhs(1.4),
+        [1.8, 0.3], dict(t_span=(0.0, 1.0)),
+        [(0.5, [1.8, 0.3]), (0.5, [0.0, 0.3]), (0.5, [-1.0, 0.3])]),
+    "orbit-polar-singular": (
+        lambda: orbit_polar_rhs(1.0),
+        [1.0, 0.0], dict(t_span=(0.5, 1.5)),
+        [(0.0, [1.0, 0.2]), (1.0, [1.0, 0.2])]),
+    "ef": (
+        lambda: ef_rhs(2.0, -5.0),
+        [1.0, 0.1], dict(method="rk4", h=1e-3, t_span=(1.0, 2.0)),
+        [(1.5, [0.8, 0.1]), (1.5, [-0.8, 0.1]), (0.0, [0.0, 0.0])]),
+    "ef-fractional": (
+        lambda: ef_rhs(-0.5, 1.0 / 3.0),
+        [0.5, 0.0], dict(method="rk4", h=1e-3, t_span=(1.0, 2.0)),
+        [(1.5, [0.8, 0.1]), (1.5, [-0.8, 0.1]), (-1.0, [1.0, 0.0])]),
+    "drag-ef": (
+        lambda: drag_ef_rhs(-1.0, -3.0),
+        [0.5, 0.0], dict(method="rk4", h=2e-3, t_span=(1.0, 2.0)),
+        [(1.3, [0.9, 0.2]), (1.3, [0.0, 0.2]), (1.3, [-0.9, 0.2])]),
+    "geodesic": (
+        lambda: geodesic_rhs(-1.0, -3.0),
+        [0.9, 1.2, 0.3, 0.7], dict(t_span=(0.0, 1.0)),
+        [(0.0, [0.9, 1.2, 0.3, 0.7]), (0.0, [0.0, 1.2, 0.3, 0.7]),
+         (0.0, [-0.9, 1.2, 0.3, 0.7])]),
+    "third-order": (
+        lambda: third_order_rhs(1.0, 5.0),
+        [1.1, 0.6, -0.2], dict(t_span=(0.0, 1.0),
+                               events=(yprime_floor_event(),)),
+        [(0.0, [1.1, 0.6, -0.2]), (0.0, [1.0, 0.0, 0.5]),
+         (0.0, [1.0, -0.5, 0.5])]),
+}
+
+
+def _bytes(values):
+    return np.ascontiguousarray(values, dtype="<f8").tobytes()
+
+
+def _builder_digest(name):
+    """sha256 of the public rhs at the parity points and of one integration."""
+    make, y0, kwargs, points = _BUILDERS[name]
+    rhs = make()
+    h = hashlib.sha256()
+    with np.errstate(all="ignore"):
+        for t, y in points:
+            h.update(_bytes(rhs(t, np.array(y))))
+    traj = integrate(rhs, np.array(y0), IntegratorSettings(**kwargs))
+    for a in (traj.t, traj.y, traj.dy):
+        h.update(_bytes(a))
+    h.update(repr((traj.termination, traj.events,
+                   sorted(traj.meta.items()))).encode())
+    return h.hexdigest()
+
+
+class TestFloatKernels:
+    """Each builder's formula lives once, in a float kernel.
+
+    The digests were recorded before the kernels existed, when each rhs
+    took and returned ndarrays and integrate called it on every stage.
+    """
+
+    DIGESTS = {
+        "drag-ef": "c010b6b1db2a874f4578da7e82227708"
+                   "d3e8e9893db7c03563ff39fea219f3da",
+        "ef": "edb68a85254378020cc098053fa3522b"
+              "bb13a13b679db2b9d8db880e7a3fcb40",
+        "ef-fractional": "93ebadb4ec1bb3d0e0334e48370aec9e"
+                         "efae7ae452ac2e608d9d0604ccf12edc",
+        "geodesic": "e740d30a06375b315a3e2aaf4a9d8085"
+                    "2a0b4c66e33432195327a1a3dd64e742",
+        "mu-minus3": "97ae9a287295c56ee6d0a392139c104d"
+                     "a25b3232aaf778142f0e960471a38b31",
+        "orbit-polar": "2b95b30678af33344c22c948ec66ab5a"
+                       "fd4080354e5bee6875092be4fff60579",
+        "orbit-polar-singular": "a3ba3a21213799fbd5e07fb2b2e3615a"
+                                "bb14698d3fa02534252721bda0169f79",
+        "polar-ermakov": "85b1ae2b6f81b78ced55936f1eab3440"
+                         "5be0dd5e00a8480cff302918e00f74d5",
+        "polar-gorringe-leach": "1f8ffc85e4b68c50395f8ce0cbcfc07b"
+                                "957af8e7bfb47aa20d6f442928a25186",
+        "polar-isotropic": "5368f2f37196bab9631fe48b0c936a2a"
+                           "1d6334f826440f4f5eb2d2f1d652e9cf",
+        "polar-isotropic-drag": "f4464d65f7a8d9c8c3f186e6e8168104"
+                                "8a179fd61b3ad26e76349da55b88525a",
+        "psi-as-printed": "4b68267e9ba05e2028c8fd6d8110917b"
+                          "db63e0ca00c3d2589f74907ab0f2cc54",
+        "psi-derived": "6ee47d421145fc3a786aa63f5788a387"
+                       "03486d22af8cedf5920b19c7eec4b425",
+        "third-order": "a0f5a728fed5c92fbb71ee11f80cae49"
+                       "b637a6c5572c82b5c3ce1379ea835d77",
+    }
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_kernel_matches_public_rhs(self, name):
+        make, _, _, points = _BUILDERS[name]
+        rhs = make()
+        for t, y in points:
+            out = rhs.kernel(t, list(y))
+            assert type(out) is list and len(out) == len(y)
+            from_array = rhs(t, np.array(y))
+            assert from_array.dtype == np.float64
+            assert _bytes(out) == _bytes(from_array)
+            assert _bytes(rhs(t, tuple(y))) == _bytes(from_array)
+            assert _bytes(rhs(np.float64(t), np.array(y))) == _bytes(out)
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_integration_digest(self, name):
+        assert _builder_digest(name) == self.DIGESTS[name]
+
+    def test_nan_outside_domain(self):
+        # every parity set above includes at least one NaN return
+        for name, (make, _, _, points) in _BUILDERS.items():
+            rhs = make()
+            with np.errstate(all="ignore"):
+                outs = [rhs(t, np.array(y)) for t, y in points]
+            assert any(np.isnan(o).any() or np.isinf(o).any()
+                       for o in outs), name
