@@ -324,6 +324,14 @@ class TestOrbit:
             assert math.isfinite(block["max"])
             assert block["min"] <= block["max"]
 
+    def test_no_finite_ratio_gives_null_range(self, tmp_path):
+        cfg = {"mu": -0.5, "r0": 1.227768, "r_grid": [1.227768]}
+        code, out = _run(tmp_path, "orbit", cfg)
+        assert code == 0
+        for block in _manifest(out)["printed_form_ratio"].values():
+            assert block == {"min": None, "max": None,
+                             "excluded_r": [1.227768]}
+
     def test_regular_ratio_range_lists_no_exclusions(self, tmp_path):
         cfg = {"mu": 0.0, "r0": 0.0, "r_grid": [1.0, 1.5, 2.0]}
         code, out = _run(tmp_path, "orbit", cfg)
