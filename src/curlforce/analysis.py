@@ -114,9 +114,7 @@ def drag_exponents(mu: float, nu: float) -> tuple[float, float, float]:
     lambda and sigma are the exponents of the damped equation as printed;
     rho is the drag exponent produced by direct substitution.
     """
-    if mu == -2.0:
-        raise ValueError("mu = -2 is excluded: the map divides by mu + 2")
-    return (-(mu + 4.0) / (mu + 2.0), nu / (mu + 2.0), (nu - mu - 1.0) / (mu + 2.0))
+    return (m_from_mu(mu), nu / (mu + 2.0), (nu - mu - 1.0) / (mu + 2.0))
 
 
 def lambda_coeff(n: float, m: float) -> float:
@@ -151,26 +149,18 @@ class ParticularSolution:
     exponent: float
 
     def T(self, J):
-        return self.Lambda * _as_pow(J, self.exponent)
+        return self.Lambda * _rpow(J, self.exponent)
 
     def Tprime(self, J):
-        return self.Lambda * self.exponent * _as_pow(J, self.exponent - 1.0)
+        return self.Lambda * self.exponent * _rpow(J, self.exponent - 1.0)
 
     def Tsecond(self, J):
         e = self.exponent
-        return self.Lambda * e * (e - 1.0) * _as_pow(J, e - 2.0)
+        return self.Lambda * e * (e - 1.0) * _rpow(J, e - 2.0)
 
     def ode_residual(self, J):
         """T'' - J^n T^m evaluated on the branch; zero when Lambda is exact."""
-        return self.Tsecond(J) - _as_pow(J, self.n) * _rpow(self.T(J), self.m)
-
-
-def _as_pow(x, p):
-    arr = np.asarray(x, dtype=float)
-    out = _rpow(arr, p)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+        return self.Tsecond(J) - _rpow(J, self.n) * _rpow(self.T(J), self.m)
 
 
 def particular_solution(n: float, m: float) -> ParticularSolution:

@@ -210,40 +210,48 @@ def _state(value: Any, where: str) -> np.ndarray:
     return np.array([s["r"], s["theta"], s["rdot"], s["thetadot"]])
 
 
-# the integrator block; an absent t_span takes the command's default span
+# integrator keys a config may set; an absent key takes IntegratorSettings'
+# default, and an absent t_span the command's default span
 _INTEGRATOR = {
-    "method": (_typed(str, "a string"), "rk45"),
-    "rel_tol": (_num, 1e-10),
-    "abs_tol": (_num, 1e-12),
-    "h": (_num, 1e-3),
+    "method": (_typed(str, "a string"), None),
+    "rel_tol": (_num, None),
+    "abs_tol": (_num, None),
+    "h": (_num, None),
     "t_span": (_span, None),
-    "max_steps": (_int(1), 1_000_000),
+    "max_steps": (_int(1), None),
     "h0": (_num, None),
-    "h_max": (_num, math.inf),
+    "h_max": (_num, None),
 }
 
 
-def _settings(span: tuple[float, float], events: Sequence[Event] = (),
-              **kwargs: Any) -> IntegratorSettings:
+def _max_steps_override() -> int | None:
+    """The step cap CURLFORCE_MAX_STEPS sets for every run, or None."""
+    env = os.environ.get("CURLFORCE_MAX_STEPS")
+    if env is None:
+        return None
     try:
-        return IntegratorSettings(t_span=span, events=tuple(events), **kwargs)
+        return int(env)
     except ValueError as exc:
-        raise ConfigError(f"bad integrator settings: {exc}") from exc
+        raise ConfigError(
+            f"CURLFORCE_MAX_STEPS must be an integer, got {env!r}") from exc
 
 
 def _integrator(block: dict, default_span: tuple[float, float],
                 events: Sequence[Event] = ()) -> IntegratorSettings:
-    """Settings from a parsed integrator block; CURLFORCE_MAX_STEPS wins."""
-    kwargs = dict(block)
-    span = kwargs.pop("t_span") or default_span
-    env = os.environ.get("CURLFORCE_MAX_STEPS")
-    if env is not None:
-        try:
-            kwargs["max_steps"] = int(env)
-        except ValueError as exc:
-            raise ConfigError(
-                f"CURLFORCE_MAX_STEPS must be an integer, got {env!r}") from exc
-    return _settings(span, events, **kwargs)
+    """Settings from integrator keys, None meaning the default.
+
+    The block's t_span wins over default_span; CURLFORCE_MAX_STEPS wins
+    over its max_steps.
+    """
+    kwargs = {k: v for k, v in block.items() if v is not None}
+    kwargs.setdefault("t_span", default_span)
+    cap = _max_steps_override()
+    if cap is not None:
+        kwargs["max_steps"] = cap
+    try:
+        return IntegratorSettings(events=tuple(events), **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad integrator settings: {exc}") from exc
 
 
 # -- artifact emission -------------------------------------------------------
@@ -290,8 +298,12 @@ def _traj_block(traj: Trajectory) -> dict:
 
 
 def _base_manifest(command: str, cfg: dict) -> dict:
-    return {"tool": "curlforce", "version": __version__,
-            "command": command, "config": cfg}
+    manifest = {"tool": "curlforce", "version": __version__,
+                "command": command, "config": cfg}
+    cap = _max_steps_override()
+    if cap is not None:
+        manifest["max_steps_override"] = cap
+    return manifest
 
 
 # -- commands ----------------------------------------------------------------
@@ -403,9 +415,7 @@ def _figure_run(I: float, ic: tuple[float, float], span: tuple[float, float],
     rhs = systems.psi_reduced_rhs(I, AngleFunction.zero(), AngleFunction.cos(),
                                   variant=variant)
     event = systems.h2_singularity_event(I, AngleFunction.cos())
-    settings = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12, t_span=span,
-                                  events=(event,))
-    return integrate(rhs, np.array(ic), settings)
+    return integrate(rhs, np.array(ic), _integrator({}, span, (event,)))
 
 
 def cmd_figure(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
@@ -590,8 +600,8 @@ def cmd_noether(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
         evaluator = invariants.noether_integral(L, G)
 
     run = c["run"]
-    settings = _settings(run["J_span"], rel_tol=run["rel_tol"],
-                         abs_tol=run["abs_tol"])
+    settings = _integrator({"rel_tol": run["rel_tol"],
+                            "abs_tol": run["abs_tol"]}, run["J_span"])
     traj = integrate(systems.ef_rhs(n, m), np.array(run["initial"]), settings)
     values = np.array([evaluator(float(J), float(T), float(Tp))
                        for J, (T, Tp) in zip(traj.t, traj.y)])
@@ -750,7 +760,7 @@ def cmd_special(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
     sigma = c["sigma"] if c["sigma"] is not None else 1.0 + 4.0 * lam
     eps = c["eps"]
     run = c["run"]
-    settings = _settings(run["J_span"], method="rk4", h=run["h"])
+    settings = _integrator({"method": "rk4", "h": run["h"]}, run["J_span"])
 
     manifest = _base_manifest("special", cfg)
     manifest["lambda"] = lam
@@ -794,7 +804,7 @@ def cmd_special(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
         traj = integrate(rhs, np.array(run["initial"]), settings)
         stats = analysis.scaling_map_residual(
             traj, alpha=-1.0, beta=-lam, eps=eps,
-            model=lambda J, T, Tp: rhs(J, (T, Tp))[1])
+            model=lambda J, T, Tp: rhs.kernel(J, [T, Tp])[1])
     except (IntegrationError, DomainError, ValueError) as exc:
         print(f"curlforce special: {exc}", file=sys.stderr)
         manifest["scaling_map"] = {"error": str(exc)}
@@ -880,6 +890,8 @@ _COMMANDS = {"simulate": cmd_simulate, "figure": cmd_figure,
 def _dispatch(command: str, cfg: dict, out: Path, variant: str | None,
               fmt: str) -> int:
     try:
+        # a malformed step cap is a config error whether or not a run uses it
+        _max_steps_override()
         return _COMMANDS[command](cfg, out, fmt, variant)
     except (ConfigError, DomainError, analysis.NonRealLambda) as exc:
         print(f"curlforce {command}: config error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ __all__ = [
     "DomainError",
     "PolarState",
     "Trajectory",
-    "EFPoint",
     "EFSeries",
     "InvariantReport",
     "polar_states",
@@ -64,7 +63,18 @@ def real_power(x: float, p: float) -> float:
     return math.nan
 
 
-_rpow = np.vectorize(real_power, otypes=[float])
+_vpow = np.vectorize(real_power, otypes=[float])
+
+
+def _rpow(x, p: float):
+    """real_power of a scalar (a float) or of each element of an array.
+
+    Scalars skip numpy, whose per-call overhead exceeds real_power's; an
+    array goes element by element, so both give the same bits.
+    """
+    if isinstance(x, (float, int, np.number)):
+        return real_power(x, p)
+    return _vpow(x, p)
 
 
 @dataclass(frozen=True)
@@ -133,10 +143,6 @@ class Trajectory:
         if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.y))):
             raise DomainError("trajectory samples must be finite")
 
-    @property
-    def n_samples(self) -> int:
-        return int(self.t.size)
-
 
 def polar_states(traj: Trajectory) -> list[PolarState]:
     """View a polar-system trajectory as PolarState records."""
@@ -146,19 +152,6 @@ def polar_states(traj: Trajectory) -> list[PolarState]:
         PolarState(t=float(t), r=float(r), theta=float(th), rdot=float(rd), thetadot=float(td))
         for t, (r, th, rd, td) in zip(traj.t, traj.y)
     ]
-
-
-@dataclass(frozen=True)
-class EFPoint:
-    """One sample (J, T, T') of an Emden-Fowler curve T(J)."""
-
-    J: float
-    T: float
-    Tprime: float
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.J, self.T, self.Tprime)):
-            raise DomainError("EF point components must be finite")
 
 
 @dataclass(frozen=True)
@@ -187,10 +180,6 @@ class EFSeries:
         for a in (self.J, self.T, self.Tprime):
             if not np.all(np.isfinite(a)):
                 raise DomainError("EF series values must be finite")
-
-    @property
-    def points(self) -> list[EFPoint]:
-        return [EFPoint(float(j), float(t), float(tp)) for j, t, tp in zip(self.J, self.T, self.Tprime)]
 
     def __len__(self) -> int:
         return int(self.J.size)

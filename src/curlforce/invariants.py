@@ -217,14 +217,24 @@ def noether_residual(L: PowerLagrangian, G: GeneratorSpec,
 
     R = xi L_J + eta L_T + eta_hat L_T' + L xi_J - (V_J + V_T T').
     The generator is Noetherian for L exactly when R vanishes identically.
+    A point where L or its derivatives have no real value (a zero T under a
+    negative power, a negative base under a fractional one) raises
+    DomainError.
     """
     out = []
     for J, T, Tp in grid:
-        r = (G.xi_of(J) * L.d_J(J, T, Tp)
-             + G.eta_of(J, T) * L.d_T(J, T, Tp)
-             + G.eta_hat(J, T, Tp) * L.d_Tprime(J, T, Tp)
-             + L.value(J, T, Tp) * G.xi_J(J)
-             - G.gauge_T(T) * Tp)
+        try:
+            r = (G.xi_of(J) * L.d_J(J, T, Tp)
+                 + G.eta_of(J, T) * L.d_T(J, T, Tp)
+                 + G.eta_hat(J, T, Tp) * L.d_Tprime(J, T, Tp)
+                 + L.value(J, T, Tp) * G.xi_J(J)
+                 - G.gauge_T(T) * Tp)
+        except ZeroDivisionError:
+            r = None
+        if r is None or isinstance(r, complex):
+            raise DomainError(
+                f"(J, T, T') = ({J}, {T}, {Tp}) is outside the domain of the "
+                f"Lagrangian with (n, m) = ({L.n}, {L.m})")
         out.append(float(r))
     return out
 

@@ -41,7 +41,6 @@ __all__ = [
     "IsotropicField",
     "IsotropicDragField",
     "ForceField",
-    "eval_force",
     "curl",
     "curl_fd",
     "polar_rhs",
@@ -275,12 +274,6 @@ class IsotropicDragField:
 ForceField = ErmakovField | GorringeLeachField | IsotropicField | IsotropicDragField
 
 
-def eval_force(field: ForceField, r: float, theta: float,
-               rdot: float = 0.0) -> tuple[float, float]:
-    """Radial and transverse force components at (r, theta) with radial velocity rdot."""
-    return field.force(r, theta, rdot)
-
-
 def curl(field: ForceField, r: float, theta: float) -> float:
     """Analytic curl (1/r)[d(r F_theta)/dr - dF_r/dtheta] of the position-only part."""
     return field.curl(r, theta)
@@ -463,17 +456,11 @@ def third_order_residual(y, yp, ypp, yppp, lam: float, sigma: float):
     """Residual of the third-order equation multiplied through by Y'.
 
     Returns Y''' * Y' - [(Y'' + (Y')^(2+lambda)) Y'' + Y^2 (Y')^(sigma+3)]
-    elementwise; the multiplied form avoids dividing by small Y'.
+    elementwise on floats or ndarrays; the multiplied form avoids dividing
+    by small Y'.
     """
-    y = np.asarray(y, dtype=float)
-    yp = np.asarray(yp, dtype=float)
-    ypp = np.asarray(ypp, dtype=float)
-    yppp = np.asarray(yppp, dtype=float)
-    res = yppp * yp - ((ypp + _rpow(yp, 2.0 + lam)) * ypp
-                       + y * y * _rpow(yp, sigma + 3.0))
-    if res.ndim == 0:
-        return float(res)
-    return res
+    return yppp * yp - ((ypp + _rpow(yp, 2.0 + lam)) * ypp
+                        + y * y * _rpow(yp, sigma + 3.0))
 
 
 def r_floor_event(threshold: float = 1e-8) -> Event:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -106,6 +107,19 @@ class TestParticularSolution:
             assert sol.Tprime(J) == pytest.approx(fd, rel=1e-8)
             fd2 = (sol.Tprime(J + h) - sol.Tprime(J - h)) / (2.0 * h)
             assert sol.Tsecond(J) == pytest.approx(fd2, rel=1e-8)
+
+    @pytest.mark.parametrize("n, m", [(2.0, -2.0), (2.0, -7.0 / 3.0),
+                                      (0.5, 3.0)])
+    def test_float_and_array_give_same_bits(self, n, m):
+        # quadrature integrands call these on floats, residual reports on
+        # arrays; both must be the same formula
+        sol = particular_solution(n, m)
+        for J in (0.3, 1.0, 1.7, 2.9):
+            for method in (sol.T, sol.Tprime, sol.Tsecond, sol.ode_residual):
+                scalar = method(J)
+                assert isinstance(scalar, float)
+                assert np.array([scalar]).tobytes() \
+                    == method(np.array([J])).tobytes()
 
 
 class TestTorqueMap:
@@ -226,7 +240,32 @@ class TestReferenceRadiusConventions:
             j_of_r(1.0, mu=0.0, r0=-1.0, n=2.0, m=-2.0)
 
 
+# sha256 over the theta and tau values and printed ratios of each case,
+# recorded with the branch integrands on numpy 0-d arrays (x86-64 Linux,
+# glibc); the float integrands must reproduce them bit for bit
+_CHAIN_DIGESTS = [
+    (0.0, 0.0, np.linspace(1.0, 2.0, 9),
+     "11f1e4a124ec8f090cee4929499563a112445702e7cc3629cd9d7e115bd5a012"),
+    (-0.5, 0.3, np.linspace(1.2, 2.1, 40),
+     "ed9323df25b077ff8e83710917c27e28211dff8910fabb16bb9026f9958b3580"),
+    (2.0, 0.5, np.array([1.0, 1.3, 1.9]),
+     "1a6283301fdbcadf7be4c002c71035122271c100808c7780461961fa42840786"),
+    (-2.5, math.inf, np.linspace(0.5, 1.5, 12),
+     "86c88aacb24ae344f117fbfe759b4787ad5aa7d57a82718bf6f732917021b033"),
+]
+
+
 class TestChainQuadratures:
+    @pytest.mark.parametrize("mu, r0, rg, digest", _CHAIN_DIGESTS,
+                             ids=["mu0", "mu-0.5", "mu2", "mu-2.5-inf"])
+    def test_recorded_bits(self, mu, r0, rg, digest):
+        h = hashlib.sha256()
+        for quadrature in (orbit_theta_of_r, time_of_r):
+            rep = quadrature(mu, r0, rg)
+            h.update(rep.values.astype("<f8").tobytes())
+            h.update(rep.printed_ratio.astype("<f8").tobytes())
+        assert h.hexdigest() == digest
+
     def test_theta_closed_form_mu_zero(self):
         # the mu = 0 chain integrand is c/r, so theta grows like log r
         lam = lambda_coeff(2.0, -2.0)

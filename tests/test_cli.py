@@ -448,12 +448,17 @@ class TestBadInputExits1:
         ("orbit", {"mu": 0.0, "r0": None, "r_grid": [1.0, 2.0]}),
         ("map-ef", {**_MAP_EF_BASE, "apply_scaling": None}),
         ("simulate", _with(_SIM_BASE, integrator=None)),
+        ("noether", _with(_NOETHER_BASE, grid={"J": [1.0], "T": [0.0],
+                                                "Tprime": [0.0]})),
+        ("noether", {"n": 0.5, "m": -5.0, "generator": "g2",
+                     "grid": {"J": [-1.0], "T": [1.0], "Tprime": [0.0]}}),
     ], ids=["figure-span-text", "figure-span-reversed", "noether-span-text",
             "noether-initial-short", "noether-empty-grid", "simulate-method-7",
             "simulate-negative-r", "special-initial-text", "simulate-h0-zero",
             "simulate-h0-negative", "orbit-grid-decreasing",
             "orbit-tol-negative", "figure-label", "figure-span-null",
-            "orbit-r0-null", "map-ef-scaling-null", "simulate-integrator-null"])
+            "orbit-r0-null", "map-ef-scaling-null", "simulate-integrator-null",
+            "noether-grid-zero-T", "noether-grid-complex-power"])
     def test_clean_config_error(self, tmp_path, capsys, command, cfg):
         code, _ = _run(tmp_path, command, cfg)
         assert code == 1
@@ -493,6 +498,37 @@ class TestNumericalFailureExits2:
         assert man["command"] == command
         assert man["config"] == cfg
         assert man["error"] in err
+
+
+class TestStepCapEnv:
+    @pytest.mark.parametrize("command, cfg", [
+        ("figure", {"which": "fig1", "I_values": [1.5]}),
+        ("noether", _NOETHER_BASE),
+        ("special", {"lambda": -1.0}),
+    ], ids=["figure", "noether", "special"])
+    def test_cap_applies_to_every_integrating_command(
+            self, tmp_path, capsys, monkeypatch, command, cfg):
+        monkeypatch.setenv("CURLFORCE_MAX_STEPS", "10")
+        code, out = _run(tmp_path, command, cfg)
+        assert code == 2
+        assert "max_steps=10 exceeded" in capsys.readouterr().err
+        man = _manifest(out)
+        assert man["exit_code"] == 2
+        assert man["max_steps_override"] == 10
+
+    def test_override_recorded_only_when_set(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CURLFORCE_MAX_STEPS", raising=False)
+        code, plain = _run(tmp_path, "simulate", _SIM_BASE, sub="plain")
+        assert code == 0
+        assert "max_steps_override" not in _manifest(plain)
+        monkeypatch.setenv("CURLFORCE_MAX_STEPS", "100000")
+        code, capped = _run(tmp_path, "simulate", _SIM_BASE, sub="capped")
+        assert code == 0
+        man = _manifest(capped)
+        assert man.pop("max_steps_override") == 100000
+        assert man == _manifest(plain)
+        assert (capped / "simulate.csv").read_bytes() \
+            == (plain / "simulate.csv").read_bytes()
 
 
 class TestSweep:

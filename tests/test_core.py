@@ -221,9 +221,7 @@ class TestEFSeries:
         with pytest.raises(ValueError):
             EFSeries(J=J, T=J.copy(), Tprime=J.copy(), mu=0.0)
 
-    def test_points_roundtrip(self):
+    def test_len(self):
         J = np.array([1.0, 1.5])
         s = EFSeries(J=J, T=2 * J, Tprime=np.full(2, 2.0), mu=0.0)
         assert len(s) == 2
-        p = s.points[1]
-        assert (p.J, p.T, p.Tprime) == (1.5, 3.0, 2.0)
