@@ -655,7 +655,7 @@ def power_solution_y0(lam: float) -> float:
         raise ValueError("lambda = 0 is excluded: the exponent divides by lambda")
 
     def g(y: float) -> float:
-        return (lam ** -2.0 * real_power(lam * y, 4.0 + 4.0 * lam)
+        return (real_power(lam, -2.0) * real_power(lam * y, 4.0 + 4.0 * lam)
                 - real_power(lam * y, 1.0 + lam) * real_power(1.0 + lam, 3.0 * lam)
                 - real_power(1.0 + lam, 1.0 + 4.0 * lam))
 

@@ -478,7 +478,7 @@ _MAP_EF = {
 def cmd_map_ef(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
     c = _parse(cfg, _MAP_EF, "config")
     field = c["system"]
-    if not isinstance(field, (systems.IsotropicField, systems.IsotropicDragField)):
+    if not isinstance(field, systems.IsotropicField):
         raise ConfigError("map-ef needs an isotropic or isotropic_drag system")
     mu = field.mu
     drag = isinstance(field, systems.IsotropicDragField)

@@ -218,8 +218,8 @@ def noether_residual(L: PowerLagrangian, G: GeneratorSpec,
     R = xi L_J + eta L_T + eta_hat L_T' + L xi_J - (V_J + V_T T').
     The generator is Noetherian for L exactly when R vanishes identically.
     A point where L or its derivatives have no real value (a zero T under a
-    negative power, a negative base under a fractional one) raises
-    DomainError.
+    negative power, a negative base under a fractional one) or overflow a
+    float raises DomainError.
     """
     out = []
     for J, T, Tp in grid:
@@ -229,7 +229,7 @@ def noether_residual(L: PowerLagrangian, G: GeneratorSpec,
                  + G.eta_hat(J, T, Tp) * L.d_Tprime(J, T, Tp)
                  + L.value(J, T, Tp) * G.xi_J(J)
                  - G.gauge_T(T) * Tp)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             r = None
         if r is None or isinstance(r, complex):
             raise DomainError(

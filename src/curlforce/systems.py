@@ -4,7 +4,10 @@ Position-only families (Ermakov, Gorringe-Leach, isotropic azimuthal) and
 one velocity-dependent extension (isotropic azimuthal plus radial drag).
 Every family exposes analytic force components and the analytic curl
 (1/r)[d(r F_theta)/dr - dF_r/dtheta]; curl_fd is the finite-difference
-oracle for the same expression.
+oracle for the same expression.  Each family writes both once, as _force
+and _curl, which assume r > 0: the public force and curl check r first, and
+polar_rhs, which tests r itself, calls _force.  AngleFunction dispatches its
+family once per derivative order, when it is built.
 
 The *_rhs builders return closures suitable for integrate.integrate: each
 formula is written once, as a kernel on Python floats that integrate calls
@@ -57,7 +60,37 @@ __all__ = [
     "yprime_floor_event",
 ]
 
-_FAMILIES = ("zero", "constant", "linear_theta", "cos", "sin", "poly")
+
+def _consts(*values):
+    return tuple(lambda th, v=v: v for v in values)
+
+
+def _waves(c: float, k: float, waves, signs):
+    """Orders 0..3 of a sinusoid: signs[n] * c*k^n * waves[n](k*theta)."""
+    amps = [c * real_power(k, n) for n in range(4)]
+    amps = [a if s > 0 else -a for a, s in zip(amps, signs)]
+    return tuple(lambda th, a=a, w=w: a * w(k * th) for a, w in zip(amps, waves))
+
+
+def _poly(c0, c1, c2, c3):
+    return (lambda th: c0 + th * (c1 + th * (c2 + th * c3)),
+            lambda th: c1 + th * (2.0 * c2 + th * (3.0 * c3)),
+            lambda th: 2.0 * c2 + 6.0 * c3 * th) + _consts(6.0 * c3)
+
+
+# family -> (c, k, coeffs, cos, sin) -> its value and first three
+# derivatives, each a function of theta; cos and sin act on theta's type
+# (float or ndarray).  A constant is a float, which AngleFunction
+# broadcasts over an array argument.
+_FORMULAS = {
+    "zero": lambda c, k, p, cos, sin: _consts(0.0, 0.0, 0.0, 0.0),
+    "constant": lambda c, k, p, cos, sin: _consts(c, 0.0, 0.0, 0.0),
+    "linear_theta": lambda c, k, p, cos, sin: (
+        (lambda th: c * th,) + _consts(c, 0.0, 0.0)),
+    "cos": lambda c, k, p, cos, sin: _waves(c, k, (cos, sin, cos, sin), (1, -1, -1, 1)),
+    "sin": lambda c, k, p, cos, sin: _waves(c, k, (sin, cos, sin, cos), (1, 1, -1, -1)),
+    "poly": lambda c, k, p, cos, sin: _poly(*p),
+}
 
 
 @dataclass(frozen=True)
@@ -67,7 +100,8 @@ class AngleFunction:
     Families: zero, constant (c), linear_theta (c*theta), cos (c*cos(k*theta)),
     sin (c*sin(k*theta)), poly (c0 + c1*theta + c2*theta^2 + c3*theta^3).
     Call with order=0..3 to get the value or a derivative; accepts scalars
-    and numpy arrays.
+    and numpy arrays.  The family is dispatched once, here: construction
+    builds each order's formula for floats (math) and for arrays (numpy).
     """
 
     family: str
@@ -76,7 +110,7 @@ class AngleFunction:
     coeffs: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in _FORMULAS:
             raise ValueError(f"unknown angle-function family {self.family!r}")
         coeffs = tuple(float(x) for x in self.coeffs)
         if len(coeffs) != 4:
@@ -84,6 +118,16 @@ class AngleFunction:
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "k", float(self.k))
         object.__setattr__(self, "coeffs", coeffs)
+        # keyed by order, so an order given as 1.0 still works
+        formulas = _FORMULAS[self.family]
+        object.__setattr__(self, "_scalar", dict(enumerate(
+            formulas(self.c, self.k, coeffs, _cos, _sin))))
+        object.__setattr__(self, "_array", dict(enumerate(
+            formulas(self.c, self.k, coeffs, np.cos, np.sin))))
+
+    def __reduce__(self):
+        # rebuilt from the four fields: the formula closures do not pickle
+        return (type(self), (self.family, self.c, self.k, self.coeffs))
 
     @classmethod
     def zero(cls) -> "AngleFunction":
@@ -115,56 +159,12 @@ class AngleFunction:
             raise ValueError("derivative order must be 0, 1, 2 or 3")
         if isinstance(theta, (float, int)):
             # scalar callers (the ODE right-hand sides) skip numpy entirely
-            return self._formula(float(theta), order, _cos, _sin, float)
+            return self._scalar[order](float(theta))
         th = np.asarray(theta, dtype=float)
-        out = self._formula(th, order, np.cos, np.sin,
-                            lambda v: np.full_like(th, v))
+        out = self._array[order](th)
         if np.ndim(theta) == 0:
             return float(out)
-        return out
-
-    def _formula(self, th, order, cos, sin, const):
-        """Value or derivative at th, a float or an ndarray.
-
-        cos and sin act on th's type; const(v) is v shaped like th.
-        """
-        fam = self.family
-        if fam == "zero":
-            return const(0.0)
-        if fam == "constant":
-            return const(self.c if order == 0 else 0.0)
-        if fam == "linear_theta":
-            if order == 0:
-                return self.c * th
-            return const(self.c if order == 1 else 0.0)
-        if fam == "cos":
-            amp = self.c * real_power(self.k, order)
-            phase = self.k * th
-            if order == 0:
-                return amp * cos(phase)
-            if order == 1:
-                return -amp * sin(phase)
-            if order == 2:
-                return -amp * cos(phase)
-            return amp * sin(phase)
-        if fam == "sin":
-            amp = self.c * real_power(self.k, order)
-            phase = self.k * th
-            if order == 0:
-                return amp * sin(phase)
-            if order == 1:
-                return amp * cos(phase)
-            if order == 2:
-                return -amp * sin(phase)
-            return -amp * cos(phase)
-        c0, c1, c2, c3 = self.coeffs
-        if order == 0:
-            return c0 + th * (c1 + th * (c2 + th * c3))
-        if order == 1:
-            return c1 + th * (2.0 * c2 + th * (3.0 * c3))
-        if order == 2:
-            return 2.0 * c2 + 6.0 * c3 * th
-        return const(6.0 * c3)
+        return out if isinstance(out, np.ndarray) else np.full_like(th, out)
 
 
 def _cos(x: float) -> float:
@@ -181,27 +181,37 @@ def _require_positive_r(r: float) -> None:
         raise DomainError(f"radius must be positive, got {r}")
 
 
+class _Field:
+    """Public force and curl: the r > 0 check, then the family's formula."""
+
+    def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
+        _require_positive_r(r)
+        return self._force(r, theta, rdot)
+
+    def curl(self, r: float, theta: float) -> float:
+        _require_positive_r(r)
+        return self._curl(r, theta)
+
+
 @dataclass(frozen=True)
-class ErmakovField:
+class ErmakovField(_Field):
     """F_r = -w^2 r + U(theta)/r^3, F_theta = -V'(theta)/r^3."""
 
     w: float = 0.0
     U: AngleFunction = AngleFunction.zero()
     V: AngleFunction = AngleFunction.zero()
 
-    def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
-        _require_positive_r(r)
+    def _force(self, r, theta, rdot):
         r3 = real_power(r, 3.0)
         return (-real_power(self.w, 2.0) * r + self.U(theta) / r3,
                 -self.V(theta, 1) / r3)
 
-    def curl(self, r: float, theta: float) -> float:
-        _require_positive_r(r)
+    def _curl(self, r, theta):
         return (2.0 * self.V(theta, 1) - self.U(theta, 1)) / real_power(r, 4.0)
 
 
 @dataclass(frozen=True)
-class GorringeLeachField:
+class GorringeLeachField(_Field):
     """F_r = -[(U'' + U)/r^2 + 2 V'/r^(3/2)], F_theta = -V/r^(3/2).
 
     The curl vanishes identically exactly when U is sinusoidal with period
@@ -211,22 +221,20 @@ class GorringeLeachField:
     U: AngleFunction = AngleFunction.zero()
     V: AngleFunction = AngleFunction.zero()
 
-    def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
-        _require_positive_r(r)
+    def _force(self, r, theta, rdot):
         r32 = real_power(r, 1.5)
         f_r = -((self.U(theta, 2) + self.U(theta)) / real_power(r, 2.0)
                 + 2.0 * self.V(theta, 1) / r32)
         return (f_r, -self.V(theta) / r32)
 
-    def curl(self, r: float, theta: float) -> float:
-        _require_positive_r(r)
+    def _curl(self, r, theta):
         return ((self.U(theta, 3) + self.U(theta, 1)) / real_power(r, 3.0)
                 + (0.5 * self.V(theta) + 2.0 * self.V(theta, 2))
                 / real_power(r, 2.5))
 
 
 @dataclass(frozen=True)
-class IsotropicField:
+class IsotropicField(_Field):
     """Purely azimuthal power-law force F_theta = r^mu."""
 
     mu: float
@@ -236,39 +244,29 @@ class IsotropicField:
             raise ValueError("mu = -2 is excluded: the torque map divides by mu + 2")
         object.__setattr__(self, "mu", float(self.mu))
 
-    def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
-        _require_positive_r(r)
+    def _force(self, r, theta, rdot):
         return (0.0, real_power(r, self.mu))
 
-    def curl(self, r: float, theta: float) -> float:
-        _require_positive_r(r)
+    def _curl(self, r, theta):
         return (self.mu + 1.0) * real_power(r, self.mu - 1.0)
 
 
 @dataclass(frozen=True)
-class IsotropicDragField:
+class IsotropicDragField(IsotropicField):
     """Azimuthal power law plus radial drag: F_r = r^nu * rdot, F_theta = r^mu.
 
     The drag term is velocity-dependent and carries no position-only curl,
     so curl() reports the azimuthal contribution alone.
     """
 
-    mu: float
     nu: float
 
     def __post_init__(self) -> None:
-        if self.mu == -2.0:
-            raise ValueError("mu = -2 is excluded: the torque map divides by mu + 2")
-        object.__setattr__(self, "mu", float(self.mu))
+        super().__post_init__()
         object.__setattr__(self, "nu", float(self.nu))
 
-    def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
-        _require_positive_r(r)
+    def _force(self, r, theta, rdot):
         return (real_power(r, self.nu) * rdot, real_power(r, self.mu))
-
-    def curl(self, r: float, theta: float) -> float:
-        _require_positive_r(r)
-        return (self.mu + 1.0) * real_power(r, self.mu - 1.0)
 
 
 ForceField = ErmakovField | GorringeLeachField | IsotropicField | IsotropicDragField
@@ -313,7 +311,7 @@ def polar_rhs(field: ForceField):
 
     rddot = r*thetadot^2 + F_r, thetaddot = (F_theta - 2*rdot*thetadot)/r.
     """
-    force = field.force
+    force = field._force
 
     def kernel(t, y):
         r, theta, rdot, thetadot = y

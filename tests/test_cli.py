@@ -368,12 +368,13 @@ class TestSpecial:
         assert man["scaling_map"]["rms"] < 1e-6 * man["scaling_map"]["scale"]
 
     def test_no_root_exits_2(self, tmp_path):
-        cfg = {"lambda": -0.5}
-        code, out = _run(tmp_path, "special", cfg)
-        assert code == 2
-        man = _manifest(out)
-        assert "error" in man["power_solution"]
-        assert man["exit_code"] == 2
+        # lambda = 1e-300 overflows lambda^-2, which saturates to inf
+        for i, cfg in enumerate(({"lambda": -0.5}, {"lambda": 1e-300})):
+            code, out = _run(tmp_path, "special", cfg, sub=f"out{i}")
+            assert code == 2
+            man = _manifest(out)
+            assert "error" in man["power_solution"]
+            assert man["exit_code"] == 2
 
     def test_lambda_zero_rejected(self, tmp_path):
         code, _ = _run(tmp_path, "special", {"lambda": 0.0})
@@ -452,13 +453,16 @@ class TestBadInputExits1:
                                                 "Tprime": [0.0]})),
         ("noether", {"n": 0.5, "m": -5.0, "generator": "g2",
                      "grid": {"J": [-1.0], "T": [1.0], "Tprime": [0.0]}}),
+        ("noether", {"n": 2, "m": -5, "generator": "g2",
+                     "grid": {"J": [1], "T": [1e-200], "Tprime": [0]}}),
     ], ids=["figure-span-text", "figure-span-reversed", "noether-span-text",
             "noether-initial-short", "noether-empty-grid", "simulate-method-7",
             "simulate-negative-r", "special-initial-text", "simulate-h0-zero",
             "simulate-h0-negative", "orbit-grid-decreasing",
             "orbit-tol-negative", "figure-label", "figure-span-null",
             "orbit-r0-null", "map-ef-scaling-null", "simulate-integrator-null",
-            "noether-grid-zero-T", "noether-grid-complex-power"])
+            "noether-grid-zero-T", "noether-grid-complex-power",
+            "noether-grid-overflow"])
     def test_clean_config_error(self, tmp_path, capsys, command, cfg):
         code, _ = _run(tmp_path, command, cfg)
         assert code == 1

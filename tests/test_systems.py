@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -100,6 +102,49 @@ class TestAngleFunction:
             fn(np.array([0.5]), -1 - order)
 
 
+# one instance of every force-field family
+_FIELDS = {
+    "ermakov": ErmakovField(w=0.8, U=AngleFunction.sin(0.5),
+                            V=AngleFunction.cos(1.2)),
+    "gorringe_leach": GorringeLeachField(
+        U=AngleFunction.cos(1.5), V=AngleFunction.poly(0.1, 0.2, -0.3, 0.05)),
+    "isotropic": IsotropicField(mu=-1.5),
+    "isotropic_drag": IsotropicDragField(mu=-4.0, nu=-2.0),
+}
+
+_COPIERS = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestRoundTrips:
+    @pytest.mark.parametrize("copier", sorted(_COPIERS))
+    @pytest.mark.parametrize("name", sorted(_SYMBOLIC))
+    def test_angle_function(self, name, copier):
+        fn, _ = _SYMBOLIC[name]
+        twin = _COPIERS[copier](fn)
+        assert twin == fn
+        assert hash(twin) == hash(fn)
+        assert repr(twin) == repr(fn)
+        thetas = np.array([-1.3, 0.0, 0.4, 2.9])
+        for order in range(4):
+            assert [twin(th, order) for th in thetas.tolist()] == \
+                [fn(th, order) for th in thetas.tolist()]
+            assert twin(thetas, order).tobytes() == fn(thetas, order).tobytes()
+
+    @pytest.mark.parametrize("copier", sorted(_COPIERS))
+    @pytest.mark.parametrize("name", sorted(_FIELDS))
+    def test_field(self, name, copier):
+        field = _FIELDS[name]
+        twin = _COPIERS[copier](field)
+        assert twin == field
+        assert repr(twin) == repr(field)
+        for r, th in ((0.7, -0.4), (1.3, 1.1), (2.2, 3.0)):
+            assert twin.force(r, th, 0.2) == field.force(r, th, 0.2)
+            assert twin.curl(r, th) == field.curl(r, th)
+
+
 def _curl_grid():
     rs = np.linspace(0.5, 2.5, 5)
     thetas = np.linspace(0.1, 2.0 * math.pi - 0.1, 7)
@@ -196,6 +241,17 @@ class TestForces:
             field.force(0.0, 0.0)
         with pytest.raises(DomainError):
             field.force(-1.0, 0.0)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    @pytest.mark.parametrize("name", sorted(_FIELDS))
+    def test_force_and_curl_reject_nonpositive_radius(self, name, r):
+        field = _FIELDS[name]
+        with pytest.raises(DomainError):
+            field.force(r, 0.3, 0.1)
+        with pytest.raises(DomainError):
+            field.curl(r, 0.3)
+        with pytest.raises(DomainError):
+            curl(field, r, 0.3)
 
 
 class TestPolarRhs:
