@@ -182,7 +182,7 @@ def _r0_power(r0: float, p: float) -> float:
             f"r0 = inf is unusable for exponent {p} >= 0; use a finite r0")
     if r0 < 0.0:
         raise DomainError(f"reference radius must be nonnegative, got {r0}")
-    return r0 ** p
+    return real_power(r0, p)
 
 
 def _polar_columns(traj: Trajectory, mu: float,

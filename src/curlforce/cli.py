@@ -1,11 +1,17 @@
 """Command-line runner: configured experiments to CSV/JSON artifacts.
 
-Every command reads a single JSON config, writes data files plus a
-run_manifest.json into --out, and returns 0 on success, 1 on a usage or
-config error, 2 on a numerical failure.  Manifests carry the full config
-echo, integrator statistics, event logs, and residual or drift reports;
-they contain no timestamps, so identical configs give byte-identical
-output.
+Every command reads a single JSON config and writes data files plus a
+run_manifest.json into --out.  Manifests carry the full config echo,
+integrator statistics, event logs, and residual or drift reports; they
+contain no timestamps, so identical configs give byte-identical output.
+
+A command fills its manifest and signals a failure by raising; _dispatch
+alone maps the outcome to the exit code.  0: success.  1: a config or
+domain error (ConfigError or any ValueError); one stderr line, no manifest.
+2: a numerical failure (IntegrationError, QuadratureError, NoRoot or any
+ArithmeticError, a non-finite integral or residual and a simulate run that
+stops early included); one stderr line, and the manifest as filled so far
+plus `error`.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import __version__, analysis, invariants, systems
-from .core import DomainError, Trajectory, crossing_times, drift_metric, resample
+from .core import Trajectory, crossing_times, drift_metric, resample
 from .integrate import Event, IntegrationError, IntegratorSettings, integrate
 from .systems import AngleFunction
 
@@ -87,7 +93,8 @@ def _any(value: Any, where: str) -> Any:
 
 
 def _num(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or value != value):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     return float(value)
 
@@ -161,12 +168,8 @@ def _family(obj: Any, table: dict, where: str) -> Any:
     if not isinstance(family, str) or family not in table:
         raise ConfigError(f"{where}.family must be one of {sorted(table)}")
     make, schema = table[family]
-    keys = _parse({k: v for k, v in obj.items() if k != "family"}, schema,
-                  where)
-    try:
-        return make(**keys)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return make(**_parse({k: v for k, v in obj.items() if k != "family"},
+                         schema, where))
 
 
 _ANGLES = {
@@ -279,7 +282,7 @@ def _write_table(out: Path, stem: str, fmt: str, header: Sequence[str],
     return name
 
 
-def _write_manifest(out: Path, manifest: dict, code: int = 0) -> int:
+def _write_manifest(out: Path, manifest: dict, code: int) -> int:
     """Write run_manifest.json with the exit code; returns the code."""
     manifest["exit_code"] = code
     (out / "run_manifest.json").write_text(
@@ -293,8 +296,15 @@ def _traj_block(traj: Trajectory) -> dict:
         "samples": int(traj.t.size),
         "t_final": float(traj.t[-1]),
         "events": [{"name": name, "t": float(t)} for t, name in traj.events],
-        "integrator": {k: v for k, v in traj.meta.items()},
+        "integrator": dict(traj.meta),
     }
+
+
+def _drift(values: np.ndarray, what: str) -> float:
+    """drift_metric of a quantity that must be finite along the run."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"{what} is not finite along the run")
+    return drift_metric(values)
 
 
 def _base_manifest(command: str, cfg: dict) -> dict:
@@ -333,46 +343,41 @@ _SIMULATE = {
 }
 
 
-def cmd_simulate(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
-    c = _parse(cfg, _SIMULATE, "config")
+def cmd_simulate(c: dict, out: Path, fmt: str, variant: str | None,
+                 manifest: dict) -> None:
     field = c["system"]
     if "lrr" in c["invariants"] and not isinstance(field, systems.ErmakovField):
         raise ConfigError(
             "the lrr invariant needs an ermakov system (it uses V(theta))")
     settings = _integrator(c["integrator"], (0.0, 10.0), c["events"])
 
-    code = 0
+    error = None
     try:
         traj = integrate(systems.polar_rhs(field), c["initial_state"], settings)
     except IntegrationError as exc:
         if exc.trajectory is None:
             raise
-        traj = exc.trajectory
-        code = 2
-    if traj.termination != "completed":
-        # early stop (guard event or breakdown): the requested span was not
-        # reached, so the run counts as a numerical failure
-        code = 2
+        traj, error = exc.trajectory, exc
 
     header = ["t", "r", "theta", "rdot", "thetadot"]
     columns = [traj.t] + [traj.y[:, i] for i in range(4)]
-    drifts = {}
     for name in c["invariants"]:
         col_name, invariant = _INVARIANTS[name]
-        values = invariant(traj, field)
         header.append(col_name)
-        columns.append(values)
-        drifts[name] = {
-            "initial": float(values[0]),
-            "final": float(values[-1]),
-            "drift": drift_metric(values),
-        }
-    data_name = _write_table(out, "simulate", fmt, header, columns)
-    manifest = _base_manifest("simulate", cfg)
-    manifest["data"] = data_name
+        columns.append(invariant(traj, field))
+    manifest["data"] = _write_table(out, "simulate", fmt, header, columns)
     manifest["run"] = _traj_block(traj)
-    manifest["invariant_drifts"] = drifts
-    return _write_manifest(out, manifest, code)
+    manifest["invariant_drifts"] = {
+        name: {"initial": float(values[0]), "final": float(values[-1]),
+               "drift": _drift(values, f"invariant {name}")}
+        for name, values in zip(c["invariants"], columns[5:])}
+    if error is not None:
+        raise error
+    if traj.termination != "completed":
+        # early stop (guard event or breakdown): the requested span was not
+        # reached, so the run counts as a numerical failure
+        raise IntegrationError(
+            f"run stopped early ({traj.termination}) at t={traj.t[-1]}")
 
 
 _FIGURE = {
@@ -418,8 +423,8 @@ def _figure_run(I: float, ic: tuple[float, float], span: tuple[float, float],
     return integrate(rhs, np.array(ic), _integrator({}, span, (event,)))
 
 
-def cmd_figure(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
-    c = _parse(cfg, _FIGURE, "config")
+def cmd_figure(c: dict, out: Path, fmt: str, variant: str | None,
+               manifest: dict) -> None:
     variant = variant or c["variant"]
     span = c["theta_span"]
     curves = _figure_curves(c)
@@ -449,12 +454,10 @@ def cmd_figure(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
         })
 
     states = np.concatenate([run.y for run in runs])
-    data_name = _write_table(
+    manifest["data"] = _write_table(
         out, c["which"], fmt, ["curve", "theta", "psi", "dpsi"],
         [np.concatenate([run.t for run in runs]), states[:, 0], states[:, 1]],
         labels=labels)
-    manifest = _base_manifest("figure", cfg)
-    manifest["data"] = data_name
     manifest["variant"] = variant
     manifest["compared_against"] = other
     manifest["theta_span"] = list(span)
@@ -462,7 +465,6 @@ def cmd_figure(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
         "default (psi, dpsi) = (0.1, 0.1) at theta = 0; not dictated by the "
         "underlying family, recorded here for reproducibility")
     manifest["curves"] = curve_blocks
-    return _write_manifest(out, manifest)
 
 
 _MAP_EF = {
@@ -475,8 +477,8 @@ _MAP_EF = {
 }
 
 
-def cmd_map_ef(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
-    c = _parse(cfg, _MAP_EF, "config")
+def cmd_map_ef(c: dict, out: Path, fmt: str, variant: str | None,
+               manifest: dict) -> None:
     field = c["system"]
     if not isinstance(field, systems.IsotropicField):
         raise ConfigError("map-ef needs an isotropic or isotropic_drag system")
@@ -489,44 +491,38 @@ def cmd_map_ef(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
     settings = _integrator(c["integrator"], (0.0, 10.0))
     traj = integrate(systems.polar_rhs(field), c["initial_state"], settings)
 
-    manifest = _base_manifest("map-ef", cfg)
     manifest["run"] = _traj_block(traj)
     manifest["mu"] = mu
     manifest["m"] = analysis.m_from_mu(mu)
     manifest["r0_effective"] = "inf" if math.isinf(r0) else r0
     manifest["scaled"] = apply_scaling
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            series = analysis.torque_map(traj, mu, r0, apply_scaling=apply_scaling)
-            if drag:
-                report = dataclasses.asdict(
-                    analysis.drag_map_residual(traj, mu, field.nu))
-                report["lambda"] = report.pop("lam")
-                manifest["drag_map_residual"] = report
-            else:
-                m = analysis.m_from_mu(mu)
-                manifest["ef_residual"] = dataclasses.asdict(
-                    analysis.ef_residual(series, 2.0, m))
-                drifts = {}
-                if abs(m + 5.0) < 1e-9:
-                    vals = invariants.ef_integral_m5(series.J, series.T,
-                                                     series.Tprime)
-                    drifts["ef_integral_m5"] = drift_metric(vals)
-                if abs(m + 7.0) < 1e-9:
-                    for k, key in ((1.0 / 3.0, "ef_integral_m7_c_one_third"),
-                                   (1.0, "ef_integral_m7_c_one")):
-                        vals = invariants.ef_integral_m7(series.J, series.T,
-                                                        series.Tprime, c=k)
-                        drifts[key] = drift_metric(vals)
-                manifest["invariant_drifts"] = drifts
-        manifest["warnings"] = [str(w.message) for w in caught]
-    except (DomainError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    data_name = _write_table(out, "map_ef", fmt, ["J", "T", "Tprime"],
-                             [series.J, series.T, series.Tprime])
-    manifest["data"] = data_name
-    return _write_manifest(out, manifest)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        series = analysis.torque_map(traj, mu, r0, apply_scaling=apply_scaling)
+        if drag:
+            report = dataclasses.asdict(
+                analysis.drag_map_residual(traj, mu, field.nu))
+            report["lambda"] = report.pop("lam")
+            manifest["drag_map_residual"] = report
+        else:
+            m = analysis.m_from_mu(mu)
+            manifest["ef_residual"] = dataclasses.asdict(
+                analysis.ef_residual(series, 2.0, m))
+            drifts = {}
+            if abs(m + 5.0) < 1e-9:
+                vals = invariants.ef_integral_m5(series.J, series.T,
+                                                 series.Tprime)
+                drifts["ef_integral_m5"] = _drift(vals, "ef_integral_m5")
+            if abs(m + 7.0) < 1e-9:
+                for k, key in ((1.0 / 3.0, "ef_integral_m7_c_one_third"),
+                               (1.0, "ef_integral_m7_c_one")):
+                    vals = invariants.ef_integral_m7(series.J, series.T,
+                                                    series.Tprime, c=k)
+                    drifts[key] = _drift(vals, key)
+            manifest["invariant_drifts"] = drifts
+    manifest["warnings"] = [str(w.message) for w in caught]
+    manifest["data"] = _write_table(out, "map_ef", fmt, ["J", "T", "Tprime"],
+                                    [series.J, series.T, series.Tprime])
 
 
 _NAMED_GENERATORS: dict[str, Callable[..., invariants.GeneratorSpec]] = {
@@ -576,13 +572,10 @@ def _default_grid() -> list[tuple[float, float, float]]:
             for J in pts for T in pts for Tp in tps]
 
 
-def cmd_noether(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
-    c = _parse(cfg, _NOETHER, "config")
+def cmd_noether(c: dict, out: Path, fmt: str, variant: str | None,
+                manifest: dict) -> None:
     n, m, scale, G = c["n"], c["m"], c["potential_scale"], c["generator"]
-    try:
-        L = invariants.PowerLagrangian(n, m, potential_scale=scale)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    L = invariants.PowerLagrangian(n, m, potential_scale=scale)
 
     if c["grid"] is None:
         grid = _default_grid()
@@ -593,6 +586,8 @@ def cmd_noether(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
     residuals = invariants.noether_residual(L, G, grid)
     max_resid = max(abs(r) for r in residuals)
     rms_resid = math.sqrt(sum(r * r for r in residuals) / len(residuals))
+    if not math.isfinite(rms_resid):
+        raise FloatingPointError("the Noether residual is not finite on the grid")
     noetherian = max_resid <= 1e-9
 
     with warnings.catch_warnings():
@@ -606,9 +601,8 @@ def cmd_noether(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
     values = np.array([evaluator(float(J), float(T), float(Tp))
                        for J, (T, Tp) in zip(traj.t, traj.y)])
 
-    manifest = _base_manifest("noether", cfg)
     manifest["lagrangian"] = {"n": n, "m": m, "potential_scale": scale}
-    manifest["generator"] = cfg["generator"]
+    manifest["generator"] = manifest["config"]["generator"]
     manifest["residual"] = {"max_abs": max_resid, "rms": rms_resid,
                             "grid_points": len(grid)}
     manifest["noetherian"] = noetherian
@@ -617,7 +611,7 @@ def cmd_noether(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
                         "built from the generator above"),
         "initial_value": float(values[0]),
         "final_value": float(values[-1]),
-        "drift": drift_metric(values),
+        "drift": _drift(values, "the Noether integral"),
         "run": _traj_block(traj),
     }
     if not noetherian:
@@ -642,7 +636,6 @@ def cmd_noether(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
                    for p in _KNOWN_FORM_PROBE)
         manifest["integral"]["matches_known_form"] = {
             "quartic_form_max_diff": diff}
-    return _write_manifest(out, manifest)
 
 
 _LINSPACE = {"start": (_num, _REQUIRED), "stop": (_num, _REQUIRED),
@@ -685,19 +678,14 @@ def _ratio_range(rep: analysis.ChainQuadrature) -> dict:
     return block
 
 
-def cmd_orbit(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
-    c = _parse(cfg, _ORBIT, "config")
+def cmd_orbit(c: dict, out: Path, fmt: str, variant: str | None,
+              manifest: dict) -> None:
     mu, r0, n, tol, rg = c["mu"], c["r0"], c["n"], c["tol"], c["r_grid"]
-
-    try:
-        theta_rep = analysis.orbit_theta_of_r(mu, r0, rg, n=n, tol=tol)
-        time_rep = analysis.time_of_r(mu, r0, rg, n=n, tol=tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    theta_rep = analysis.orbit_theta_of_r(mu, r0, rg, n=n, tol=tol)
+    time_rep = analysis.time_of_r(mu, r0, rg, n=n, tol=tol)
 
     header = ["r", "theta", "tau"]
     columns = [rg, theta_rep.values, time_rep.values]
-    manifest = _base_manifest("orbit", cfg)
     manifest["mu"] = mu
     manifest["m"] = analysis.m_from_mu(mu)
     manifest["Lambda"] = analysis.lambda_coeff(n, analysis.m_from_mu(mu))
@@ -735,9 +723,7 @@ def cmd_orbit(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
                                                    - (t_phys - t_phys[0])))),
         }
 
-    data_name = _write_table(out, "orbit", fmt, header, columns)
-    manifest["data"] = data_name
-    return _write_manifest(out, manifest)
+    manifest["data"] = _write_table(out, "orbit", fmt, header, columns)
 
 
 _SPECIAL = {
@@ -752,8 +738,8 @@ _SPECIAL = {
 }
 
 
-def cmd_special(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
-    c = _parse(cfg, _SPECIAL, "config")
+def cmd_special(c: dict, out: Path, fmt: str, variant: str | None,
+                manifest: dict) -> None:
     lam = c["lambda"]
     if lam == 0.0:
         raise ConfigError("lambda = 0 is excluded (exponents divide by lambda)")
@@ -762,7 +748,6 @@ def cmd_special(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
     run = c["run"]
     settings = _integrator({"method": "rk4", "h": run["h"]}, run["J_span"])
 
-    manifest = _base_manifest("special", cfg)
     manifest["lambda"] = lam
     manifest["sigma"] = sigma
     manifest["sigma_matches_scaling_family"] = (sigma == 1.0 + 4.0 * lam)
@@ -782,8 +767,7 @@ def cmd_special(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
             y0 = analysis.power_solution_y0(lam)
         except analysis.NoRoot as exc:
             manifest["power_solution"] = {"error": str(exc)}
-            print(f"curlforce special: {exc}", file=sys.stderr)
-            return _write_manifest(out, manifest, 2)
+            raise
         p = lam / (1.0 + lam)
         z = np.linspace(0.5, 2.0, 61)
         y = y0 * z ** p
@@ -800,15 +784,10 @@ def cmd_special(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
         }
 
     rhs = systems.drag_ef_rhs(lam, sigma)
-    try:
-        traj = integrate(rhs, np.array(run["initial"]), settings)
-        stats = analysis.scaling_map_residual(
-            traj, alpha=-1.0, beta=-lam, eps=eps,
-            model=lambda J, T, Tp: rhs.kernel(J, [T, Tp])[1])
-    except (IntegrationError, DomainError, ValueError) as exc:
-        print(f"curlforce special: {exc}", file=sys.stderr)
-        manifest["scaling_map"] = {"error": str(exc)}
-        return _write_manifest(out, manifest, 2)
+    traj = integrate(rhs, np.array(run["initial"]), settings)
+    stats = analysis.scaling_map_residual(
+        traj, alpha=-1.0, beta=-lam, eps=eps,
+        model=lambda J, T, Tp: rhs.kernel(J, [T, Tp])[1])
     manifest["scaling_map"] = {
         "eps": eps,
         "rms": stats.rms,
@@ -819,7 +798,6 @@ def cmd_special(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
                  "against the damped equation; near zero only when "
                  "sigma = 1 + 4*lambda"),
     }
-    return _write_manifest(out, manifest)
 
 
 _SWEEPABLE = ("simulate", "figure", "map-ef", "noether", "orbit", "special")
@@ -853,8 +831,8 @@ def _sweep_worker(args: tuple[str, dict, str, str | None, str]) -> int:
     return _dispatch(command, cfg, out, variant, fmt)
 
 
-def cmd_sweep(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
-    c = _parse(cfg, _SWEEP, "config")
+def cmd_sweep(c: dict, out: Path, fmt: str, variant: str | None,
+              manifest: dict) -> int:
     runs = c["runs"]
     names = [run["name"] for run in runs]
     dupes = sorted({name for name in names if names.count(name) > 1})
@@ -874,34 +852,50 @@ def cmd_sweep(cfg: dict, out: Path, fmt: str, variant: str | None) -> int:
         ({"name": run["name"], "command": run["command"], "exit_code": code}
          for run, code in zip(runs, codes)),
         key=lambda r: r["name"])
-    manifest = _base_manifest("sweep", {"runs": cfg["runs"]})
+    manifest["config"] = {"runs": manifest["config"]["runs"]}
     manifest["results"] = results
-    code = max((r["exit_code"] for r in results), default=0)
-    return _write_manifest(out, manifest, code)
+    return max(r["exit_code"] for r in results)
 
 
-_COMMANDS = {"simulate": cmd_simulate, "figure": cmd_figure,
-             "map-ef": cmd_map_ef, "noether": cmd_noether, "orbit": cmd_orbit,
-             "special": cmd_special, "sweep": cmd_sweep}
+# command -> (function, config schema)
+_COMMANDS = {"simulate": (cmd_simulate, _SIMULATE),
+             "figure": (cmd_figure, _FIGURE),
+             "map-ef": (cmd_map_ef, _MAP_EF),
+             "noether": (cmd_noether, _NOETHER),
+             "orbit": (cmd_orbit, _ORBIT),
+             "special": (cmd_special, _SPECIAL),
+             "sweep": (cmd_sweep, _SWEEP)}
 
 
 # -- entry point --------------------------------------------------------------
 
+# ArithmeticError: Python floats raise ZeroDivisionError or OverflowError
+# where numpy returns inf or nan
+_NUMERICAL = (IntegrationError, analysis.QuadratureError, analysis.NoRoot,
+              ArithmeticError)
+
+
 def _dispatch(command: str, cfg: dict, out: Path, variant: str | None,
               fmt: str) -> int:
+    """Run one command and map its outcome to an exit code (module doc).
+
+    Each cmd_* fills the manifest; cmd_sweep also returns the largest exit
+    code of its runs.
+    """
+    run, schema = _COMMANDS[command]
     try:
         # a malformed step cap is a config error whether or not a run uses it
-        _max_steps_override()
-        return _COMMANDS[command](cfg, out, fmt, variant)
-    except (ConfigError, DomainError, analysis.NonRealLambda) as exc:
+        manifest = _base_manifest(command, cfg)
+        code = run(_parse(cfg, schema, "config"), out, fmt, variant,
+                   manifest) or 0
+    except (ConfigError, ValueError) as exc:
         print(f"curlforce {command}: config error: {exc}", file=sys.stderr)
         return 1
-    except (IntegrationError, analysis.QuadratureError, analysis.NoRoot) as exc:
-        # commands write their manifest last, so none exists for this run yet
+    except _NUMERICAL as exc:
         print(f"curlforce {command}: numerical failure: {exc}", file=sys.stderr)
-        manifest = _base_manifest(command, cfg)
         manifest["error"] = str(exc)
-        return _write_manifest(out, manifest, 2)
+        code = 2
+    return _write_manifest(out, manifest, code)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -55,7 +55,8 @@ def real_power(x: float, p: float) -> float:
         if p == 0.0:
             return 1.0
         return math.inf
-    if p == math.floor(p) and abs(p) < 1e15:
+    # the size test first: math.floor raises on nan and on +-inf
+    if abs(p) < 1e15 and p == math.floor(p):
         try:
             return math.pow(x, p)
         except OverflowError:

@@ -161,19 +161,25 @@ def _polar(state: PolarState | Trajectory):
 def angular_momentum(state: PolarState | Trajectory):
     """r^2 thetadot; a float for a PolarState, an array along a Trajectory."""
     r, _, thetadot = _polar(state)
-    return r * r * thetadot
+    # an overflow gives inf, as on Python floats, and no numpy warning
+    with np.errstate(over="ignore"):
+        return r * r * thetadot
+
+
+def _half_j_squared(state: PolarState | Trajectory):
+    j = angular_momentum(state)
+    with np.errstate(over="ignore"):
+        return 0.5 * j * j
 
 
 def lrr_invariant(state: PolarState | Trajectory, V: AngleFunction):
     """(1/2) (r^2 thetadot)^2 + V(theta); conserved for the Ermakov family."""
-    j = angular_momentum(state)
-    return 0.5 * j * j + V(_polar(state)[1])
+    return _half_j_squared(state) + V(_polar(state)[1])
 
 
 def mu3_invariant(state: PolarState | Trajectory):
     """(1/2) (r^2 thetadot)^2 - theta; conserved for the azimuthal r^-3 force."""
-    j = angular_momentum(state)
-    return 0.5 * j * j - _polar(state)[1]
+    return _half_j_squared(state) - _polar(state)[1]
 
 
 def _check_nonzero_T(T) -> None:

@@ -317,7 +317,11 @@ def polar_rhs(field: ForceField):
         r, theta, rdot, thetadot = y
         if not (r > 0.0):
             return [math.nan] * 4
-        f_r, f_t = force(r, theta, rdot)
+        try:
+            f_r, f_t = force(r, theta, rdot)
+        except ZeroDivisionError:
+            # a power of r in the field's formula underflowed to 0.0
+            return [math.nan] * 4
         return [
             rdot,
             thetadot,

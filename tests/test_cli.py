@@ -455,6 +455,9 @@ class TestBadInputExits1:
                      "grid": {"J": [-1.0], "T": [1.0], "Tprime": [0.0]}}),
         ("noether", {"n": 2, "m": -5, "generator": "g2",
                      "grid": {"J": [1], "T": [1e-200], "Tprime": [0]}}),
+        ("special", {"lambda": math.nan}),
+        ("orbit", {"mu": 0.0,
+                   "r_grid": {"start": 1, "stop": 2, "num": 2 ** 70}}),
     ], ids=["figure-span-text", "figure-span-reversed", "noether-span-text",
             "noether-initial-short", "noether-empty-grid", "simulate-method-7",
             "simulate-negative-r", "special-initial-text", "simulate-h0-zero",
@@ -462,7 +465,8 @@ class TestBadInputExits1:
             "orbit-tol-negative", "figure-label", "figure-span-null",
             "orbit-r0-null", "map-ef-scaling-null", "simulate-integrator-null",
             "noether-grid-zero-T", "noether-grid-complex-power",
-            "noether-grid-overflow"])
+            "noether-grid-overflow", "special-lambda-nan",
+            "orbit-grid-num-huge"])
     def test_clean_config_error(self, tmp_path, capsys, command, cfg):
         code, _ = _run(tmp_path, command, cfg)
         assert code == 1
@@ -488,9 +492,25 @@ class TestNumericalFailureExits2:
         ("simulate", _ANGLE_K_OVERFLOW),
         ("simulate", {"system": {"family": "ermakov", "w": 1e200},
                       "initial_state": {"r": 1.0, "thetadot": 1.0}}),
+        ("special", {"lambda": -1e308}),
+        ("simulate", {"system": {"family": "ermakov"},
+                      "initial_state": {"r": 1e-308}}),
+        ("orbit", {"mu": 0.0, "r0": 1e308, "r_grid": [1.0, 2.0]}),
+        ("noether", {"n": 2, "m": -5, "generator": "g2",
+                     "potential_scale": 1e300,
+                     "run": {"initial": [1e-3, 0.0]}}),
+        ("simulate", {"system": {"family": "ermakov", "w": 1.0},
+                      "initial_state": {"r": 1.0, "rdot": -0.3},
+                      "integrator": {"t_span": [0.0, 10.0]}}),
+        ("simulate", {"system": {"family": "ermakov"},
+                      "initial_state": {"r": 1e100, "thetadot": 0.5},
+                      "invariants": ["lrr"]}),
     ], ids=["simulate-force-overflow", "figure-singular-start",
             "noether-zero-start", "simulate-angle-k-overflow",
-            "simulate-ermakov-w-overflow"])
+            "simulate-ermakov-w-overflow", "special-lambda-overflow",
+            "simulate-r-underflow", "orbit-r0-overflow",
+            "noether-integral-overflow", "simulate-early-stop",
+            "simulate-invariant-overflow"])
     def test_one_line_and_manifest(self, tmp_path, capsys, command, cfg):
         code, out = _run(tmp_path, command, cfg)
         assert code == 2
@@ -509,7 +529,8 @@ class TestStepCapEnv:
         ("figure", {"which": "fig1", "I_values": [1.5]}),
         ("noether", _NOETHER_BASE),
         ("special", {"lambda": -1.0}),
-    ], ids=["figure", "noether", "special"])
+        ("simulate", _SIM_BASE),
+    ], ids=["figure", "noether", "special", "simulate"])
     def test_cap_applies_to_every_integrating_command(
             self, tmp_path, capsys, monkeypatch, command, cfg):
         monkeypatch.setenv("CURLFORCE_MAX_STEPS", "10")
@@ -519,6 +540,17 @@ class TestStepCapEnv:
         man = _manifest(out)
         assert man["exit_code"] == 2
         assert man["max_steps_override"] == 10
+
+    def test_capped_simulate_prints_one_line(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setenv("CURLFORCE_MAX_STEPS", "10")
+        code, out = _run(tmp_path, "simulate", _SIM_BASE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("curlforce simulate: numerical failure: "
+                              "max_steps=10 exceeded")
+        assert err.count("\n") == 1
+        assert _manifest(out)["error"] in err
 
     def test_override_recorded_only_when_set(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CURLFORCE_MAX_STEPS", raising=False)

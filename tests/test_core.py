@@ -46,6 +46,9 @@ class TestRealPower:
     def test_negative_base_fractional_exponent_is_nan(self):
         assert math.isnan(real_power(-2.0, 0.5))
         assert math.isnan(real_power(-1.0, 2.5))
+        assert math.isnan(real_power(-2.0, math.nan))
+        assert math.isnan(real_power(-2.0, math.inf))
+        assert math.isnan(real_power(-2.0, -math.inf))
 
     def test_overflow_saturates(self):
         assert real_power(10.0, 400.0) == math.inf
