@@ -386,18 +386,20 @@ def orbit_theta_of_r(mu: float, r0: float, r_grid,
     rg = _check_r_grid(r_grid)
     s = math.sqrt(abs(mu + 2.0))
     q = (1.0 - m) / (n + 2.0)
-    r0p = _r0_power(r0, mu + 2.0)
+    p = mu + 2.0
+    r0p = _r0_power(r0, p)
+    # the constants of sol.Tprime and printed, bound once; the products
+    # keep their left-to-right order and so their bits
+    lam, lam_e, e1 = sol.Lambda, sol.Lambda * sol.exponent, sol.exponent - 1.0
+    printed_coef = q * real_power(lam, -2.0 * q)
+    printed_p = -2.0 * (n + m + 3.0) / (n + 2.0)
 
     def chain(r: float) -> float:
-        d = (r ** (mu + 2.0) - r0p) / sol.Lambda
-        J = real_power(d, q)
-        tp = sol.Tprime(J)
-        return s * J / (r * r * tp)
+        J = real_power((r ** p - r0p) / lam, q)
+        return s * J / (r * r * (lam_e * real_power(J, e1)))
 
     def printed(r: float) -> float:
-        d = r ** (mu + 2.0) - r0p
-        return q * real_power(sol.Lambda, -2.0 * q) \
-            * real_power(d, -2.0 * (n + m + 3.0) / (n + 2.0))
+        return printed_coef * real_power(r ** p - r0p, printed_p)
 
     return _cumulative_quadrature(chain, printed, rg, tol)
 
@@ -418,17 +420,18 @@ def time_of_r(mu: float, r0: float, r_grid, n: float = _N_DEFAULT,
     rg = _check_r_grid(r_grid)
     q = (1.0 - m) / (n + 2.0)
     a = abs(mu + 2.0)
-    lam_pow = real_power(sol.Lambda, -q)
-    r0p = _r0_power(r0, mu + 2.0)
+    p = mu + 2.0
+    r0p = _r0_power(r0, p)
+    # constants bound once, in the products' left-to-right order
+    coef, q1 = q * a * real_power(sol.Lambda, -q), q - 1.0
+    printed_coef = q * p * real_power(sol.Lambda, (n + m + 1.0) / (n + 2.0))
+    printed_p = -(n + m + 3.0) / (n + 2.0)
 
     def chain(r: float) -> float:
-        d = r ** (mu + 2.0) - r0p
-        return q * a * lam_pow * real_power(d, q - 1.0)
+        return coef * real_power(r ** p - r0p, q1)
 
     def printed(r: float) -> float:
-        d = r ** (mu + 2.0) - r0p
-        return q * (mu + 2.0) * real_power(sol.Lambda, (n + m + 1.0) / (n + 2.0)) \
-            * real_power(d, -(n + m + 3.0) / (n + 2.0))
+        return printed_coef * real_power(r ** p - r0p, printed_p)
 
     res = _cumulative_quadrature(chain, printed, rg, tol)
     values = res.values + tau0

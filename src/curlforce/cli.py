@@ -50,7 +50,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -96,7 +96,10 @@ def _num(value: Any, where: str) -> float:
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or value != value):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is an integer too large for a float") from None
 
 
 def _num_or_inf(value: Any, where: str) -> float:
@@ -110,10 +113,12 @@ def _positive(value: Any, where: str) -> float:
     return x
 
 
-def _int(lo: int) -> Callable[[Any, str], int]:
+def _int(lo: int, hi: int | None = None) -> Callable[[Any, str], int]:
     def check(value: Any, where: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int) or value < lo:
-            raise ConfigError(f"{where} must be an integer >= {lo}, got {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, int) or value < lo
+                or (hi is not None and value > hi)):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ConfigError(f"{where} must be an integer {bound}, got {value!r}")
         return value
     return check
 
@@ -367,17 +372,22 @@ def cmd_simulate(c: dict, out: Path, fmt: str, variant: str | None,
         columns.append(invariant(traj, field))
     manifest["data"] = _write_table(out, "simulate", fmt, header, columns)
     manifest["run"] = _traj_block(traj)
-    manifest["invariant_drifts"] = {
-        name: {"initial": float(values[0]), "final": float(values[-1]),
-               "drift": _drift(values, f"invariant {name}")}
-        for name, values in zip(c["invariants"], columns[5:])}
-    if error is not None:
-        raise error
-    if traj.termination != "completed":
+    if error is None and traj.termination != "completed":
         # early stop (guard event or breakdown): the requested span was not
         # reached, so the run counts as a numerical failure
-        raise IntegrationError(
+        error = IntegrationError(
             f"run stopped early ({traj.termination}) at t={traj.t[-1]}")
+    try:
+        manifest["invariant_drifts"] = {
+            name: {"initial": float(values[0]), "final": float(values[-1]),
+                   "drift": _drift(values, f"invariant {name}")}
+            for name, values in zip(c["invariants"], columns[5:])}
+    except FloatingPointError:
+        # a failed run reports its own failure, not what it did to an invariant
+        if error is None:
+            raise
+    if error is not None:
+        raise error
 
 
 _FIGURE = {
@@ -638,8 +648,9 @@ def cmd_noether(c: dict, out: Path, fmt: str, variant: str | None,
             "quartic_form_max_diff": diff}
 
 
+# the bound keeps np.linspace from allocating a huge grid
 _LINSPACE = {"start": (_num, _REQUIRED), "stop": (_num, _REQUIRED),
-             "num": (_int(2), _REQUIRED)}
+             "num": (_int(2, 1_000_000), _REQUIRED)}
 
 
 def _r_grid(value: Any, where: str) -> np.ndarray:

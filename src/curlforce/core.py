@@ -271,29 +271,45 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
                    slack: float = 0.0) -> np.ndarray:
     """Times at which the strictly increasing state column `col` reaches each target.
 
-    Inside the sampled range each time is a root of the column's Hermite
-    interpolant on the bracketing step (bisection to 1e-13).  A target at
-    most `slack` beyond an end maps to that end's time; one further out
-    raises DomainError.
+    A target equal to a sample maps to that sample's time.  Any other
+    target inside the sampled range is a root of the column's Hermite
+    interpolant on its bracketing step [a, b], found by bisection: all
+    targets bisect together, and each stops once
+    b - a <= 1e-13 * max(1, |b|) and returns the midpoint.  Every target
+    sees the operations of bisect_root(g, a, b, g(a), 1e-13), so the times
+    are the same bits.  A target at most `slack` beyond an end maps to that
+    end's time; one further out, or nan, raises DomainError.
     """
     x = traj.y[:, col]
     if not np.all(np.diff(x) > 0.0):
         raise DomainError(f"state column {col} must increase strictly")
-    xd = traj.dy[:, col]
     t = traj.t
     targets = np.asarray(targets, dtype=float).ravel()
-    if np.any(targets < x[0] - slack) or np.any(targets > x[-1] + slack):
+    if not np.all((targets >= x[0] - slack) & (targets <= x[-1] + slack)):
         raise DomainError(f"targets must lie within [{x[0]}, {x[-1]}]")
-    times = np.empty(targets.size)
-    for i, target in enumerate(np.clip(targets, x[0], x[-1])):
-        k = int(np.searchsorted(x, target, side="right"))
-        if x[k - 1] == target:
-            times[i] = t[k - 1]
-        else:
-            times[i] = bisect_root(
-                lambda s: _hermite(t[k - 1], x[k - 1], xd[k - 1],
-                                   t[k], x[k], xd[k], s) - target,
-                t[k - 1], t[k], x[k - 1] - target, 1e-13)
+    c = np.clip(targets, x[0], x[-1])
+    k = np.searchsorted(x, c, side="right")
+    times = t[k - 1]
+    # the targets between samples, each with its step's Hermite data
+    pos = np.flatnonzero(x[k - 1] != c)
+    k, c = k[pos], c[pos]
+    xd = traj.dy[:, col]
+    step = (t[k - 1], x[k - 1], xd[k - 1], t[k], x[k], xd[k])
+    a, b, ga = step[0].copy(), step[3].copy(), step[1] - c
+    live = np.arange(pos.size)
+    while True:
+        al, bl = a[live], b[live]
+        live = live[(bl - al) > 1e-13 * np.maximum(1.0, np.abs(bl))]
+        if not live.size:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        gm = _hermite(*(s[live] for s in step), mid) - c[live]
+        left = ga[live] * gm <= 0.0
+        b[live[left]] = mid[left]
+        right = live[~left]
+        a[right] = mid[~left]
+        ga[right] = gm[~left]
+    times[pos] = 0.5 * (a + b)
     return times
 
 

@@ -458,6 +458,10 @@ class TestBadInputExits1:
         ("special", {"lambda": math.nan}),
         ("orbit", {"mu": 0.0,
                    "r_grid": {"start": 1, "stop": 2, "num": 2 ** 70}}),
+        ("special", {"lambda": 10 ** 400}),
+        # refused before np.linspace allocates 80 MB
+        ("orbit", {"mu": 0.0,
+                   "r_grid": {"start": 1, "stop": 2, "num": 10 ** 7}}),
     ], ids=["figure-span-text", "figure-span-reversed", "noether-span-text",
             "noether-initial-short", "noether-empty-grid", "simulate-method-7",
             "simulate-negative-r", "special-initial-text", "simulate-h0-zero",
@@ -466,7 +470,8 @@ class TestBadInputExits1:
             "orbit-r0-null", "map-ef-scaling-null", "simulate-integrator-null",
             "noether-grid-zero-T", "noether-grid-complex-power",
             "noether-grid-overflow", "special-lambda-nan",
-            "orbit-grid-num-huge"])
+            "orbit-grid-num-huge", "special-lambda-int-overflow",
+            "orbit-grid-num-1e7"])
     def test_clean_config_error(self, tmp_path, capsys, command, cfg):
         code, _ = _run(tmp_path, command, cfg)
         assert code == 1
@@ -522,6 +527,25 @@ class TestNumericalFailureExits2:
         assert man["command"] == command
         assert man["config"] == cfg
         assert man["error"] in err
+
+    def test_early_stop_named_over_invariant(self, tmp_path, capsys):
+        # the README simulate config at r = 1e308: the run stops by step
+        # underflow, and its lrr invariant is not finite
+        cfg = {"system": {"family": "ermakov", "w": 0.0,
+                          "V": {"family": "cos"}},
+               "initial_state": {"r": 1e308, "rdot": 0.1, "thetadot": 0.5},
+               "integrator": {"t_span": [0.0, 100.0], "rel_tol": 1e-10,
+                              "abs_tol": 1e-12},
+               "invariants": ["lrr", "angular_momentum"]}
+        code, out = _run(tmp_path, "simulate", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("curlforce simulate: numerical failure: "
+                              "run stopped early (step-underflow)")
+        man = _manifest(out)
+        assert man["run"]["termination"] == "step-underflow"
+        assert man["error"].startswith("run stopped early (step-underflow)")
 
 
 class TestStepCapEnv:
@@ -646,6 +670,16 @@ class TestEntryPoint:
         code = main(["simulate", "--config", str(bad),
                      "--out", str(tmp_path / "out")])
         assert code == 1
+
+    def test_integer_too_long_to_read(self, tmp_path, capsys):
+        bad = tmp_path / "long.json"
+        bad.write_text('{"lambda": 1' + "0" * 5000 + "}")
+        code = main(["special", "--config", str(bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("curlforce: config ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_non_object_root(self, tmp_path):
         bad = tmp_path / "list.json"

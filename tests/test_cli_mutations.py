@@ -21,10 +21,11 @@ from curlforce.cli import main
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
-# no grid size between about 1e6 and 2**62: np.linspace allocates such a
-# grid before any check
+# 10**400 is an integer no float can hold.  A grid size above 1e6 is
+# refused before np.linspace allocates the grid, so 2**70 and 10**400 test
+# that bound
 _VALUES = [None, True, "x", [], {}, 0, -1, 1e308, -1e308, 1e-308, 2 ** 70,
-           math.nan]
+           10 ** 400, math.nan]
 
 
 def _sample_configs() -> dict:

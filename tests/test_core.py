@@ -10,6 +10,8 @@ from curlforce.core import (
     PolarState,
     Trajectory,
     _fd2,
+    _hermite,
+    bisect_root,
     crossing_times,
     drift_metric,
     fd_second_derivative,
@@ -130,6 +132,27 @@ class TestResample:
             resample(traj, [2.5])
 
 
+def _per_target_crossings(traj, col, targets):
+    """crossing_times one target at a time: bisect_root on one step each."""
+    t, x, xd = traj.t, traj.y[:, col], traj.dy[:, col]
+    x0, x1 = x[0], x[-1]
+    times = []
+    for target in np.clip(np.asarray(targets, dtype=float), x0, x1):
+        k = int(np.searchsorted(x, target, side="right"))
+        if x[k - 1] == target:
+            times.append(t[k - 1])
+            continue
+        step = (t[k - 1], x[k - 1], xd[k - 1], t[k], x[k], xd[k])
+        times.append(bisect_root(lambda s: _hermite(*step, s) - target,
+                                 t[k - 1], t[k], x[k - 1] - target, 1e-13))
+    return np.array(times, dtype=float)
+
+
+def _same_bits(got, expect):
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
 class TestCrossingTimes:
     # x = t^2 on [1, 2]: the target x = c is reached at t = sqrt(c)
     _T = np.linspace(1.0, 2.0, 11)
@@ -156,6 +179,57 @@ class TestCrossingTimes:
         run = Trajectory(t=self._T, y=-self._RUN.y, dy=-self._RUN.dy)
         with pytest.raises(DomainError):
             crossing_times(run, 0, [-2.0])
+
+    def test_nan_target_rejected(self):
+        with pytest.raises(DomainError):
+            crossing_times(self._RUN, 0, [2.0, math.nan], slack=1e-9)
+
+    # the batched bisection gives the bits of a per-target bisect_root
+    @settings(max_examples=60, derandomize=True)
+    @given(steps=st.lists(st.tuples(st.floats(1e-3, 10.0),
+                                    st.floats(1e-3, 10.0),
+                                    st.floats(-5.0, 20.0)),
+                          min_size=1, max_size=12),
+           t0=st.floats(-1e3, 1e3), scale=st.sampled_from([1e-6, 1.0, 1e6]),
+           where=st.lists(st.floats(0.0, 1.0), max_size=40))
+    def test_random_hermite_runs(self, steps, t0, scale, where):
+        dt, dx, dy = (np.array(c) for c in zip(*steps))
+        t = t0 + scale * np.concatenate([[0.0], np.cumsum(dt)])
+        x = np.concatenate([[0.0], np.cumsum(dx)])
+        run = Trajectory(t=t, y=x[:, None],
+                         dy=np.concatenate([[1.0], dy])[:, None] / scale)
+        targets = x[0] + np.array(where) * (x[-1] - x[0])
+        _same_bits(crossing_times(run, 0, targets),
+                   _per_target_crossings(run, 0, targets))
+
+    def test_targets_at_nodes(self):
+        x = self._RUN.y[:, 0]
+        targets = np.concatenate([x, x[::-1], 0.5 * (x[1:] + x[:-1])])
+        got = crossing_times(self._RUN, 0, targets)
+        _same_bits(got, _per_target_crossings(self._RUN, 0, targets))
+        assert list(got[:x.size]) == list(self._RUN.t)
+
+    def test_targets_in_slack_at_both_ends(self):
+        targets = [1.0 - 5e-10, np.nextafter(1.0, 0.0), 1.0, 2.5, 4.0,
+                   np.nextafter(4.0, 5.0), 4.0 + 5e-10]
+        got = crossing_times(self._RUN, 0, targets, slack=1e-9)
+        _same_bits(got, _per_target_crossings(self._RUN, 0, targets))
+        assert list(got[[0, 1, 2, 4, 5, 6]]) == [1.0] * 3 + [2.0] * 3
+
+    def test_one_and_no_targets(self):
+        _same_bits(crossing_times(self._RUN, 0, [3.3]),
+                   _per_target_crossings(self._RUN, 0, [3.3]))
+        _same_bits(crossing_times(self._RUN, 0, 2.0),
+                   _per_target_crossings(self._RUN, 0, [2.0]))
+        _same_bits(crossing_times(self._RUN, 0, []), np.empty(0))
+
+    def test_single_sample_run(self):
+        run = Trajectory(t=[0.5], y=[[2.0, 3.0]], dy=[[1.0, 1.0]])
+        got = crossing_times(run, 1, [3.0, 3.0 + 1e-10, 3.0 - 1e-10],
+                             slack=1e-9)
+        assert list(got) == [0.5, 0.5, 0.5]
+        with pytest.raises(DomainError):
+            crossing_times(run, 1, [3.1], slack=1e-9)
 
 
 class TestFiniteDifferences:
