@@ -690,12 +690,11 @@ _QUAD_MAX_EVALS = 1_000_000
 
 
 class _QuadState:
-    __slots__ = ("evals", "err", "depth_failures")
+    __slots__ = ("evals", "err")
 
     def __init__(self) -> None:
         self.evals = 0
         self.err = 0.0
-        self.depth_failures = 0
 
 
 def _probe(f, x: float) -> float | None:
@@ -721,12 +720,13 @@ def _simpson_rec(f, a: float, fa: float, m: float, fm: float, b: float,
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     s2 = left + right
     delta = s2 - whole
-    if (abs(delta) <= 15.0 * tol_density * (b - a) or depth >= _QUAD_MAX_DEPTH
+    if (abs(delta) <= 15.0 * tol_density * (b - a)
             or state.evals >= _QUAD_MAX_EVALS):
-        if abs(delta) > 15.0 * tol_density * (b - a):
-            state.depth_failures += 1
         state.err += abs(delta) / 15.0
         return s2 + delta / 15.0
+    if depth >= _QUAD_MAX_DEPTH:
+        raise QuadratureError(f"no convergence after {_QUAD_MAX_DEPTH} "
+                              f"bisection levels on [{a}, {b}]")
     return (_simpson_rec(f, a, fa, lm, flm, m, fm, left, depth + 1,
                          tol_density, state)
             + _simpson_rec(f, m, fm, rm, frm, b, fb, right, depth + 1,
@@ -754,9 +754,9 @@ def quad_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult
     Endpoints where f is non-finite (or raises) are offset by
     eps = 1e-12*(b-a) and the missing sliver is estimated as twice the
     integral over the adjacent quarter strip, which is exact for
-    inverse-square-root singularities.  More than 60 bisection levels on
-    any subinterval, or more than 1,000,000 integrand evaluations, raises
-    QuadratureError carrying the partial value.
+    inverse-square-root singularities.  A subinterval still unconverged
+    after 60 bisection levels raises QuadratureError at once; more than
+    1,000,000 integrand evaluations raise it carrying the partial value.
     """
     a = float(a)
     b = float(b)
@@ -792,8 +792,4 @@ def quad_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult
         raise QuadratureError(
             f"stopped after {state.evals} integrand evaluations (budget "
             f"{_QUAD_MAX_EVALS})", partial=value)
-    if state.depth_failures:
-        raise QuadratureError(
-            f"no convergence after {_QUAD_MAX_DEPTH} bisection levels on "
-            f"{state.depth_failures} subinterval(s)", partial=value)
     return QuadratureResult(value, state.err, state.evals)

@@ -9,9 +9,9 @@ A command fills its manifest and signals a failure by raising; _dispatch
 alone maps the outcome to the exit code.  0: success.  1: a config or
 domain error (ConfigError or any ValueError); one stderr line, no manifest.
 2: a numerical failure (IntegrationError, QuadratureError, NoRoot or any
-ArithmeticError, a non-finite integral or residual and a simulate run that
-stops early included); one stderr line, and the manifest as filled so far
-plus `error`.
+ArithmeticError, a non-finite integral or residual and a run that stops
+early included); one stderr line, and the manifest as filled so far plus
+`error`.
 """
 
 from __future__ import annotations
@@ -228,7 +228,6 @@ _INTEGRATOR = {
     "t_span": (_span, None),
     "max_steps": (_int(1), None),
     "h0": (_num, None),
-    "h_max": (_num, None),
 }
 
 
@@ -260,6 +259,18 @@ def _integrator(block: dict, default_span: tuple[float, float],
         return IntegratorSettings(events=tuple(events), **kwargs)
     except ValueError as exc:
         raise ConfigError(f"bad integrator settings: {exc}") from exc
+
+
+def _run(rhs: Callable, y0: Sequence[float], settings: IntegratorSettings,
+         ends: Sequence[str] = ("completed",)) -> Trajectory:
+    """integrate(); a run not ending by `ends` raises IntegrationError."""
+    traj = integrate(rhs, y0, settings)
+    if traj.termination not in ends:
+        what = ("ended without its stop event"
+                if traj.termination == "completed"
+                else f"stopped early ({traj.termination})")
+        raise IntegrationError(f"run {what} at t={traj.t[-1]}", trajectory=traj)
+    return traj
 
 
 # -- artifact emission -------------------------------------------------------
@@ -358,7 +369,7 @@ def cmd_simulate(c: dict, out: Path, fmt: str, variant: str | None,
 
     error = None
     try:
-        traj = integrate(systems.polar_rhs(field), c["initial_state"], settings)
+        traj = _run(systems.polar_rhs(field), c["initial_state"], settings)
     except IntegrationError as exc:
         if exc.trajectory is None:
             raise
@@ -372,11 +383,6 @@ def cmd_simulate(c: dict, out: Path, fmt: str, variant: str | None,
         columns.append(invariant(traj, field))
     manifest["data"] = _write_table(out, "simulate", fmt, header, columns)
     manifest["run"] = _traj_block(traj)
-    if error is None and traj.termination != "completed":
-        # early stop (guard event or breakdown): the requested span was not
-        # reached, so the run counts as a numerical failure
-        error = IntegrationError(
-            f"run stopped early ({traj.termination}) at t={traj.t[-1]}")
     try:
         manifest["invariant_drifts"] = {
             name: {"initial": float(values[0]), "final": float(values[-1]),
@@ -430,7 +436,8 @@ def _figure_run(I: float, ic: tuple[float, float], span: tuple[float, float],
     rhs = systems.psi_reduced_rhs(I, AngleFunction.zero(), AngleFunction.cos(),
                                   variant=variant)
     event = systems.h2_singularity_event(I, AngleFunction.cos())
-    return integrate(rhs, np.array(ic), _integrator({}, span, (event,)))
+    return _run(rhs, np.array(ic), _integrator({}, span, (event,)),
+                ("completed", "event"))
 
 
 def cmd_figure(c: dict, out: Path, fmt: str, variant: str | None,
@@ -499,7 +506,7 @@ def cmd_map_ef(c: dict, out: Path, fmt: str, variant: str | None,
     if apply_scaling is None:
         apply_scaling = (mu > -2.0) and not drag
     settings = _integrator(c["integrator"], (0.0, 10.0))
-    traj = integrate(systems.polar_rhs(field), c["initial_state"], settings)
+    traj = _run(systems.polar_rhs(field), c["initial_state"], settings)
 
     manifest["run"] = _traj_block(traj)
     manifest["mu"] = mu
@@ -607,7 +614,7 @@ def cmd_noether(c: dict, out: Path, fmt: str, variant: str | None,
     run = c["run"]
     settings = _integrator({"rel_tol": run["rel_tol"],
                             "abs_tol": run["abs_tol"]}, run["J_span"])
-    traj = integrate(systems.ef_rhs(n, m), np.array(run["initial"]), settings)
+    traj = _run(systems.ef_rhs(n, m), np.array(run["initial"]), settings)
     values = np.array([evaluator(float(J), float(T), float(Tp))
                        for J, (T, Tp) in zip(traj.t, traj.y)])
 
@@ -714,10 +721,10 @@ def cmd_orbit(c: dict, out: Path, fmt: str, variant: str | None,
         seed = analysis.seed_polar_from_particular(mu, r0, j1, n=n)
         t_phys = abs(mu + 2.0) ** (-1.0 / (n + 2.0)) * time_rep.values
         duration = 3.0 * (t_phys[-1] - t_phys[0]) + 1.0
-        stop = Event("r-target", lambda t, y: float(y[0]) - float(rg[-1]))
+        stop = Event("r-target", lambda t, y: y[0] - rg[-1])
         settings = _integrator(c["integrator"], (0.0, duration), (stop,))
-        traj = integrate(systems.polar_rhs(systems.IsotropicField(mu)),
-                         seed.as_array(), settings)
+        traj = _run(systems.polar_rhs(systems.IsotropicField(mu)),
+                    seed.as_array(), settings, ("event",))
         # the seeded radius and the stopping event may round a hair past
         # the grid's ends
         times = crossing_times(traj, 0, rg, slack=1e-9)
@@ -795,7 +802,7 @@ def cmd_special(c: dict, out: Path, fmt: str, variant: str | None,
         }
 
     rhs = systems.drag_ef_rhs(lam, sigma)
-    traj = integrate(rhs, np.array(run["initial"]), settings)
+    traj = _run(rhs, np.array(run["initial"]), settings)
     stats = analysis.scaling_map_residual(
         traj, alpha=-1.0, beta=-lam, eps=eps,
         model=lambda J, T, Tp: rhs.kernel(J, [T, Tp])[1])

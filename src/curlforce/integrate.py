@@ -79,7 +79,7 @@ class Event:
     """Named scalar function of (t, state); integration stops at its zero."""
 
     name: str
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[float, list[float]], float]
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,6 @@ class IntegratorSettings:
     h: float = 1e-3
     t_span: tuple[float, float] = (0.0, 1.0)
     max_steps: int = 1_000_000
-    h_max: float = math.inf
     h0: float | None = None
     events: tuple[Event, ...] = ()
 
@@ -104,8 +103,7 @@ class IntegratorSettings:
             raise ValueError(f"unknown method {self.method!r}")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if (self.h <= 0.0 or self.h_max <= 0.0
-                or (self.h0 is not None and self.h0 <= 0.0)):
+        if self.h <= 0.0 or (self.h0 is not None and self.h0 <= 0.0):
             raise ValueError("step sizes must be positive")
         t0, t1 = self.t_span
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
@@ -114,6 +112,13 @@ class IntegratorSettings:
             raise ValueError("max_steps must be at least 1")
         object.__setattr__(self, "t_span", (float(t0), float(t1)))
         object.__setattr__(self, "events", tuple(self.events))
+
+
+def _dense(t0: float, y0: list, f0: list, t1: float, y1: list, f1: list,
+           tm: float) -> list:
+    """_hermite on lists of floats, one component at a time."""
+    return [_hermite(t0, a, b, t1, c, d, tm)
+            for a, b, c, d in zip(y0, f0, y1, f1)]
 
 
 def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
@@ -134,11 +139,11 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     new list of floats; the step loop then calls the kernel and builds no
     ndarray per stage.  The systems.*_rhs builders all do.  Any other
     callable gets an ndarray of the stage state.  rhs itself is called once
-    at the initial state to check its shape and finiteness; the event
-    functions always receive ndarrays.  Each stage and error sum adds its
-    terms in index order, one component at a time, so every component gets
-    the same operations as in elementwise numpy arithmetic on the whole
-    state.
+    at the initial state to check its shape and finiteness.  Event
+    functions receive the state as a list of floats, as kernels do.  Each
+    stage, error and Hermite interpolant sum adds its terms in index order,
+    one component at a time, so every component gets the same operations
+    as in elementwise numpy arithmetic on the whole state.
     """
     t0, t1 = settings.t_span
     span = t1 - t0
@@ -151,11 +156,11 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     if not np.all(np.isfinite(f_arr)):
         raise IntegrationError("right-hand side not finite at the initial state")
 
-    asarray = np.asarray
-    array = np.array
     isfinite = math.isfinite
     kernel = getattr(rhs, "kernel", None)
     if kernel is None:
+        asarray, array = np.asarray, np.array
+
         def kernel(tc: float, yc: list) -> list:
             return asarray(rhs(tc, array(yc)), dtype=float).tolist()
 
@@ -177,7 +182,7 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     fs = [f]
     events = settings.events
     events_log: list[tuple[float, str]] = []
-    g_prev = [float(ev.fn(t0, y_arr)) for ev in events]
+    g_prev = [float(ev.fn(t0, y)) for ev in events]
     n_accept = 0
     n_reject = 0
     n_evals = 1
@@ -186,9 +191,7 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     fixed = settings.method == "rk4"
     rel_tol = settings.rel_tol
     abs_tol = settings.abs_tol
-    h_fixed = min(settings.h, settings.h_max)
-    h = settings.h0 if settings.h0 is not None else span / 100.0
-    h = min(h, settings.h_max, span)
+    h = settings.h if fixed else min(settings.h0 or span / 100.0, span)
     err_prev = 1e-4
     t = t0
 
@@ -218,16 +221,15 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
         if not fixed and h < _UNDERFLOW * span:
             termination = "step-underflow"
             break
-        h_step = h_fixed if fixed else h
         remaining = t1 - t
         # absorb any sub-step remainder into the final step so accumulated
         # rounding never produces a microscopic trailing step
         stretch = 1.4 if fixed else 1.05
-        if remaining <= stretch * h_step:
+        if remaining <= stretch * h:
             h_use = remaining
             final = True
         else:
-            h_use = h_step
+            h_use = h
             final = False
         t_new = t1 if final else t + h_use
 
@@ -305,32 +307,26 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
                 continue
             fac = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
             err_prev = max(err, 1e-4)
-            h = min(h_use * max(_FAC_MIN, min(_FAC_MAX, fac)), settings.h_max)
+            h = h_use * max(_FAC_MIN, min(_FAC_MAX, fac))
 
         n_accept += 1
         if events:
             # Accepted step; look for event crossings on [t, t_new].
-            y_new_arr = array(y_new)
-            g_new = [float(ev.fn(t_new, y_new_arr)) for ev in events]
-            step = None
+            g_new = [float(ev.fn(t_new, y_new)) for ev in events]
+            step = (t, y, f, t_new, y_new, f_new)
             stop_at = None
             stop_name = None
             for ev, g0, g1 in zip(events, g_prev, g_new):
                 if (g0 * g1 < 0.0) or (g1 == 0.0 and g0 != 0.0):
-                    if step is None:
-                        step = (t, array(y), array(f), t_new, y_new_arr,
-                                array(f_new))
                     # bisect the event function along the step's interpolant
-                    te = bisect_root(
-                        lambda tm: ev.fn(tm, _hermite(*step, tm)),
-                        t, t_new, g0, _EVENT_RESOLUTION)
+                    te = bisect_root(lambda tm: ev.fn(tm, _dense(*step, tm)),
+                                     t, t_new, g0, _EVENT_RESOLUTION)
                     if stop_at is None or te < stop_at:
                         stop_at, stop_name = te, ev.name
             if stop_at is not None:
                 if stop_at > ts[-1]:
-                    ye = _hermite(*step, stop_at)
                     ts.append(stop_at)
-                    ys.append(ye.tolist())
+                    ys.append(_dense(*step, stop_at))
                     fs.append(kernel(stop_at, ys[-1]))
                     n_evals += 1
                 events_log.append((stop_at, stop_name))

@@ -467,16 +467,16 @@ def third_order_residual(y, yp, ypp, yppp, lam: float, sigma: float):
 
 def r_floor_event(threshold: float = 1e-8) -> Event:
     """Stop a polar run when the radius reaches the floor."""
-    return Event("r-floor", lambda t, y: float(y[0]) - threshold)
+    return Event("r-floor", lambda t, y: y[0] - threshold)
 
 
 def h2_singularity_event(I: float, V: AngleFunction,
                          threshold: float = 1e-6) -> Event:
     """Stop a psi-reduction run when h2 = 2*(I - V(theta)) crosses zero."""
     return Event("h2-singular",
-                 lambda theta, y: abs(2.0 * (I - V(float(theta)))) - threshold)
+                 lambda theta, y: abs(2.0 * (I - V(theta))) - threshold)
 
 
 def yprime_floor_event(threshold: float = 1e-10) -> Event:
     """Stop a third-order run when |Y'| collapses (equation divides by Y')."""
-    return Event("Yprime-floor", lambda z, y: abs(float(y[1])) - threshold)
+    return Event("Yprime-floor", lambda z, y: abs(y[1]) - threshold)

@@ -549,6 +549,20 @@ class TestQuadAdaptive:
             quad_adaptive(lambda x: 1.0 / x, 0.0, 1.0)
         assert math.isfinite(info.value.partial) or math.isnan(info.value.partial)
 
+    def test_depth_failure_raises_at_once(self):
+        # 1/x over [1, 2**70] is still unconverged on about [1, 1025] after 60
+        # bisection levels; the error is raised there, before the rest of
+        # the interval is refined
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / x
+
+        with pytest.raises(QuadratureError, match="bisection levels"):
+            quad_adaptive(f, 1.0, 2.0 ** 70)
+        assert len(calls) < 1000
+
     def test_evaluation_budget_bounds_cost(self, monkeypatch):
         monkeypatch.setattr(analysis, "_QUAD_MAX_EVALS", 1000)
         calls = []

@@ -171,6 +171,22 @@ class TestFigure:
         code, _ = _run(tmp_path, "figure", {"which": "fig9"})
         assert code == 1
 
+    def test_json_rows_match_csv_rows(self, tmp_path):
+        # the curve label leads each row; the floats round-trip through %.17g
+        cfg = {"which": "fig3", "theta_span": [0.0, 2.0]}
+        code, csv_out = _run(tmp_path, "figure", cfg, sub="csv")
+        assert code == 0
+        code, json_out = _run(tmp_path, "figure", cfg, "--format", "json",
+                              sub="json")
+        assert code == 0
+        header, *lines = (csv_out / "fig3.csv").read_text().splitlines()
+        csv_rows = [[label, *map(float, rest)]
+                    for label, *rest in (line.split(",") for line in lines)]
+        table = json.loads((json_out / "fig3.json").read_text())
+        assert table["columns"] == header.split(",")
+        assert table["rows"] == csv_rows
+        assert len({row[0] for row in csv_rows}) == 6
+
 
 class TestMapEF:
     def test_m5_family(self, tmp_path):
@@ -488,6 +504,11 @@ _ANGLE_K_OVERFLOW = {
 }
 
 
+_ORBIT_COMPARE = {"mu": 0.0, "r0": 0.0,
+                  "r_grid": {"start": 1.0, "stop": 2.0, "num": 9},
+                  "compare_simulation": True}
+
+
 class TestNumericalFailureExits2:
     @pytest.mark.parametrize("command, cfg", [
         ("simulate", {"system": {"family": "isotropic", "mu": 1e6},
@@ -510,12 +531,21 @@ class TestNumericalFailureExits2:
         ("simulate", {"system": {"family": "ermakov"},
                       "initial_state": {"r": 1e100, "thetadot": 0.5},
                       "invariants": ["lrr"]}),
+        ("noether", _with(_NOETHER_BASE, run__rel_tol=1e-300,
+                          run__abs_tol=1e-300)),
+        ("map-ef", _with(_MAP_EF_BASE, integrator__rel_tol=1e-300,
+                         integrator__abs_tol=1e-300)),
+        ("orbit", _with(_ORBIT_COMPARE, integrator__rel_tol=1e-300,
+                        integrator__abs_tol=1e-300)),
+        ("orbit", _with(_ORBIT_COMPARE, integrator__t_span=[0.0, 0.1])),
     ], ids=["simulate-force-overflow", "figure-singular-start",
             "noether-zero-start", "simulate-angle-k-overflow",
             "simulate-ermakov-w-overflow", "special-lambda-overflow",
             "simulate-r-underflow", "orbit-r0-overflow",
             "noether-integral-overflow", "simulate-early-stop",
-            "simulate-invariant-overflow"])
+            "simulate-invariant-overflow", "noether-step-underflow",
+            "map-ef-step-underflow", "orbit-compare-step-underflow",
+            "orbit-compare-short-span"])
     def test_one_line_and_manifest(self, tmp_path, capsys, command, cfg):
         code, out = _run(tmp_path, command, cfg)
         assert code == 2

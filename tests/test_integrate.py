@@ -262,3 +262,18 @@ class TestFloatKernel:
 
         integrate(rhs, [1.0, 2.0], IntegratorSettings(t_span=(0.0, 0.1)))
         assert seen == {np.ndarray}
+
+    def test_events_get_lists(self):
+        # the event is called at each node and along its bisection
+        seen = []
+
+        def g(t, y):
+            seen.append(type(y))
+            return y[0] - 0.5
+
+        traj = integrate(lambda t, y: -y, [1.0, 2.0],
+                         IntegratorSettings(t_span=(0.0, 2.0),
+                                            events=(Event("half", g),)))
+        assert traj.termination == "event"
+        assert len(seen) > traj.t.size
+        assert set(seen) == {list}
