@@ -822,9 +822,15 @@ _SWEEPABLE = ("simulate", "figure", "map-ef", "noether", "orbit", "special")
 
 
 def _run_name(value: Any, where: str) -> str:
-    if (not isinstance(value, str) or not value
-            or any(sep in value for sep in ("/", "\\", ".."))):
+    # "." and "run_manifest.json" name the sweep directory and the sweep's
+    # own manifest.  A file name is at most 255 bytes on common file
+    # systems; os.fsencode gives those bytes, and raises a ValueError for a
+    # name the file system cannot encode.
+    if (not isinstance(value, str) or value in ("", ".", "run_manifest.json")
+            or any(bad in value for bad in ("/", "\\", "..", "\0"))):
         raise ConfigError(f"{where} must be a plain directory name")
+    if len(os.fsencode(value)) > 255:
+        raise ConfigError(f"{where} is longer than 255 bytes")
     return value
 
 
@@ -845,7 +851,8 @@ _SWEEP = {
 def _sweep_worker(args: tuple[str, dict, str, str | None, str]) -> int:
     command, cfg, out_dir, variant, fmt = args
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not _make_out(out):
+        return 1
     return _dispatch(command, cfg, out, variant, fmt)
 
 
@@ -916,6 +923,17 @@ def _dispatch(command: str, cfg: dict, out: Path, variant: str | None,
     return _write_manifest(out, manifest, code)
 
 
+def _make_out(out: Path) -> bool:
+    """Create an output directory, or print why not and return False."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"curlforce: cannot create output directory: {exc}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="curlforce",
@@ -939,11 +957,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"curlforce: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"curlforce: cannot create output directory: {exc}",
-              file=sys.stderr)
+    if not _make_out(out):
         return 1
     return _dispatch(args.command, cfg, out, args.variant, args.fmt)
 

@@ -101,14 +101,15 @@ class IntegratorSettings:
             object.__setattr__(self, "method", "rk4")
         else:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+        # written as not (x > 0) so that NaN fails each check
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.h <= 0.0 or (self.h0 is not None and self.h0 <= 0.0):
+        if not (self.h > 0.0 and (self.h0 is None or self.h0 > 0.0)):
             raise ValueError("step sizes must be positive")
         t0, t1 = self.t_span
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise ValueError("t_span must be finite with t1 > t0")
-        if self.max_steps < 1:
+        if not (self.max_steps >= 1):
             raise ValueError("max_steps must be at least 1")
         object.__setattr__(self, "t_span", (float(t0), float(t1)))
         object.__setattr__(self, "events", tuple(self.events))

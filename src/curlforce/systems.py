@@ -7,7 +7,9 @@ Every family exposes analytic force components and the analytic curl
 oracle for the same expression.  Each family writes both once, as _force
 and _curl, which assume r > 0: the public force and curl check r first, and
 polar_rhs, which tests r itself, calls _force.  AngleFunction dispatches its
-family once per derivative order, when it is built.
+family once per derivative order, when it is built; the kernels, the h2
+event and the angular fields' _force and _curl call those float formulas
+(AngleFunction._scalar) directly, and __call__ serves public callers.
 
 The *_rhs builders return closures suitable for integrate.integrate: each
 formula is written once, as a kernel on Python floats that integrate calls
@@ -158,7 +160,7 @@ class AngleFunction:
         if order not in (0, 1, 2, 3):
             raise ValueError("derivative order must be 0, 1, 2 or 3")
         if isinstance(theta, (float, int)):
-            # scalar callers (the ODE right-hand sides) skip numpy entirely
+            # scalar callers skip numpy entirely
             return self._scalar[order](float(theta))
         th = np.asarray(theta, dtype=float)
         out = self._array[order](th)
@@ -182,15 +184,19 @@ def _require_positive_r(r: float) -> None:
 
 
 class _Field:
-    """Public force and curl: the r > 0 check, then the family's formula."""
+    """Public force and curl: the r > 0 check, then the family's formula.
+
+    theta goes to the formula as float(theta), so an int or numpy-scalar
+    angle gets the bits AngleFunction.__call__ gives it.
+    """
 
     def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
         _require_positive_r(r)
-        return self._force(r, theta, rdot)
+        return self._force(r, float(theta), rdot)
 
     def curl(self, r: float, theta: float) -> float:
         _require_positive_r(r)
-        return self._curl(r, theta)
+        return self._curl(r, float(theta))
 
 
 @dataclass(frozen=True)
@@ -203,11 +209,12 @@ class ErmakovField(_Field):
 
     def _force(self, r, theta, rdot):
         r3 = real_power(r, 3.0)
-        return (-real_power(self.w, 2.0) * r + self.U(theta) / r3,
-                -self.V(theta, 1) / r3)
+        return (-real_power(self.w, 2.0) * r + self.U._scalar[0](theta) / r3,
+                -self.V._scalar[1](theta) / r3)
 
     def _curl(self, r, theta):
-        return (2.0 * self.V(theta, 1) - self.U(theta, 1)) / real_power(r, 4.0)
+        return ((2.0 * self.V._scalar[1](theta) - self.U._scalar[1](theta))
+                / real_power(r, 4.0))
 
 
 @dataclass(frozen=True)
@@ -222,14 +229,16 @@ class GorringeLeachField(_Field):
     V: AngleFunction = AngleFunction.zero()
 
     def _force(self, r, theta, rdot):
+        U, V = self.U._scalar, self.V._scalar
         r32 = real_power(r, 1.5)
-        f_r = -((self.U(theta, 2) + self.U(theta)) / real_power(r, 2.0)
-                + 2.0 * self.V(theta, 1) / r32)
-        return (f_r, -self.V(theta) / r32)
+        f_r = -((U[2](theta) + U[0](theta)) / real_power(r, 2.0)
+                + 2.0 * V[1](theta) / r32)
+        return (f_r, -V[0](theta) / r32)
 
     def _curl(self, r, theta):
-        return ((self.U(theta, 3) + self.U(theta, 1)) / real_power(r, 3.0)
-                + (0.5 * self.V(theta) + 2.0 * self.V(theta, 2))
+        U, V = self.U._scalar, self.V._scalar
+        return ((U[3](theta) + U[1](theta)) / real_power(r, 3.0)
+                + (0.5 * V[0](theta) + 2.0 * V[2](theta))
                 / real_power(r, 2.5))
 
 
@@ -351,16 +360,17 @@ def psi_reduced_rhs(I: float, U: AngleFunction, V: AngleFunction,
     against the direct polar simulation adjudicate between them.
     """
     factor = _variant_factor(variant)
+    V0, V1, U0 = V._scalar[0], V._scalar[1], U._scalar[0]
 
     def kernel(theta, y):
-        h2 = 2.0 * (I - V(theta))
+        h2 = 2.0 * (I - V0(theta))
         if h2 == 0.0:
             return [math.nan] * 2
-        h2p = -2.0 * V(theta, 1)
+        h2p = -2.0 * V1(theta)
         psi, dpsi = y
         return [
             dpsi,
-            -(factor * h2p / h2) * dpsi - (1.0 + U(theta) / h2) * psi,
+            -(factor * h2p / h2) * dpsi - (1.0 + U0(theta) / h2) * psi,
         ]
 
     return _rhs(kernel)
@@ -473,8 +483,9 @@ def r_floor_event(threshold: float = 1e-8) -> Event:
 def h2_singularity_event(I: float, V: AngleFunction,
                          threshold: float = 1e-6) -> Event:
     """Stop a psi-reduction run when h2 = 2*(I - V(theta)) crosses zero."""
+    V0 = V._scalar[0]
     return Event("h2-singular",
-                 lambda theta, y: abs(2.0 * (I - V(theta))) - threshold)
+                 lambda theta, y: abs(2.0 * (I - V0(theta))) - threshold)
 
 
 def yprime_floor_event(threshold: float = 1e-10) -> Event:

@@ -681,6 +681,47 @@ class TestSweep:
         code, _ = _run(tmp_path, "sweep", cfg)
         assert code == 1
 
+    @pytest.mark.parametrize("name", [
+        ".", "run_manifest.json", "x" * 256, "é" * 128, "a\0b", "\ud800"],
+        ids=["dot", "manifest", "256-ascii", "256-utf8", "nul", "surrogate"])
+    def test_names_colliding_with_outputs_rejected(self, tmp_path, capsys,
+                                                   name):
+        # "." and "run_manifest.json" would overwrite the sweep's manifest
+        # or the run's; the rest cannot be a file name
+        cfg = {"runs": [{"name": name, "command": "special",
+                         "config": {"lambda": -1.0}}]}
+        code, out = _run(tmp_path, "sweep", cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("curlforce sweep: config error: ")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_longest_name_accepted(self, tmp_path):
+        cfg = {"runs": [{"name": "é" * 127 + "x", "command": "special",
+                         "config": {"lambda": -1.0}}]}
+        code, out = _run(tmp_path, "sweep", cfg)
+        assert code == 0
+        assert _manifest(out / cfg["runs"][0]["name"])["exit_code"] == 0
+
+    def test_uncreatable_run_directory_fails_that_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "taken").write_text("a file, not a directory\n")
+        cfg = {"max_workers": 1, "runs": [
+            {"name": "ok", "command": "special", "config": {"lambda": -1.0}},
+            {"name": "taken", "command": "special",
+             "config": {"lambda": -1.0}},
+        ]}
+        code, _ = _run(tmp_path, "sweep", cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("curlforce: cannot create output directory: ")
+        assert err.count("\n") == 1
+        codes = {r["name"]: r["exit_code"] for r in _manifest(out)["results"]}
+        assert codes == {"ok": 0, "taken": 1}
+        assert _manifest(out / "ok")["exit_code"] == 0
+
     def test_sweep_of_sweep_rejected(self, tmp_path):
         cfg = {"runs": [{"name": "s", "command": "sweep",
                          "config": {"runs": []}}]}

@@ -36,6 +36,14 @@ class TestSettings:
         with pytest.raises(ValueError):
             IntegratorSettings(max_steps=0)
 
+    @pytest.mark.parametrize("field", ["h", "h0", "rel_tol", "abs_tol",
+                                       "max_steps"])
+    def test_rejects_nan(self, field):
+        # NaN compares False with every bound, so each check must be written
+        # to fail on it; a NaN h0 or max_steps would otherwise never stop
+        with pytest.raises(ValueError):
+            IntegratorSettings(**{field: math.nan})
+
 
 class TestAdaptive:
     def test_exponential_decay_accuracy(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from curlforce.core import DomainError
+from curlforce.core import DomainError, real_power
 from curlforce.integrate import IntegratorSettings, integrate
 from curlforce.systems import (
     AngleFunction,
@@ -578,3 +578,67 @@ class TestFloatKernels:
                 outs = [rhs(t, np.array(y)) for t, y in points]
             assert any(np.isnan(o).any() or np.isinf(o).any()
                        for o in outs), name
+
+
+class TestAngleFastPath:
+    """The kernels, the h2 event and the angular fields call AngleFunction's
+    prebuilt float formulas directly, never its checked __call__."""
+
+    # name -> (builder of the kernel or event function, _BUILDERS points)
+    _ANGULAR = {
+        **{name: (_BUILDERS[name][0], name) for name in (
+            "psi-derived", "psi-as-printed", "mu-minus3", "polar-ermakov",
+            "polar-gorringe-leach")},
+        "h2-event": (lambda: h2_singularity_event(
+            0.9, AngleFunction.poly(0.1, 0.2, -0.3, 0.05)), "psi-derived"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_ANGULAR))
+    def test_no_call_through_dunder_call(self, name, monkeypatch):
+        make, points = self._ANGULAR[name]
+
+        def evaluate():
+            built = make()
+            fn = getattr(built, "kernel", None) or built.fn
+            return [_bytes(fn(t, list(y))) for t, y in _BUILDERS[points][3]]
+
+        before = evaluate()
+
+        def refuse(self, theta, order=0):
+            raise AssertionError("AngleFunction.__call__ on the hot path")
+
+        monkeypatch.setattr(AngleFunction, "__call__", refuse)
+        assert evaluate() == before
+
+    # force and curl written with the checked AngleFunction.__call__, which
+    # takes an angle of any real type
+    _VIA_CALL = {
+        "ermakov": lambda f, r, th: (
+            (-real_power(f.w, 2.0) * r + f.U(th) / real_power(r, 3.0),
+             -f.V(th, 1) / real_power(r, 3.0)),
+            (2.0 * f.V(th, 1) - f.U(th, 1)) / real_power(r, 4.0)),
+        "gorringe_leach": lambda f, r, th: (
+            (-((f.U(th, 2) + f.U(th)) / real_power(r, 2.0)
+               + 2.0 * f.V(th, 1) / real_power(r, 1.5)),
+             -f.V(th) / real_power(r, 1.5)),
+            (f.U(th, 3) + f.U(th, 1)) / real_power(r, 3.0)
+            + (0.5 * f.V(th) + 2.0 * f.V(th, 2)) / real_power(r, 2.5)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_VIA_CALL))
+    def test_force_and_curl_take_any_real_angle(self, name):
+        field = _FIELDS[name]
+        via_call = self._VIA_CALL[name]
+        for r in (0.7, 1.3):
+            for theta in (-3, 0, 2, 1.1, -0.4, 2.9):
+                kinds = (float, np.float64, np.float32) + (
+                    (int,) if isinstance(theta, int) else ())
+                for kind in kinds:
+                    angle = kind(theta)
+                    got = (field.force(r, angle, 0.2), field.curl(r, angle))
+                    assert all(type(v) is float for v in (*got[0], got[1]))
+                    for want in ((field.force(r, float(angle), 0.2),
+                                  field.curl(r, float(angle))),
+                                 via_call(field, r, angle)):
+                        assert _bytes([*got[0], got[1]]) == \
+                            _bytes([*want[0], want[1]]), (kind, theta)
