@@ -7,7 +7,8 @@ contain no timestamps, so identical configs give byte-identical output.
 
 A command fills its manifest and signals a failure by raising; _dispatch
 alone maps the outcome to the exit code.  0: success.  1: a config or
-domain error (ConfigError or any ValueError); one stderr line, no manifest.
+domain error (ConfigError or any ValueError), or an output that cannot be
+written (OSError); one stderr line, no manifest.
 2: a numerical failure (IntegrationError, QuadratureError, NoRoot or any
 ArithmeticError, a non-finite integral or residual and a run that stops
 early included); one stderr line, and the manifest as filled so far plus
@@ -23,7 +24,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -231,30 +231,14 @@ _INTEGRATOR = {
 }
 
 
-def _max_steps_override() -> int | None:
-    """The step cap CURLFORCE_MAX_STEPS sets for every run, or None."""
-    env = os.environ.get("CURLFORCE_MAX_STEPS")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CURLFORCE_MAX_STEPS must be an integer, got {env!r}") from exc
-
-
 def _integrator(block: dict, default_span: tuple[float, float],
                 events: Sequence[Event] = ()) -> IntegratorSettings:
     """Settings from integrator keys, None meaning the default.
 
-    The block's t_span wins over default_span; CURLFORCE_MAX_STEPS wins
-    over its max_steps.
+    The block's t_span wins over default_span.
     """
     kwargs = {k: v for k, v in block.items() if v is not None}
     kwargs.setdefault("t_span", default_span)
-    cap = _max_steps_override()
-    if cap is not None:
-        kwargs["max_steps"] = cap
     try:
         return IntegratorSettings(events=tuple(events), **kwargs)
     except ValueError as exc:
@@ -298,14 +282,6 @@ def _write_table(out: Path, stem: str, fmt: str, header: Sequence[str],
     return name
 
 
-def _write_manifest(out: Path, manifest: dict, code: int) -> int:
-    """Write run_manifest.json with the exit code; returns the code."""
-    manifest["exit_code"] = code
-    (out / "run_manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2, allow_nan=True) + "\n")
-    return code
-
-
 def _traj_block(traj: Trajectory) -> dict:
     return {
         "termination": traj.termination,
@@ -321,15 +297,6 @@ def _drift(values: np.ndarray, what: str) -> float:
     if not np.isfinite(values).all():
         raise FloatingPointError(f"{what} is not finite along the run")
     return drift_metric(values)
-
-
-def _base_manifest(command: str, cfg: dict) -> dict:
-    manifest = {"tool": "curlforce", "version": __version__,
-                "command": command, "config": cfg}
-    cap = _max_steps_override()
-    if cap is not None:
-        manifest["max_steps_override"] = cap
-    return manifest
 
 
 # -- commands ----------------------------------------------------------------
@@ -843,40 +810,27 @@ _RUN = {
 }
 _SWEEP = {
     "runs": (_list(lambda v, where: _parse(v, _RUN, where), 1), _REQUIRED),
-    "max_workers": (_int(1), None),
     "label": (_any, None),
 }
 
 
-def _sweep_worker(args: tuple[str, dict, str, str | None, str]) -> int:
-    command, cfg, out_dir, variant, fmt = args
-    out = Path(out_dir)
-    if not _make_out(out):
-        return 1
-    return _dispatch(command, cfg, out, variant, fmt)
-
-
 def cmd_sweep(c: dict, out: Path, fmt: str, variant: str | None,
               manifest: dict) -> int:
+    """Run each entry in turn, as its own command would run alone."""
     runs = c["runs"]
     names = [run["name"] for run in runs]
     dupes = sorted({name for name in names if names.count(name) > 1})
     if dupes:
         raise ConfigError(f"duplicate run name(s): {', '.join(dupes)}")
-    jobs = [(run["command"], run["config"], str(out / run["name"]),
-             run["variant"] or variant, run["format"] or fmt) for run in runs]
-    workers = c["max_workers"] or min(len(jobs), os.cpu_count() or 1)
-
-    if workers == 1:
-        codes = [_sweep_worker(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(_sweep_worker, jobs))
-
-    results = sorted(
-        ({"name": run["name"], "command": run["command"], "exit_code": code}
-         for run, code in zip(runs, codes)),
-        key=lambda r: r["name"])
+    results = []
+    for run in runs:
+        run_out = out / run["name"]
+        code = (_dispatch(run["command"], run["config"], run_out,
+                          run["variant"] or variant, run["format"] or fmt)
+                if _make_out(run_out) else 1)
+        results.append({"name": run["name"], "command": run["command"],
+                         "exit_code": code})
+    results.sort(key=lambda r: r["name"])
     manifest["config"] = {"runs": manifest["config"]["runs"]}
     manifest["results"] = results
     return max(r["exit_code"] for r in results)
@@ -908,19 +862,31 @@ def _dispatch(command: str, cfg: dict, out: Path, variant: str | None,
     code of its runs.
     """
     run, schema = _COMMANDS[command]
+    manifest = {"tool": "curlforce", "version": __version__,
+                "command": command, "config": cfg}
+    error = None
     try:
-        # a malformed step cap is a config error whether or not a run uses it
-        manifest = _base_manifest(command, cfg)
-        code = run(_parse(cfg, schema, "config"), out, fmt, variant,
-                   manifest) or 0
+        try:
+            code = run(_parse(cfg, schema, "config"), out, fmt, variant,
+                       manifest) or 0
+        except _NUMERICAL as exc:
+            manifest["error"] = error = str(exc)
+            code = 2
+        manifest["exit_code"] = code
+        (out / "run_manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2, allow_nan=True)
+            + "\n")
     except (ConfigError, ValueError) as exc:
         print(f"curlforce {command}: config error: {exc}", file=sys.stderr)
         return 1
-    except _NUMERICAL as exc:
-        print(f"curlforce {command}: numerical failure: {exc}", file=sys.stderr)
-        manifest["error"] = str(exc)
-        code = 2
-    return _write_manifest(out, manifest, code)
+    except OSError as exc:
+        print(f"curlforce {command}: cannot write output: {exc}",
+              file=sys.stderr)
+        return 1
+    if error is not None:
+        print(f"curlforce {command}: numerical failure: {error}",
+              file=sys.stderr)
+    return code
 
 
 def _make_out(out: Path) -> bool:

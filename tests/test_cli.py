@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import curlforce
 from curlforce.cli import main
 
 
@@ -98,14 +104,6 @@ class TestSimulate:
         cfg = json.loads(json.dumps(_ERMAKOV_CFG))
         cfg["integrator"]["dt"] = 0.1
         code, _ = _run(tmp_path, "simulate", cfg)
-        assert code == 1
-
-    def test_max_steps_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CURLFORCE_MAX_STEPS", "10")
-        code, out = _run(tmp_path, "simulate", _ERMAKOV_CFG)
-        assert code == 2
-        monkeypatch.setenv("CURLFORCE_MAX_STEPS", "junk")
-        code, _ = _run(tmp_path, "simulate", _ERMAKOV_CFG, sub="out2")
         assert code == 1
 
     def test_mu_minus_two_config_error(self, tmp_path):
@@ -478,6 +476,9 @@ class TestBadInputExits1:
         # refused before np.linspace allocates 80 MB
         ("orbit", {"mu": 0.0,
                    "r_grid": {"start": 1, "stop": 2, "num": 10 ** 7}}),
+        ("sweep", {"max_workers": 2, "runs": [
+            {"name": "exp", "command": "special",
+             "config": {"lambda": -1.0}}]}),
     ], ids=["figure-span-text", "figure-span-reversed", "noether-span-text",
             "noether-initial-short", "noether-empty-grid", "simulate-method-7",
             "simulate-negative-r", "special-initial-text", "simulate-h0-zero",
@@ -487,7 +488,7 @@ class TestBadInputExits1:
             "noether-grid-zero-T", "noether-grid-complex-power",
             "noether-grid-overflow", "special-lambda-nan",
             "orbit-grid-num-huge", "special-lambda-int-overflow",
-            "orbit-grid-num-1e7"])
+            "orbit-grid-num-1e7", "sweep-max-workers"])
     def test_clean_config_error(self, tmp_path, capsys, command, cfg):
         code, _ = _run(tmp_path, command, cfg)
         assert code == 1
@@ -538,6 +539,7 @@ class TestNumericalFailureExits2:
         ("orbit", _with(_ORBIT_COMPARE, integrator__rel_tol=1e-300,
                         integrator__abs_tol=1e-300)),
         ("orbit", _with(_ORBIT_COMPARE, integrator__t_span=[0.0, 0.1])),
+        ("simulate", _with(_SIM_BASE, integrator__max_steps=10)),
     ], ids=["simulate-force-overflow", "figure-singular-start",
             "noether-zero-start", "simulate-angle-k-overflow",
             "simulate-ermakov-w-overflow", "special-lambda-overflow",
@@ -545,7 +547,7 @@ class TestNumericalFailureExits2:
             "noether-integral-overflow", "simulate-early-stop",
             "simulate-invariant-overflow", "noether-step-underflow",
             "map-ef-step-underflow", "orbit-compare-step-underflow",
-            "orbit-compare-short-span"])
+            "orbit-compare-short-span", "simulate-step-cap"])
     def test_one_line_and_manifest(self, tmp_path, capsys, command, cfg):
         code, out = _run(tmp_path, command, cfg)
         assert code == 2
@@ -578,70 +580,33 @@ class TestNumericalFailureExits2:
         assert man["error"].startswith("run stopped early (step-underflow)")
 
 
-class TestStepCapEnv:
-    @pytest.mark.parametrize("command, cfg", [
-        ("figure", {"which": "fig1", "I_values": [1.5]}),
-        ("noether", _NOETHER_BASE),
-        ("special", {"lambda": -1.0}),
-        ("simulate", _SIM_BASE),
-    ], ids=["figure", "noether", "special", "simulate"])
-    def test_cap_applies_to_every_integrating_command(
-            self, tmp_path, capsys, monkeypatch, command, cfg):
-        monkeypatch.setenv("CURLFORCE_MAX_STEPS", "10")
-        code, out = _run(tmp_path, command, cfg)
-        assert code == 2
-        assert "max_steps=10 exceeded" in capsys.readouterr().err
-        man = _manifest(out)
-        assert man["exit_code"] == 2
-        assert man["max_steps_override"] == 10
+def _readme_sweep():
+    """The README's sample sweep config."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^```jsonc\n// sweep:.*?\n(\{.*?)^```", readme,
+                      re.MULTILINE | re.DOTALL).group(1)
+    return json.loads(block)
 
-    def test_capped_simulate_prints_one_line(self, tmp_path, capsys,
-                                             monkeypatch):
-        monkeypatch.setenv("CURLFORCE_MAX_STEPS", "10")
-        code, out = _run(tmp_path, "simulate", _SIM_BASE)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("curlforce simulate: numerical failure: "
-                              "max_steps=10 exceeded")
-        assert err.count("\n") == 1
-        assert _manifest(out)["error"] in err
 
-    def test_override_recorded_only_when_set(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("CURLFORCE_MAX_STEPS", raising=False)
-        code, plain = _run(tmp_path, "simulate", _SIM_BASE, sub="plain")
-        assert code == 0
-        assert "max_steps_override" not in _manifest(plain)
-        monkeypatch.setenv("CURLFORCE_MAX_STEPS", "100000")
-        code, capped = _run(tmp_path, "simulate", _SIM_BASE, sub="capped")
-        assert code == 0
-        man = _manifest(capped)
-        assert man.pop("max_steps_override") == 100000
-        assert man == _manifest(plain)
-        assert (capped / "simulate.csv").read_bytes() \
-            == (plain / "simulate.csv").read_bytes()
+def _files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
 class TestSweep:
-    _RUNS = {
-        "runs": [
-            {"name": "exp", "command": "special", "config": {"lambda": -1.0}},
-            {"name": "fig", "command": "figure", "config": {"which": "fig1",
-                                                            "I_values": [1.5]}},
-        ],
-    }
-
-    def test_serial_and_parallel_agree(self, tmp_path):
-        cfg1 = dict(self._RUNS)
-        cfg1["max_workers"] = 1
-        code1, out1 = _run(tmp_path, "sweep", cfg1, sub="serial")
-        code2, out2 = _run(tmp_path, "sweep", self._RUNS, sub="par")
-        assert code1 == code2 == 0
-        for rel in ("exp/run_manifest.json", "fig/run_manifest.json",
-                    "fig/fig1.csv"):
-            assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
-        man = _manifest(out1)
+    def test_runs_match_standalone_runs(self, tmp_path):
+        cfg = _readme_sweep()
+        code, out = _run(tmp_path, "sweep", cfg, sub="sweep")
+        assert code == 0
+        man = _manifest(out)
         assert [r["name"] for r in man["results"]] == ["exp", "fig"]
         assert all(r["exit_code"] == 0 for r in man["results"])
+        for run in cfg["runs"]:
+            alone = tmp_path / f"alone-{run['name']}"
+            cfg_path = _write_cfg(tmp_path, run["config"],
+                                  name=f"{run['name']}.json")
+            assert main([run["command"], "--config", str(cfg_path),
+                         "--out", str(alone)]) == 0
+            assert _files(out / run["name"]) == _files(alone)
 
     def test_failure_propagates(self, tmp_path):
         cfg = {"runs": [
@@ -708,7 +673,7 @@ class TestSweep:
         out = tmp_path / "out"
         out.mkdir()
         (out / "taken").write_text("a file, not a directory\n")
-        cfg = {"max_workers": 1, "runs": [
+        cfg = {"runs": [
             {"name": "ok", "command": "special", "config": {"lambda": -1.0}},
             {"name": "taken", "command": "special",
              "config": {"lambda": -1.0}},
@@ -722,6 +687,22 @@ class TestSweep:
         assert codes == {"ok": 0, "taken": 1}
         assert _manifest(out / "ok")["exit_code"] == 0
 
+    def test_unwritable_output_fails_that_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "fig" / "fig3.csv").mkdir(parents=True)
+        cfg = {"runs": [
+            {"name": "exp", "command": "special", "config": {"lambda": -1.0}},
+            {"name": "fig", "command": "figure", "config": {"which": "fig3"}},
+        ]}
+        code, _ = _run(tmp_path, "sweep", cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("curlforce figure: cannot write output: ")
+        assert err.count("\n") == 1
+        codes = {r["name"]: r["exit_code"] for r in _manifest(out)["results"]}
+        assert codes == {"exp": 0, "fig": 1}
+        assert not (out / "fig" / "run_manifest.json").exists()
+
     def test_sweep_of_sweep_rejected(self, tmp_path):
         cfg = {"runs": [{"name": "s", "command": "sweep",
                          "config": {"runs": []}}]}
@@ -730,6 +711,30 @@ class TestSweep:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("command, cfg, taken", [
+        ("figure", {"which": "fig3"}, "fig3.csv"),
+        ("special", {"lambda": -1.0}, "run_manifest.json"),
+    ], ids=["table", "manifest"])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, command, cfg,
+                                       taken):
+        (tmp_path / "out" / taken).mkdir(parents=True)
+        code, out = _run(tmp_path, command, cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"curlforce {command}: cannot write output: ")
+        assert err.count("\n") == 1
+        assert not (out / "run_manifest.json").is_file()
+
+    def test_import_starts_no_process_machinery(self):
+        src = Path(curlforce.__file__).resolve().parents[1]
+        code = ("import sys, curlforce.cli; "
+                "print([m for m in ('multiprocessing', 'concurrent.futures') "
+                "if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
     def test_missing_config_file(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")])
