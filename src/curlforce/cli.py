@@ -831,7 +831,6 @@ def cmd_sweep(c: dict, out: Path, fmt: str, variant: str | None,
         results.append({"name": run["name"], "command": run["command"],
                          "exit_code": code})
     results.sort(key=lambda r: r["name"])
-    manifest["config"] = {"runs": manifest["config"]["runs"]}
     manifest["results"] = results
     return max(r["exit_code"] for r in results)
 

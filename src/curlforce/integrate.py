@@ -6,12 +6,25 @@ classical RK4.  Accepted nodes keep both state and right-hand side, so
 cubic Hermite interpolation (core.resample) works on every step and event
 roots can be located by bisection on that interpolant.
 
+The step loop is Python source generated from the tableau (_A, _C, _E)
+for each method, state size and whether events exist, the first time a
+run needs it, and then cached.  State, slope and stage components are
+scalar locals (y0, y1, ...), zero tableau terms are dropped and constants
+are written with repr, so they round-trip exactly.  Every component keeps
+the operations, in order, of elementwise array arithmetic on the whole
+state: stage sums add their terms in index order, as do RK4's
+h6 * (f + 2 k2 + 2 k3 + k4) and the error norm.  To read a loop:
+
+    from curlforce.integrate import _loop
+    print(_loop("rk45", 2, False).source)
+
 The stepper is deliberately free of platform-dependent branches: repeated
 runs with identical inputs produce bit-identical trajectories.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -49,9 +62,6 @@ _E = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
-((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
- (_A61, _A62, _A63, _A64, _A65), (_A71, _A72, _A73, _A74, _A75, _A76)) = _A[1:]
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 
 _SAFETY = 0.9
 _ALPHA = 0.7 / 4.0   # exponent on the current scaled error
@@ -60,10 +70,6 @@ _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _UNDERFLOW = 1e-14   # fraction of the integration span
 _EVENT_RESOLUTION = 1e-12
-
-
-class _StageNotFinite(Exception):
-    """A stage's right-hand side is not finite; the step is rejected."""
 
 
 class IntegrationError(RuntimeError):
@@ -122,6 +128,118 @@ def _dense(t0: float, y0: list, f0: list, t1: float, y1: list, f1: list,
             for a, b, c, d in zip(y0, f0, y1, f1)]
 
 
+def _loop_source(method: str, dim: int, events: bool) -> str:
+    """Python source of the step loop for one method and state size.
+
+    loop(kernel, on_step, ts, ys, fs, t, y, f, t1, h, rel_tol, abs_tol,
+    max_steps, h_min) steps from the node (t, y, f), appends each accepted
+    node to ts, ys and fs, and returns (termination, t, accepted, rejected,
+    kernel calls); "max-steps" and "not-finite" are failures at that t.
+    With events, on_step(t_new, y_new, f_new) runs on each accepted step
+    and returns True to end the run there.
+    """
+    comps = range(dim)
+
+    def vec(fmt: str) -> str:
+        return ", ".join(fmt.format(c) for c in comps)
+
+    def total(c: int, terms: list) -> str:
+        # y_c plus each (coefficient, slope) term, in index order
+        return " + ".join([f"y{c}"] + [f"{b} * {k}{c}" for b, k in terms])
+
+    def stage(slope: str, time: str, terms: list) -> list:
+        state = ",\n    ".join(total(c, terms) for c in comps)
+        return ["n_evals += 1",
+                f"[{vec(slope + '{}')}] = kernel({time}, [\n    {state}])"]
+
+    def check(*slopes: str) -> str:
+        return " and ".join(f"isfinite({k}{c})" for k in slopes for c in comps)
+
+    def finish(time: str) -> list:
+        # z is the new state and g its slope, the next step's f
+        return [f"y_new = [{vec('z{}')}]", "n_evals += 1",
+                f"[{vec('g{}')}] = f_new = kernel({time}, y_new)"]
+
+    done = "n_accept, n_reject, n_evals"
+    reject = ["    n_reject += 1", "    h = 0.5 * h_use", "    continue"]
+    rk4 = method == "rk4"
+    body = ["attempts += 1", "if attempts > max_steps:",
+            f"    return 'max-steps', t, {done}"]
+    if not rk4:
+        body += ["if h < h_min:", f"    return 'step-underflow', t, {done}"]
+    # a remainder up to the stretch joins the final step: no step dust
+    stretch = 1.4 if rk4 else 1.05
+    body += ["remaining = t1 - t", f"if remaining <= {stretch!r} * h:",
+             "    h_use = remaining", "    t_new = t1",
+             "else:", "    h_use = h", "    t_new = t + h_use"]
+    if rk4:
+        body += ["hh = 0.5 * h_use",
+                 *stage("k2_", "t + 0.5 * h_use", [("hh", "f")]),
+                 *stage("k3_", "t + 0.5 * h_use", [("hh", "k2_")]),
+                 *stage("k4_", "t_new", [("h_use", "k3_")]),
+                 "h6 = h_use / 6.0"]
+        body += [f"z{c} = y{c} + h6 * (f{c} + 2.0 * k2_{c} + 2.0 * k3_{c}"
+                 f" + k4_{c})" for c in comps]
+        body += [*finish("t_new"), f"if not ({check('z', 'g')}):",
+                 f"    return 'not-finite', t_new, {done}"]
+    else:
+        # k1 is f; the stage-7 state is the fifth-order solution (FSAL)
+        slopes = ["f", "k2_", "k3_", "k4_", "k5_", "k6_", "g"]
+        for i in range(1, 7):
+            terms = [(f"b{j + 1}", slopes[j]) for j, a in enumerate(_A[i]) if a]
+            body += [f"b{j + 1} = h_use * {a!r}" for j, a in enumerate(_A[i]) if a]
+            time = f"t + {_C[i]!r} * h_use"
+            if i < 6:
+                body += stage(slopes[i], time, terms)
+            else:
+                body += [f"z{c} = {total(c, terms)}" for c in comps]
+                body += finish(time)
+            body += [f"if not ({check(slopes[i])}):", *reject]
+        # RMS of the scaled error; u >= w is False when w is nan, so nan
+        # propagates as it does through np.maximum
+        body.append("sq = 0.0")
+        for c in comps:
+            e = " + ".join(f"{w!r} * {k}{c}" for w, k in zip(_E, slopes) if w)
+            body += [f"u = abs(y{c})", f"w = abs(z{c})",
+                     f"q = (abs(h_use * ({e}))\n"
+                     "     / (abs_tol + rel_tol * (u if u >= w else w)))",
+                     "sq += q * q"]
+        grow = f"{_SAFETY!r} * err ** {-_ALPHA!r}"
+        body += [f"err = sqrt(sq / {dim})", "if not isfinite(err):", *reject,
+                 "err = max(err, 1e-16)", "if err > 1.0:", "    n_reject += 1",
+                 f"    h = h_use * max({_FAC_MIN!r}, min(1.0, {grow}))",
+                 "    continue", f"fac = {grow} * err_prev ** {_BETA!r}",
+                 "err_prev = max(err, 1e-4)",
+                 f"h = h_use * max({_FAC_MIN!r}, min({_FAC_MAX!r}, fac))"]
+    body.append("n_accept += 1")
+    if events:
+        body += ["if on_step(t_new, y_new, f_new):",
+                 f"    return 'event', t_new, {done}"]
+    body += ["t = t_new", f"{vec('y{}')} = {vec('z{}')}",
+             f"{vec('f{}')} = {vec('g{}')}",
+             "ts.append(t)", "ys.append(y_new)", "fs.append(f_new)"]
+    return (
+        "def loop(kernel, on_step, ts, ys, fs, t, y, f, t1, h, rel_tol,\n"
+        "         abs_tol, max_steps, h_min):\n"
+        f"    [{vec('y{}')}] = y\n    [{vec('f{}')}] = f\n"
+        "    n_accept = n_reject = n_evals = attempts = 0\n"
+        "    err_prev = 1e-4\n    while t < t1:\n        "
+        + "\n".join(body).replace("\n", "\n        ")
+        + f"\n    return 'completed', t, {done}\n")
+
+
+@functools.cache
+def _loop(method: str, dim: int, events: bool):
+    """The compiled step loop for one key; its text is loop.source."""
+    source = _loop_source(method, dim, events)
+    name = f"<{method} loop, {dim} components{', events' if events else ''}>"
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt}
+    exec(compile(source, name, "exec"), namespace)
+    loop = namespace["loop"]
+    loop.source = source
+    return loop
+
+
 def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
               y0: Sequence[float],
               settings: IntegratorSettings) -> Trajectory:
@@ -134,17 +252,15 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
 
     rhs is any callable rhs(t, y) -> array-like taking an ndarray y.  The
     states here have two to four components, where numpy's per-call cost
-    outweighs the arithmetic, so each step runs on lists of Python floats.
-    An rhs may expose the same formula as a float kernel, an attribute
+    outweighs the arithmetic, so each step runs on Python floats.  An rhs
+    may expose the same formula as a float kernel, an attribute
     rhs.kernel(t, y) that takes a float and a list of floats and returns a
     new list of floats; the step loop then calls the kernel and builds no
     ndarray per stage.  The systems.*_rhs builders all do.  Any other
     callable gets an ndarray of the stage state.  rhs itself is called once
-    at the initial state to check its shape and finiteness.  Event
-    functions receive the state as a list of floats, as kernels do.  Each
-    stage, error and Hermite interpolant sum adds its terms in index order,
-    one component at a time, so every component gets the same operations
-    as in elementwise numpy arithmetic on the whole state.
+    at the initial state to check its shape and finiteness; a kernel whose
+    output changes length later raises ValueError.  Event functions receive
+    the state as a list of floats, as kernels do.
     """
     t0, t1 = settings.t_span
     span = t1 - t0
@@ -157,7 +273,6 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     if not np.all(np.isfinite(f_arr)):
         raise IntegrationError("right-hand side not finite at the initial state")
 
-    isfinite = math.isfinite
     kernel = getattr(rhs, "kernel", None)
     if kernel is None:
         asarray, array = np.asarray, np.array
@@ -165,179 +280,59 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
         def kernel(tc: float, yc: list) -> list:
             return asarray(rhs(tc, array(yc)), dtype=float).tolist()
 
-    # rhs at (tc, yc) as a list of floats; rejects the step when a value is
-    # not finite.  Every kernel call adds one to n_evals.
-    def stage(tc: float, yc: list) -> list:
-        nonlocal n_evals
-        n_evals += 1
-        fc = kernel(tc, yc)
-        if not all(map(isfinite, fc)):
-            raise _StageNotFinite
-        return fc
-
     y = y_arr.tolist()
     f = f_arr.tolist()
-    dim = len(y)
     ts = [t0]
     ys = [y]
     fs = [f]
     events = settings.events
     events_log: list[tuple[float, str]] = []
     g_prev = [float(ev.fn(t0, y)) for ev in events]
-    n_accept = 0
-    n_reject = 0
-    n_evals = 1
-    termination = "completed"
+    event_evals = 0
+
+    def on_step(t_new: float, y_new: list, f_new: list) -> bool:
+        # Accepted step; look for event crossings on [t, t_new].
+        nonlocal g_prev, event_evals
+        t = ts[-1]
+        g_new = [float(ev.fn(t_new, y_new)) for ev in events]
+        step = (t, ys[-1], fs[-1], t_new, y_new, f_new)
+        stop_at = None
+        stop_name = None
+        for ev, g0, g1 in zip(events, g_prev, g_new):
+            if (g0 * g1 < 0.0) or (g1 == 0.0 and g0 != 0.0):
+                # bisect the event function along the step's interpolant
+                te = bisect_root(lambda tm: ev.fn(tm, _dense(*step, tm)),
+                                 t, t_new, g0, _EVENT_RESOLUTION)
+                if stop_at is None or te < stop_at:
+                    stop_at, stop_name = te, ev.name
+        if stop_at is None:
+            g_prev = g_new
+            return False
+        if stop_at > t:
+            ts.append(stop_at)
+            ys.append(_dense(*step, stop_at))
+            event_evals += 1
+            fs.append(kernel(stop_at, ys[-1]))
+        events_log.append((stop_at, stop_name))
+        return True
 
     fixed = settings.method == "rk4"
-    rel_tol = settings.rel_tol
-    abs_tol = settings.abs_tol
     h = settings.h if fixed else min(settings.h0 or span / 100.0, span)
-    err_prev = 1e-4
-    t = t0
-
-    def _build(term: str) -> Trajectory:
-        meta = {
-            "method": settings.method,
-            "rel_tol": rel_tol,
-            "abs_tol": abs_tol,
-            "t_span": (t0, t1),
-            "accepted": n_accept,
-            "rejected": n_reject,
-            "rhs_evals": n_evals,
-        }
-        return Trajectory(
-            t=np.array(ts), y=np.array(ys), dy=np.array(fs),
-            termination=term, events=tuple(events_log), meta=meta,
-        )
-
-    attempts = 0
-    while t < t1:
-        attempts += 1
-        if attempts > settings.max_steps:
-            raise IntegrationError(
-                f"max_steps={settings.max_steps} exceeded at t={t}",
-                trajectory=_build("aborted"),
-            )
-        if not fixed and h < _UNDERFLOW * span:
-            termination = "step-underflow"
-            break
-        remaining = t1 - t
-        # absorb any sub-step remainder into the final step so accumulated
-        # rounding never produces a microscopic trailing step
-        stretch = 1.4 if fixed else 1.05
-        if remaining <= stretch * h:
-            h_use = remaining
-            final = True
-        else:
-            h_use = h
-            final = False
-        t_new = t1 if final else t + h_use
-
-        if fixed:
-            hh = 0.5 * h_use
-            k2 = kernel(t + 0.5 * h_use, [a + hh * b for a, b in zip(y, f)])
-            k3 = kernel(t + 0.5 * h_use, [a + hh * b for a, b in zip(y, k2)])
-            k4 = kernel(t_new, [a + h_use * b for a, b in zip(y, k3)])
-            h6 = h_use / 6.0
-            y_new = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(y, f, k2, k3, k4)]
-            f_new = kernel(t_new, y_new)
-            n_evals += 4
-            if not (all(map(isfinite, y_new)) and all(map(isfinite, f_new))):
-                raise IntegrationError(
-                    f"right-hand side not finite near t={t_new}",
-                    trajectory=_build("aborted"))
-        else:
-            # Stage sums add only the nonzero _A terms, in index order.
-            hu = h_use
-            k1 = f
-            try:
-                b1 = hu * _A21
-                k2 = stage(t + _C[1] * hu, [
-                    u + b1 * v1 for u, v1 in zip(y, k1)])
-                b1, b2 = hu * _A31, hu * _A32
-                k3 = stage(t + _C[2] * hu, [
-                    u + b1 * v1 + b2 * v2
-                    for u, v1, v2 in zip(y, k1, k2)])
-                b1, b2, b3 = hu * _A41, hu * _A42, hu * _A43
-                k4 = stage(t + _C[3] * hu, [
-                    u + b1 * v1 + b2 * v2 + b3 * v3
-                    for u, v1, v2, v3 in zip(y, k1, k2, k3)])
-                b1, b2, b3, b4 = hu * _A51, hu * _A52, hu * _A53, hu * _A54
-                k5 = stage(t + _C[4] * hu, [
-                    u + b1 * v1 + b2 * v2 + b3 * v3 + b4 * v4
-                    for u, v1, v2, v3, v4 in zip(y, k1, k2, k3, k4)])
-                b1, b2, b3, b4, b5 = (hu * _A61, hu * _A62, hu * _A63,
-                                      hu * _A64, hu * _A65)
-                k6 = stage(t + _C[5] * hu, [
-                    u + b1 * v1 + b2 * v2 + b3 * v3 + b4 * v4 + b5 * v5
-                    for u, v1, v2, v3, v4, v5 in zip(y, k1, k2, k3, k4, k5)])
-                # _A72 is zero.  The stage-7 state is the fifth-order
-                # solution and its slope the next step's k1 (FSAL).
-                b1, b3, b4, b5, b6 = (hu * _A71, hu * _A73, hu * _A74,
-                                      hu * _A75, hu * _A76)
-                y_new = [u + b1 * v1 + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6
-                         for u, v1, v3, v4, v5, v6
-                         in zip(y, k1, k3, k4, k5, k6)]
-                f_new = stage(t + _C[6] * hu, y_new)
-            except _StageNotFinite:
-                n_reject += 1
-                h = 0.5 * h_use
-                continue
-            # RMS of the scaled error; _E2 is zero.  u >= w is False when w
-            # is nan, so nan propagates as it does through np.maximum.
-            sq = 0.0
-            for v1, v3, v4, v5, v6, v7, u, w in zip(k1, k3, k4, k5, k6,
-                                                     f_new, y, y_new):
-                u = abs(u)
-                w = abs(w)
-                q = (abs(hu * (_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5
-                               + _E6 * v6 + _E7 * v7))
-                     / (abs_tol + rel_tol * (u if u >= w else w)))
-                sq += q * q
-            err = math.sqrt(sq / dim)
-            if not isfinite(err):
-                n_reject += 1
-                h = 0.5 * h_use
-                continue
-            err = max(err, 1e-16)
-            if err > 1.0:
-                n_reject += 1
-                h = h_use * max(_FAC_MIN, min(1.0, _SAFETY * err ** (-_ALPHA)))
-                continue
-            fac = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
-            err_prev = max(err, 1e-4)
-            h = h_use * max(_FAC_MIN, min(_FAC_MAX, fac))
-
-        n_accept += 1
-        if events:
-            # Accepted step; look for event crossings on [t, t_new].
-            g_new = [float(ev.fn(t_new, y_new)) for ev in events]
-            step = (t, y, f, t_new, y_new, f_new)
-            stop_at = None
-            stop_name = None
-            for ev, g0, g1 in zip(events, g_prev, g_new):
-                if (g0 * g1 < 0.0) or (g1 == 0.0 and g0 != 0.0):
-                    # bisect the event function along the step's interpolant
-                    te = bisect_root(lambda tm: ev.fn(tm, _dense(*step, tm)),
-                                     t, t_new, g0, _EVENT_RESOLUTION)
-                    if stop_at is None or te < stop_at:
-                        stop_at, stop_name = te, ev.name
-            if stop_at is not None:
-                if stop_at > ts[-1]:
-                    ts.append(stop_at)
-                    ys.append(_dense(*step, stop_at))
-                    fs.append(kernel(stop_at, ys[-1]))
-                    n_evals += 1
-                events_log.append((stop_at, stop_name))
-                termination = "event"
-                break
-            g_prev = g_new
-
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-        fs.append(f)
-
-    return _build(termination)
+    loop = _loop(settings.method, len(y), bool(events))
+    termination, t, n_accept, n_reject, n_evals = loop(
+        kernel, on_step, ts, ys, fs, t0, y, f, t1, h, settings.rel_tol,
+        settings.abs_tol, settings.max_steps, _UNDERFLOW * span)
+    failure = {"max-steps": f"max_steps={settings.max_steps} exceeded at t={t}",
+               "not-finite": f"right-hand side not finite near t={t}",
+               }.get(termination)
+    traj = Trajectory(
+        t=np.array(ts), y=np.array(ys), dy=np.array(fs),
+        termination="aborted" if failure else termination,
+        events=tuple(events_log),
+        meta={"method": settings.method, "rel_tol": settings.rel_tol,
+              "abs_tol": settings.abs_tol, "t_span": (t0, t1),
+              "accepted": n_accept, "rejected": n_reject,
+              "rhs_evals": 1 + n_evals + event_evals})
+    if failure:
+        raise IntegrationError(failure, trajectory=traj)
+    return traj

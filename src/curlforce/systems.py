@@ -10,6 +10,9 @@ polar_rhs, which tests r itself, calls _force.  AngleFunction dispatches its
 family once per derivative order, when it is built; the kernels, the h2
 event and the angular fields' _force and _curl call those float formulas
 (AngleFunction._scalar) directly, and __call__ serves public callers.
+The float formulas call math.cos and math.sin, which raise ValueError at
++-inf: the kernels turn that into a rejected stage (NaN), and __call__,
+force and curl into nan, as numpy gives for arrays.
 
 The *_rhs builders return closures suitable for integrate.integrate: each
 formula is written once, as a kernel on Python floats that integrate calls
@@ -123,7 +126,7 @@ class AngleFunction:
         # keyed by order, so an order given as 1.0 still works
         formulas = _FORMULAS[self.family]
         object.__setattr__(self, "_scalar", dict(enumerate(
-            formulas(self.c, self.k, coeffs, _cos, _sin))))
+            formulas(self.c, self.k, coeffs, math.cos, math.sin))))
         object.__setattr__(self, "_array", dict(enumerate(
             formulas(self.c, self.k, coeffs, np.cos, np.sin))))
 
@@ -161,21 +164,16 @@ class AngleFunction:
             raise ValueError("derivative order must be 0, 1, 2 or 3")
         if isinstance(theta, (float, int)):
             # scalar callers skip numpy entirely
-            return self._scalar[order](float(theta))
+            try:
+                return self._scalar[order](float(theta))
+            except ValueError:
+                # math.cos and math.sin raise at +-inf, where numpy gives nan
+                return math.nan
         th = np.asarray(theta, dtype=float)
         out = self._array[order](th)
         if np.ndim(theta) == 0:
             return float(out)
         return out if isinstance(out, np.ndarray) else np.full_like(th, out)
-
-
-def _cos(x: float) -> float:
-    # np.cos returns nan at +-inf, where math.cos raises
-    return math.cos(x) if math.isfinite(x) else math.nan
-
-
-def _sin(x: float) -> float:
-    return math.sin(x) if math.isfinite(x) else math.nan
 
 
 def _require_positive_r(r: float) -> None:
@@ -187,16 +185,23 @@ class _Field:
     """Public force and curl: the r > 0 check, then the family's formula.
 
     theta goes to the formula as float(theta), so an int or numpy-scalar
-    angle gets the bits AngleFunction.__call__ gives it.
+    angle gets the bits AngleFunction.__call__ gives it.  An angle function
+    evaluated at an infinite angle makes the result nan, as in __call__.
     """
 
     def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
         _require_positive_r(r)
-        return self._force(r, float(theta), rdot)
+        try:
+            return self._force(r, float(theta), rdot)
+        except ValueError:   # math.cos or math.sin at +-inf
+            return (math.nan, math.nan)
 
     def curl(self, r: float, theta: float) -> float:
         _require_positive_r(r)
-        return self._curl(r, float(theta))
+        try:
+            return self._curl(r, float(theta))
+        except ValueError:
+            return math.nan
 
 
 @dataclass(frozen=True)
@@ -328,8 +333,9 @@ def polar_rhs(field: ForceField):
             return [math.nan] * 4
         try:
             f_r, f_t = force(r, theta, rdot)
-        except ZeroDivisionError:
-            # a power of r in the field's formula underflowed to 0.0
+        except (ZeroDivisionError, ValueError):
+            # a power of r in the field's formula underflowed to 0.0, or an
+            # angle function met theta = +-inf (math.cos raises there)
             return [math.nan] * 4
         return [
             rdot,
@@ -363,15 +369,19 @@ def psi_reduced_rhs(I: float, U: AngleFunction, V: AngleFunction,
     V0, V1, U0 = V._scalar[0], V._scalar[1], U._scalar[0]
 
     def kernel(theta, y):
-        h2 = 2.0 * (I - V0(theta))
-        if h2 == 0.0:
-            return [math.nan] * 2
-        h2p = -2.0 * V1(theta)
         psi, dpsi = y
-        return [
-            dpsi,
-            -(factor * h2p / h2) * dpsi - (1.0 + U0(theta) / h2) * psi,
-        ]
+        try:
+            h2 = 2.0 * (I - V0(theta))
+            if h2 == 0.0:
+                return [math.nan] * 2
+            h2p = -2.0 * V1(theta)
+            return [
+                dpsi,
+                -(factor * h2p / h2) * dpsi - (1.0 + U0(theta) / h2) * psi,
+            ]
+        except ValueError:
+            # k * theta overflowed to +-inf, where math.cos raises
+            return [math.nan] * 2
 
     return _rhs(kernel)
 
@@ -484,8 +494,14 @@ def h2_singularity_event(I: float, V: AngleFunction,
                          threshold: float = 1e-6) -> Event:
     """Stop a psi-reduction run when h2 = 2*(I - V(theta)) crosses zero."""
     V0 = V._scalar[0]
-    return Event("h2-singular",
-                 lambda theta, y: abs(2.0 * (I - V0(theta))) - threshold)
+
+    def g(theta, y):
+        try:
+            return abs(2.0 * (I - V0(theta))) - threshold
+        except ValueError:   # math.cos or math.sin at +-inf
+            return math.nan
+
+    return Event("h2-singular", g)
 
 
 def yprime_floor_event(threshold: float = 1e-10) -> Event:

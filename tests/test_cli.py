@@ -703,6 +703,15 @@ class TestSweep:
         assert codes == {"exp": 0, "fig": 1}
         assert not (out / "fig" / "run_manifest.json").exists()
 
+    def test_label_echoed(self, tmp_path):
+        # a sweep echoes its config, label included, as every command does
+        cfg = {"label": "L1", "runs": [
+            {"name": "exp", "command": "special", "config": {"lambda": -1.0}},
+        ]}
+        code, out = _run(tmp_path, "sweep", cfg)
+        assert code == 0
+        assert _manifest(out)["config"] == cfg
+
     def test_sweep_of_sweep_rejected(self, tmp_path):
         cfg = {"runs": [{"name": "s", "command": "sweep",
                          "config": {"runs": []}}]}

@@ -9,6 +9,7 @@ from curlforce.integrate import (
     Event,
     IntegrationError,
     IntegratorSettings,
+    _loop,
     integrate,
 )
 
@@ -285,3 +286,99 @@ class TestFloatKernel:
         assert traj.termination == "event"
         assert len(seen) > traj.t.size
         assert set(seen) == {list}
+
+
+def _circle_kernel_rhs(kernel):
+    """_circle_rhs for the initial check, kernel for every stage."""
+
+    def rhs(t, y):
+        return _circle_rhs(t, y)
+
+    rhs.kernel = kernel
+    return rhs
+
+
+class TestGeneratedLoop:
+    """integrate's step loops are generated per method and state size.
+
+    The counts below were recorded with the hand-written stepper that the
+    generated loops replaced.
+    """
+
+    @pytest.mark.parametrize("events", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_loop_compiles_for_each_key(self, method, dim, events):
+        loop = _loop(method, dim, events)
+        print(loop.source)
+        assert "zip(" not in loop.source
+        body = loop.source.split("):\n", 1)[1]   # after the signature
+        assert ("on_step(" in body) == events
+        assert loop is _loop(method, dim, events)
+        ev = (Event("never", lambda t, y: 1.0),) if events else ()
+        traj = integrate(lambda t, y: -y, [1.0] * dim, IntegratorSettings(
+            method=method, h=0.01, t_span=(0.0, 1.0), events=ev))
+        assert traj.termination == "completed"
+        assert traj.y.shape == (traj.t.size, dim)
+        assert abs(traj.y[-1, -1] - math.exp(-1.0)) < 1e-9
+
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("stage", range(2, 8))
+    def test_nonfinite_stage_rejects_step(self, stage, component):
+        # one non-finite value at a stage of the third step: the loop stops
+        # that step at the stage, counts the kernel calls made so far and
+        # halves the step
+        calls = [0]
+
+        def kernel(t, y):
+            calls[0] += 1
+            out = [y[1], -y[0]]
+            if calls[0] == 12 + stage - 1:
+                out[component] = math.nan if component == 0 else math.inf
+            return out
+
+        traj = integrate(_circle_kernel_rhs(kernel), [1.0, 0.0],
+                         IntegratorSettings(t_span=(0.0, 2.0)))
+        meta = traj.meta
+        assert (meta["rhs_evals"], meta["accepted"], meta["rejected"]) == \
+            (486 + stage, 81, 1)
+        assert calls[0] == meta["rhs_evals"] - 1
+        assert traj.y[-1, 0] == float.fromhex("-0x1.aa22657529782p-2")
+
+    @pytest.mark.parametrize("kwargs, message, counts", [
+        (dict(t_span=(0.0, 1.0), max_steps=5),
+         "max_steps=5 exceeded at t=0.053166824792792", (31, 5, 0)),
+        (dict(method="rk4", h=0.01, t_span=(0.0, 1.0), max_steps=5),
+         "max_steps=5 exceeded at t=0.05", (21, 5, 0)),
+        (dict(t_span=(0.0, 10.0), max_steps=7,
+              events=(Event("never", lambda t, y: 1.0),)),
+         "max_steps=7 exceeded at t=0.07883240688557522", (43, 5, 2)),
+    ], ids=["rk45", "rk4", "rk45-events"])
+    def test_max_steps_counters(self, kwargs, message, counts):
+        with pytest.raises(IntegrationError) as info:
+            integrate(_circle_rhs, [1.0, 0.0], IntegratorSettings(**kwargs))
+        assert str(info.value) == message
+        partial = info.value.trajectory
+        meta = partial.meta
+        assert (meta["rhs_evals"], meta["accepted"], meta["rejected"]) == counts
+        assert partial.termination == "aborted"
+        assert partial.t.size == 6
+
+    @pytest.mark.parametrize("change", ["longer", "shorter"])
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_kernel_changing_length_raises(self, method, change):
+        # the loop unpacks each kernel result into the state's components,
+        # so a result of another length fails instead of being truncated
+        calls = [0]
+
+        def kernel(t, y):
+            calls[0] += 1
+            out = [y[1], -y[0]]
+            if calls[0] > 10:
+                return out + [0.0] if change == "longer" else out[:1]
+            return out
+
+        with pytest.raises(ValueError, match="values to unpack"):
+            integrate(_circle_kernel_rhs(kernel), [1.0, 0.0],
+                      IntegratorSettings(method=method, t_span=(0.0, 1.0)))
+        assert calls[0] == 11

@@ -64,6 +64,15 @@ class TestAngleFunction:
         assert vals.shape == th.shape
         assert np.allclose(vals, -6.0 * np.sin(3.0 * th))
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["cos", "sin"])
+    def test_infinite_angle_gives_nan(self, name, theta):
+        # math.cos and math.sin raise at +-inf; __call__ returns nan there,
+        # as numpy does for arrays
+        fn, _ = _SYMBOLIC[name]
+        for order in range(4):
+            assert math.isnan(fn(theta, order))
+
     def test_scalar_returns_float(self):
         assert isinstance(AngleFunction.sin(1.0)(0.5), float)
 
@@ -253,6 +262,16 @@ class TestForces:
         with pytest.raises(DomainError):
             curl(field, r, 0.3)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["ermakov", "gorringe_leach"])
+    def test_force_and_curl_nan_at_infinite_angle(self, name, theta):
+        # a sinusoidal angle function meets math.cos at +-inf, which raises;
+        # the public force and curl return nan instead
+        field = _FIELDS[name]
+        f_r, f_t = field.force(1.3, theta, 0.2)
+        assert math.isnan(f_r) and math.isnan(f_t)
+        assert math.isnan(field.curl(1.3, theta))
+
 
 class TestPolarRhs:
     def test_equations_of_motion(self):
@@ -272,6 +291,12 @@ class TestPolarRhs:
         rhs = polar_rhs(IsotropicField(mu=-1.0))
         assert np.isnan(rhs(0.0, np.array([0.0, 0.0, 0.0, 0.0]))).all()
         assert np.isnan(rhs(0.0, np.array([-0.5, 0.0, 0.0, 0.0]))).all()
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["ermakov", "gorringe_leach"])
+    def test_infinite_angle_rejects_stage(self, name, theta):
+        kernel = polar_rhs(_FIELDS[name]).kernel
+        assert all(map(math.isnan, kernel(0.0, [1.0, theta, 0.1, 0.5])))
 
 
 class TestPsiReductions:
@@ -303,6 +328,17 @@ class TestPsiReductions:
     def test_singular_layer_returns_nan(self):
         rhs = psi_reduced_rhs(1.0, AngleFunction.zero(), AngleFunction.cos())
         assert np.isnan(rhs(0.0, np.array([1.0, 0.0]))).all()
+
+    @pytest.mark.parametrize("which", ["U", "V"])
+    def test_infinite_wave_argument_rejects_stage(self, which):
+        # k * theta overflows to inf, where math.cos raises: the kernel
+        # returns nan, so the stepper rejects the stage
+        wave = AngleFunction.cos(0.5, 1e300)
+        angles = {"U": AngleFunction.zero(), "V": AngleFunction.constant(0.1)}
+        angles[which] = wave
+        rhs = psi_reduced_rhs(2.0, angles["U"], angles["V"])
+        assert all(map(math.isnan, rhs.kernel(1e10, [1.0, 0.0])))
+        assert np.isnan(h2_singularity_event(2.0, wave).fn(1e10, [1.0, 0.0]))
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
