@@ -5,12 +5,9 @@ __version__ = "0.1.0"
 from .core import (
     DomainError,
     EFSeries,
-    InvariantReport,
     PolarState,
     Trajectory,
     drift_metric,
-    fd_second_derivative,
-    invariant_report,
     polar_states,
     real_power,
     resample,

@@ -71,7 +71,9 @@ __all__ = [
     "quad_adaptive",
 ]
 
-_N_DEFAULT = 2.0
+# a polar run maps to T'' = J^n T^m with n = 2, so the particular branch
+# behind the orbit and time quadratures and the seeding has n = 2
+_N = 2.0
 
 
 class NonRealLambda(ValueError):
@@ -343,13 +345,13 @@ def _check_r_grid(r_grid) -> np.ndarray:
     return rg
 
 
-def _positive_branch(mu: float, n: float) -> tuple[float, ParticularSolution]:
-    """(m, particular solution) for mu; DomainError unless Lambda > 0."""
+def _positive_branch(mu: float) -> tuple[float, ParticularSolution]:
+    """(m, particular solution) at n = 2 for mu; DomainError unless Lambda > 0."""
     m = m_from_mu(mu)
-    sol = particular_solution(n, m)
+    sol = particular_solution(_N, m)
     if sol.Lambda <= 0.0:
         raise DomainError(
-            f"(n, m) = ({n}, {m}) gives Lambda = {sol.Lambda}; the particular "
+            f"(n, m) = ({_N}, {m}) gives Lambda = {sol.Lambda}; the particular "
             "branch needs a positive coefficient")
     return m, sol
 
@@ -372,7 +374,7 @@ def _cumulative_quadrature(chain, printed, rg: np.ndarray,
 
 
 def orbit_theta_of_r(mu: float, r0: float, r_grid,
-                     n: float = _N_DEFAULT, tol: float = 1e-10) -> ChainQuadrature:
+                     tol: float = 1e-10) -> ChainQuadrature:
     """theta(r) on the particular branch by composing J(r) with dtheta/dr.
 
     Chain integrand: |mu+2|^(1/2) * J(rho) / (rho^2 * T'(J(rho))) with T'
@@ -380,9 +382,11 @@ def orbit_theta_of_r(mu: float, r0: float, r_grid,
     T' rescalings so the chain matches the unscaled kinematics; for
     mu < -2 the magnitude keeps the output real.  The printed closed form
     ((1-m)/(n+2)) * Lambda^(-2(1-m)/(n+2)) * (r^(mu+2)-r0^(mu+2))^(-2(n+m+3)/(n+2))
-    is evaluated alongside and reported as a pointwise integrand ratio.
+    is evaluated alongside and reported as a pointwise integrand ratio;
+    n = 2 throughout.
     """
-    m, sol = _positive_branch(mu, n)
+    n = _N
+    m, sol = _positive_branch(mu)
     rg = _check_r_grid(r_grid)
     s = math.sqrt(abs(mu + 2.0))
     q = (1.0 - m) / (n + 2.0)
@@ -404,8 +408,8 @@ def orbit_theta_of_r(mu: float, r0: float, r_grid,
     return _cumulative_quadrature(chain, printed, rg, tol)
 
 
-def time_of_r(mu: float, r0: float, r_grid, n: float = _N_DEFAULT,
-              tau0: float = 0.0, physical_time: bool = False,
+def time_of_r(mu: float, r0: float, r_grid, tau0: float = 0.0,
+              physical_time: bool = False,
               tol: float = 1e-10) -> ChainQuadrature:
     """tau(r) on the particular branch: quadrature of (dJ/dr)/(r * r^mu).
 
@@ -414,9 +418,11 @@ def time_of_r(mu: float, r0: float, r_grid, n: float = _N_DEFAULT,
     q = (1-m)/(n+2).  The printed closed form
     q * (mu+2) * Lambda^((n+m+1)/(n+2)) * (...)^(-(n+m+3)/(n+2)) is
     reported as a ratio.  With physical_time the values are multiplied by
-    |mu+2|^(-1/(n+2)), which converts tau to the unscaled time variable.
+    |mu+2|^(-1/(n+2)), which converts tau to the unscaled time variable;
+    n = 2 throughout.
     """
-    m, sol = _positive_branch(mu, n)
+    n = _N
+    m, sol = _positive_branch(mu)
     rg = _check_r_grid(r_grid)
     q = (1.0 - m) / (n + 2.0)
     a = abs(mu + 2.0)
@@ -440,9 +446,8 @@ def time_of_r(mu: float, r0: float, r_grid, n: float = _N_DEFAULT,
     return replace(res, values=values)
 
 
-def seed_polar_from_particular(mu: float, r0: float, J1: float,
-                               n: float = _N_DEFAULT) -> PolarState:
-    """Polar initial state lying on the particular branch at scaled momentum J1.
+def seed_polar_from_particular(mu: float, r0: float, J1: float) -> PolarState:
+    """Polar initial state on the n = 2 particular branch at scaled momentum J1.
 
     Inverts the torque map on the branch: T1 = Lambda*J1^e,
     r1 = (T1 + r0^(mu+2))^(1/(mu+2)), rdot1 = (mu+2)^(-3/4)*T'(J1),
@@ -453,11 +458,11 @@ def seed_polar_from_particular(mu: float, r0: float, J1: float,
         raise DomainError("seeding needs mu > -2 (fractional powers of mu + 2)")
     if J1 <= 0.0:
         raise DomainError(f"seeding needs J1 > 0, got {J1}")
-    _, sol = _positive_branch(mu, n)
+    _, sol = _positive_branch(mu)
     a = mu + 2.0
     t1 = sol.T(J1)
     tp1 = sol.Tprime(J1)
-    r0p = _r0_power(r0, a) if r0 != 0.0 else 0.0
+    r0p = _r0_power(r0, a)
     r1 = (t1 + r0p) ** (1.0 / a)
     return PolarState(
         t=0.0,

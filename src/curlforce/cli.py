@@ -221,13 +221,12 @@ def _state(value: Any, where: str) -> np.ndarray:
 # integrator keys a config may set; an absent key takes IntegratorSettings'
 # default, and an absent t_span the command's default span
 _INTEGRATOR = {
-    "method": (_typed(str, "a string"), None),
+    "method": (_choice("rk45", "rk4"), None),
     "rel_tol": (_num, None),
     "abs_tol": (_num, None),
     "h": (_num, None),
     "t_span": (_span, None),
     "max_steps": (_int(1), None),
-    "h0": (_num, None),
 }
 
 
@@ -326,8 +325,7 @@ _SIMULATE = {
 }
 
 
-def cmd_simulate(c: dict, out: Path, fmt: str, variant: str | None,
-                 manifest: dict) -> None:
+def cmd_simulate(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     field = c["system"]
     if "lrr" in c["invariants"] and not isinstance(field, systems.ErmakovField):
         raise ConfigError(
@@ -407,10 +405,8 @@ def _figure_run(I: float, ic: tuple[float, float], span: tuple[float, float],
                 ("completed", "event"))
 
 
-def cmd_figure(c: dict, out: Path, fmt: str, variant: str | None,
-               manifest: dict) -> None:
-    variant = variant or c["variant"]
-    span = c["theta_span"]
+def cmd_figure(c: dict, out: Path, fmt: str, manifest: dict) -> None:
+    variant, span = c["variant"], c["theta_span"]
     curves = _figure_curves(c)
 
     labels: list[str] = []
@@ -461,8 +457,7 @@ _MAP_EF = {
 }
 
 
-def cmd_map_ef(c: dict, out: Path, fmt: str, variant: str | None,
-               manifest: dict) -> None:
+def cmd_map_ef(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     field = c["system"]
     if not isinstance(field, systems.IsotropicField):
         raise ConfigError("map-ef needs an isotropic or isotropic_drag system")
@@ -556,8 +551,7 @@ def _default_grid() -> list[tuple[float, float, float]]:
             for J in pts for T in pts for Tp in tps]
 
 
-def cmd_noether(c: dict, out: Path, fmt: str, variant: str | None,
-                manifest: dict) -> None:
+def cmd_noether(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     n, m, scale, G = c["n"], c["m"], c["potential_scale"], c["generator"]
     L = invariants.PowerLagrangian(n, m, potential_scale=scale)
 
@@ -639,7 +633,6 @@ _ORBIT = {
     "mu": (_num, _REQUIRED),
     "r0": (_num_or_inf, 0.0),
     "r_grid": (_r_grid, _REQUIRED),
-    "n": (_num, 2.0),
     "tol": (_num, 1e-10),
     "compare_simulation": (_bool, False),
     "integrator": (_INTEGRATOR, {}),
@@ -663,11 +656,11 @@ def _ratio_range(rep: analysis.ChainQuadrature) -> dict:
     return block
 
 
-def cmd_orbit(c: dict, out: Path, fmt: str, variant: str | None,
-              manifest: dict) -> None:
-    mu, r0, n, tol, rg = c["mu"], c["r0"], c["n"], c["tol"], c["r_grid"]
-    theta_rep = analysis.orbit_theta_of_r(mu, r0, rg, n=n, tol=tol)
-    time_rep = analysis.time_of_r(mu, r0, rg, n=n, tol=tol)
+def cmd_orbit(c: dict, out: Path, fmt: str, manifest: dict) -> None:
+    mu, r0, tol, rg = c["mu"], c["r0"], c["tol"], c["r_grid"]
+    n = 2.0  # a polar run maps to T'' = J^2 T^m
+    theta_rep = analysis.orbit_theta_of_r(mu, r0, rg, tol=tol)
+    time_rep = analysis.time_of_r(mu, r0, rg, tol=tol)
 
     header = ["r", "theta", "tau"]
     columns = [rg, theta_rep.values, time_rep.values]
@@ -685,7 +678,7 @@ def cmd_orbit(c: dict, out: Path, fmt: str, variant: str | None,
         if mu <= -2.0:
             raise ConfigError("compare_simulation needs mu > -2")
         j1 = analysis.j_of_r(float(rg[0]), mu, r0, n, analysis.m_from_mu(mu))
-        seed = analysis.seed_polar_from_particular(mu, r0, j1, n=n)
+        seed = analysis.seed_polar_from_particular(mu, r0, j1)
         t_phys = abs(mu + 2.0) ** (-1.0 / (n + 2.0)) * time_rep.values
         duration = 3.0 * (t_phys[-1] - t_phys[0]) + 1.0
         stop = Event("r-target", lambda t, y: y[0] - rg[-1])
@@ -723,8 +716,7 @@ _SPECIAL = {
 }
 
 
-def cmd_special(c: dict, out: Path, fmt: str, variant: str | None,
-                manifest: dict) -> None:
+def cmd_special(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     lam = c["lambda"]
     if lam == 0.0:
         raise ConfigError("lambda = 0 is excluded (exponents divide by lambda)")
@@ -805,8 +797,6 @@ _RUN = {
     "name": (_run_name, _REQUIRED),
     "command": (_choice(*_SWEEPABLE), _REQUIRED),
     "config": (_typed(dict, "an object"), _REQUIRED),
-    "variant": (_choice("derived", "as_printed"), None),
-    "format": (_choice("csv", "json"), None),
 }
 _SWEEP = {
     "runs": (_list(lambda v, where: _parse(v, _RUN, where), 1), _REQUIRED),
@@ -814,8 +804,7 @@ _SWEEP = {
 }
 
 
-def cmd_sweep(c: dict, out: Path, fmt: str, variant: str | None,
-              manifest: dict) -> int:
+def cmd_sweep(c: dict, out: Path, fmt: str, manifest: dict) -> int:
     """Run each entry in turn, as its own command would run alone."""
     runs = c["runs"]
     names = [run["name"] for run in runs]
@@ -825,8 +814,7 @@ def cmd_sweep(c: dict, out: Path, fmt: str, variant: str | None,
     results = []
     for run in runs:
         run_out = out / run["name"]
-        code = (_dispatch(run["command"], run["config"], run_out,
-                          run["variant"] or variant, run["format"] or fmt)
+        code = (_dispatch(run["command"], run["config"], run_out, fmt)
                 if _make_out(run_out) else 1)
         results.append({"name": run["name"], "command": run["command"],
                          "exit_code": code})
@@ -853,8 +841,7 @@ _NUMERICAL = (IntegrationError, analysis.QuadratureError, analysis.NoRoot,
               ArithmeticError)
 
 
-def _dispatch(command: str, cfg: dict, out: Path, variant: str | None,
-              fmt: str) -> int:
+def _dispatch(command: str, cfg: dict, out: Path, fmt: str) -> int:
     """Run one command and map its outcome to an exit code (module doc).
 
     Each cmd_* fills the manifest; cmd_sweep also returns the largest exit
@@ -866,8 +853,7 @@ def _dispatch(command: str, cfg: dict, out: Path, variant: str | None,
     error = None
     try:
         try:
-            code = run(_parse(cfg, schema, "config"), out, fmt, variant,
-                       manifest) or 0
+            code = run(_parse(cfg, schema, "config"), out, fmt, manifest) or 0
         except _NUMERICAL as exc:
             manifest["error"] = error = str(exc)
             code = 2
@@ -909,9 +895,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="path to a JSON config document")
     parser.add_argument("--out", required=True,
                         help="output directory (created if absent)")
-    parser.add_argument("--variant", choices=["derived", "as_printed"],
-                        default=None,
-                        help="formula variant for commands that support both")
     parser.add_argument("--format", choices=["csv", "json"], default="csv",
                         dest="fmt", help="data file format (default csv)")
     args = parser.parse_args(argv)
@@ -924,7 +907,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     out = Path(args.out)
     if not _make_out(out):
         return 1
-    return _dispatch(args.command, cfg, out, args.variant, args.fmt)
+    return _dispatch(args.command, cfg, out, args.fmt)
 
 
 if __name__ == "__main__":

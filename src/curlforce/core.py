@@ -20,14 +20,11 @@ __all__ = [
     "PolarState",
     "Trajectory",
     "EFSeries",
-    "InvariantReport",
     "polar_states",
     "resample",
     "bisect_root",
     "crossing_times",
     "drift_metric",
-    "fd_second_derivative",
-    "invariant_report",
     "longest_monotone_run",
     "real_power",
 ]
@@ -186,18 +183,6 @@ class EFSeries:
         return int(self.J.size)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """Values of one conserved quantity along a run plus its drift metric."""
-
-    name: str
-    values: np.ndarray
-    drift: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _readonly(self.values))
-
-
 def drift_metric(values: Sequence[float]) -> float:
     """max_k |v_k - v_0| / max(1, |v_0|) over a sampled quantity.
 
@@ -209,11 +194,6 @@ def drift_metric(values: Sequence[float]) -> float:
         raise ValueError("drift metric needs at least one sample")
     v0 = v.flat[0]
     return float(np.max(np.abs(v - v0)) / max(1.0, abs(v0)))
-
-
-def invariant_report(name: str, values: Sequence[float]) -> InvariantReport:
-    vals = np.asarray(values, dtype=float)
-    return InvariantReport(name=name, values=vals, drift=drift_metric(vals))
 
 
 def _hermite(t0, y0, f0, t1, y1, f1, t):
@@ -329,17 +309,6 @@ def _fd2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     h1 = x[1:-1] - x[:-2]
     h2 = x[2:] - x[1:-1]
     return 2.0 * (h2 * y[:-2] - (h1 + h2) * y[1:-1] + h1 * y[2:]) / (h1 * h2 * (h1 + h2))
-
-
-def fd_second_derivative(series: "EFSeries | tuple[Sequence[float], Sequence[float]]") -> np.ndarray:
-    """d2T/dJ2 at the interior points of an EF series.
-
-    Accepts an EFSeries or a bare (J, T) pair of sequences.
-    """
-    if isinstance(series, EFSeries):
-        return _fd2(series.J, series.T)
-    x, y = series
-    return _fd2(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def longest_monotone_run(values: Sequence[float]) -> slice:

@@ -96,22 +96,16 @@ class IntegratorSettings:
     h: float = 1e-3
     t_span: tuple[float, float] = (0.0, 1.0)
     max_steps: int = 1_000_000
-    h0: float | None = None
     events: tuple[Event, ...] = ()
 
     def __post_init__(self) -> None:
-        method = self.method.lower()
-        if method in ("rk45", "embedded-rk45"):
-            object.__setattr__(self, "method", "rk45")
-        elif method in ("rk4", "fixed-rk4"):
-            object.__setattr__(self, "method", "rk4")
-        else:
+        if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
         # written as not (x > 0) so that NaN fails each check
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if not (self.h > 0.0 and (self.h0 is None or self.h0 > 0.0)):
-            raise ValueError("step sizes must be positive")
+        if not (self.h > 0.0):
+            raise ValueError("step size h must be positive")
         t0, t1 = self.t_span
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise ValueError("t_span must be finite with t1 > t0")
@@ -245,10 +239,11 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
               settings: IntegratorSettings) -> Trajectory:
     """Integrate dy/dt = rhs(t, y) over settings.t_span.
 
-    Returns a Trajectory whose termination field is one of "completed",
-    "event" and "step-underflow".  Exceeding max_steps raises
-    IntegrationError with the partial trajectory attached, as does a
-    non-finite right-hand side at an accepted point.
+    rk4 steps by settings.h; rk45 starts with a step of a hundredth of the
+    span and adapts it to rel_tol and abs_tol.  Returns a Trajectory whose
+    termination field is one of "completed", "event" and "step-underflow".
+    Exceeding max_steps raises IntegrationError with the partial trajectory
+    attached, as does a non-finite right-hand side at an accepted point.
 
     rhs is any callable rhs(t, y) -> array-like taking an ndarray y.  The
     states here have two to four components, where numpy's per-call cost
@@ -316,8 +311,7 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
         events_log.append((stop_at, stop_name))
         return True
 
-    fixed = settings.method == "rk4"
-    h = settings.h if fixed else min(settings.h0 or span / 100.0, span)
+    h = settings.h if settings.method == "rk4" else span / 100.0
     loop = _loop(settings.method, len(y), bool(events))
     termination, t, n_accept, n_reject, n_evals = loop(
         kernel, on_step, ts, ys, fs, t0, y, f, t1, h, settings.rel_tol,

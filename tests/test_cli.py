@@ -148,8 +148,8 @@ class TestFigure:
             assert curve["theta_final"] < 20.0
 
     def test_variant_flag_and_divergence(self, tmp_path):
-        code, out = _run(tmp_path, "figure", {"which": "fig1"},
-                         "--variant", "as_printed")
+        code, out = _run(tmp_path, "figure",
+                         {"which": "fig1", "variant": "as_printed"})
         assert code == 0
         man = _manifest(out)
         assert man["variant"] == "as_printed"
@@ -479,6 +479,13 @@ class TestBadInputExits1:
         ("sweep", {"max_workers": 2, "runs": [
             {"name": "exp", "command": "special",
              "config": {"lambda": -1.0}}]}),
+        ("orbit", {"mu": 0.0, "r_grid": [1.0, 2.0], "n": 3.0}),
+        ("sweep", {"runs": [{"name": "fig", "command": "figure",
+                             "config": {"which": "fig1"},
+                             "variant": "as_printed"}]}),
+        ("sweep", {"runs": [{"name": "exp", "command": "special",
+                             "config": {"lambda": -1.0}, "format": "json"}]}),
+        ("simulate", _with(_SIM_BASE, integrator__method="RK4")),
     ], ids=["figure-span-text", "figure-span-reversed", "noether-span-text",
             "noether-initial-short", "noether-empty-grid", "simulate-method-7",
             "simulate-negative-r", "special-initial-text", "simulate-h0-zero",
@@ -488,7 +495,8 @@ class TestBadInputExits1:
             "noether-grid-zero-T", "noether-grid-complex-power",
             "noether-grid-overflow", "special-lambda-nan",
             "orbit-grid-num-huge", "special-lambda-int-overflow",
-            "orbit-grid-num-1e7", "sweep-max-workers"])
+            "orbit-grid-num-1e7", "sweep-max-workers", "orbit-n",
+            "sweep-run-variant", "sweep-run-format", "simulate-method-upper"])
     def test_clean_config_error(self, tmp_path, capsys, command, cfg):
         code, _ = _run(tmp_path, command, cfg)
         assert code == 1
@@ -781,3 +789,10 @@ class TestEntryPoint:
     def test_unknown_command_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["transmogrify", "--config", "x", "--out", "y"])
+
+    def test_variant_flag_rejected(self):
+        # the variant is figure.variant in the config, not a flag
+        with pytest.raises(SystemExit) as info:
+            main(["figure", "--config", "x", "--out", "y",
+                  "--variant", "as_printed"])
+        assert info.value.code == 2

@@ -14,8 +14,6 @@ from curlforce.core import (
     bisect_root,
     crossing_times,
     drift_metric,
-    fd_second_derivative,
-    invariant_report,
     longest_monotone_run,
     polar_states,
     real_power,
@@ -238,15 +236,6 @@ class TestFiniteDifferences:
         y = 2.0 + 3.0 * x + 4.0 * x ** 2
         assert np.abs(_fd2(x, y) - 8.0).max() < 1e-12
 
-    def test_accepts_series_and_pair(self):
-        J = np.linspace(1.0, 2.0, 21)
-        T = J ** 3
-        series = EFSeries(J=J, T=T, Tprime=3 * J ** 2, mu=0.0)
-        a = fd_second_derivative(series)
-        b = fd_second_derivative((J, T))
-        assert np.allclose(a, b)
-        assert np.abs(a - 6.0 * J[1:-1]).max() < 1e-9
-
     def test_needs_monotone_grid(self):
         with pytest.raises(DomainError):
             _fd2(np.array([0.0, 1.0, 0.5]), np.zeros(3))
@@ -266,14 +255,6 @@ class TestDriftMetric:
         w = np.array([1e-8, 1e-8 + 1e-10])
         # small baselines fall back to an absolute scale of one
         assert drift_metric(w) == pytest.approx(1e-10)
-
-    def test_invariant_report(self):
-        v = np.array([2.0, 2.0, 2.0 + 4e-9])
-        rep = invariant_report("demo", v)
-        assert rep.name == "demo"
-        assert rep.drift == pytest.approx(2e-9)
-        with pytest.raises(ValueError):
-            rep.values[0] = 0.0
 
 
 class TestLongestMonotoneRun:
