@@ -558,8 +558,8 @@ def drag_map_residual(traj: Trajectory, mu: float,
     else:
         lam, sigma, rho = drag_exponents(mu, nu)
     r, rdot, j_raw = _polar_columns(traj, mu, "drag_map_residual")
-    t_raw = r ** (mu + 2.0) / (mu + 2.0)
     w = r ** (mu + 2.0)
+    t_raw = w / (mu + 2.0)
 
     j_raw, t_raw, rdot, w = _monotone_run(
         "drag map: J not strictly increasing", True, j_raw, t_raw, rdot, w)
@@ -739,12 +739,14 @@ def _simpson_rec(f, a: float, fa: float, m: float, fm: float, b: float,
 
 
 def _simpson_panel(f, a: float, b: float, tol_density: float,
-                   state: _QuadState) -> float:
-    fa = _probe(f, a)
-    fb = _probe(f, b)
+                   state: _QuadState, fa: float | None = None,
+                   fb: float | None = None) -> float:
+    # fa, fb: f(a), f(b) when the caller has probed them, else None
+    state.evals += 1 + (fa is None) + (fb is None)
+    fa = _probe(f, a) if fa is None else fa
+    fb = _probe(f, b) if fb is None else fb
     m = 0.5 * (a + b)
     fm = _probe(f, m)
-    state.evals += 3
     if fa is None or fb is None or fm is None:
         raise QuadratureError(f"integrand not finite inside [{a}, {b}]")
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -792,7 +794,7 @@ def quad_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult
         strip = _simpson_panel(f, b - eps, b - 0.25 * eps, tol_density, state)
         tail += 2.0 * strip
         state.err += abs(strip)
-    value = _simpson_panel(f, lo, hi, tol_density, state) + tail
+    value = _simpson_panel(f, lo, hi, tol_density, state, fa, fb) + tail
     if state.evals >= _QUAD_MAX_EVALS:
         raise QuadratureError(
             f"stopped after {state.evals} integrand evaluations (budget "

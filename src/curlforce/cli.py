@@ -219,7 +219,8 @@ def _state(value: Any, where: str) -> np.ndarray:
 
 
 # integrator keys a config may set; an absent key takes IntegratorSettings'
-# default, and an absent t_span the command's default span
+# default, and an absent t_span the command's default span.  rel_tol and
+# abs_tol belong to rk45 and h to rk4; IntegratorSettings refuses the others
 _INTEGRATOR = {
     "method": (_choice("rk45", "rk4"), None),
     "rel_tol": (_num, None),
@@ -366,7 +367,6 @@ _FIGURE = {
     "I_values": (_nums(1), None),
     "initial_conditions": (_list(_nums(2, 2), 1), None),
     "theta_span": (_span, [0.0, 20.0]),
-    "literal_caption": (_bool, False),
     "variant": (_choice("derived", "as_printed"), "derived"),
 }
 _FIG_DEFAULT_I = {
@@ -380,10 +380,6 @@ _FIG3_ICS = [[0.1, 0.1], [-0.1, 0.1], [0.1, -0.1]]
 def _figure_curves(c: dict) -> list[tuple[str, float, tuple[float, float]]]:
     which = c["which"]
     i_values = c["I_values"] or _FIG_DEFAULT_I[which]
-    if which == "fig2" and c["literal_caption"]:
-        # the caption lists +1.1 alongside values below -1; the sign-typo
-        # reading is the default, this option reproduces the literal text
-        i_values = [1.1, -1.2, -2.0]
     ics = c["initial_conditions"] or (_FIG3_ICS if which == "fig3"
                                       else [[0.1, 0.1]])
     curves = []
@@ -635,7 +631,7 @@ _ORBIT = {
     "r_grid": (_r_grid, _REQUIRED),
     "tol": (_num, 1e-10),
     "compare_simulation": (_bool, False),
-    "integrator": (_INTEGRATOR, {}),
+    "integrator": (_INTEGRATOR, None),
     "label": (_any, None),
 }
 
@@ -658,6 +654,8 @@ def _ratio_range(rep: analysis.ChainQuadrature) -> dict:
 
 def cmd_orbit(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     mu, r0, tol, rg = c["mu"], c["r0"], c["tol"], c["r_grid"]
+    if c["integrator"] is not None and not c["compare_simulation"]:
+        raise ConfigError("integrator is read only with compare_simulation")
     n = 2.0  # a polar run maps to T'' = J^2 T^m
     theta_rep = analysis.orbit_theta_of_r(mu, r0, rg, tol=tol)
     time_rep = analysis.time_of_r(mu, r0, rg, tol=tol)
@@ -682,7 +680,7 @@ def cmd_orbit(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         t_phys = abs(mu + 2.0) ** (-1.0 / (n + 2.0)) * time_rep.values
         duration = 3.0 * (t_phys[-1] - t_phys[0]) + 1.0
         stop = Event("r-target", lambda t, y: y[0] - rg[-1])
-        settings = _integrator(c["integrator"], (0.0, duration), (stop,))
+        settings = _integrator(c["integrator"] or {}, (0.0, duration), (stop,))
         traj = _run(systems.polar_rhs(systems.IsotropicField(mu)),
                     seed.as_array(), settings, ("event",))
         # the seeded radius and the stopping event may round a hair past
@@ -707,7 +705,7 @@ def cmd_orbit(c: dict, out: Path, fmt: str, manifest: dict) -> None:
 _SPECIAL = {
     "lambda": (_num, _REQUIRED),
     "sigma": (_num, None),
-    "Y0": (_num, 1.0),
+    "Y0": (_num, None),
     "eps": (_num, 0.3),
     "run": ({"initial": (_nums(2, 2), [0.5, 0.0]),
              "J_span": (_span, [1.0, 2.0]),
@@ -720,6 +718,8 @@ def cmd_special(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     lam = c["lambda"]
     if lam == 0.0:
         raise ConfigError("lambda = 0 is excluded (exponents divide by lambda)")
+    if c["Y0"] is not None and lam != -1.0:
+        raise ConfigError("Y0 is read only when lambda = -1")
     sigma = c["sigma"] if c["sigma"] is not None else 1.0 + 4.0 * lam
     eps = c["eps"]
     run = c["run"]
@@ -730,7 +730,7 @@ def cmd_special(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     manifest["sigma_matches_scaling_family"] = (sigma == 1.0 + 4.0 * lam)
 
     if lam == -1.0:
-        y0 = c["Y0"]
+        y0 = 1.0 if c["Y0"] is None else c["Y0"]
         z = np.linspace(0.0, 2.0, 101)
         y = y0 * np.exp(-z)
         resid = systems.third_order_residual(y, -y, y, -y, lam, sigma)

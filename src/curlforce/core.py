@@ -113,7 +113,8 @@ class Trajectory:
         depending on the system integrated).
     y : (n, d) state at each sample.
     dy : (n, d) right-hand side at each sample.
-    termination : "completed" | "event" | "step-underflow".
+    termination : "completed" | "event" | "step-underflow", or "aborted"
+        on the partial trajectory an IntegrationError carries.
     events : tuple of (t_event, name) pairs, in time order.
     meta : read-only mapping with settings echo and step statistics.
     """

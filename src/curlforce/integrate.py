@@ -88,24 +88,35 @@ class Event:
     fn: Callable[[float, list[float]], float]
 
 
+# method -> the step settings it reads, with their defaults.  A setting
+# left None takes its default; one the method does not read is refused.
+_READS = {"rk45": {"rel_tol": 1e-10, "abs_tol": 1e-12}, "rk4": {"h": 1e-3}}
+
+
 @dataclass(frozen=True)
 class IntegratorSettings:
     method: str = "rk45"
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    h: float = 1e-3
+    rel_tol: float | None = None
+    abs_tol: float | None = None
+    h: float | None = None
     t_span: tuple[float, float] = (0.0, 1.0)
     max_steps: int = 1_000_000
     events: tuple[Event, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk45", "rk4"):
+        reads = _READS.get(self.method)
+        if reads is None:
             raise ValueError(f"unknown method {self.method!r}")
-        # written as not (x > 0) so that NaN fails each check
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if not (self.h > 0.0):
-            raise ValueError("step size h must be positive")
+        for name in ("rel_tol", "abs_tol", "h"):
+            value = getattr(self, name)
+            if name in reads:
+                value = reads[name] if value is None else value
+                # written as not (x > 0) so that NaN fails each check
+                if not (value > 0.0):
+                    raise ValueError(f"{name} must be positive")
+                object.__setattr__(self, name, value)
+            elif value is not None:
+                raise ValueError(f"{self.method} does not read {name}")
         t0, t1 = self.t_span
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise ValueError("t_span must be finite with t1 > t0")
@@ -323,8 +334,9 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
         t=np.array(ts), y=np.array(ys), dy=np.array(fs),
         termination="aborted" if failure else termination,
         events=tuple(events_log),
-        meta={"method": settings.method, "rel_tol": settings.rel_tol,
-              "abs_tol": settings.abs_tol, "t_span": (t0, t1),
+        meta={"method": settings.method,
+              **{k: getattr(settings, k) for k in _READS[settings.method]},
+              "t_span": (t0, t1),
               "accepted": n_accept, "rejected": n_reject,
               "rhs_evals": 1 + n_evals + event_evals})
     if failure:

@@ -159,8 +159,9 @@ class TestFigure:
         assert max(deltas) > 1e-3
 
     def test_literal_caption_signs(self, tmp_path):
+        # the caption's literal signs, +1.1 among values below -1
         code, out = _run(tmp_path, "figure",
-                         {"which": "fig2", "literal_caption": True})
+                         {"which": "fig2", "I_values": [1.1, -1.2, -2.0]})
         assert code == 0
         man = _manifest(out)
         assert [c["I"] for c in man["curves"]] == [1.1, -1.2, -2.0]
@@ -486,6 +487,16 @@ class TestBadInputExits1:
         ("sweep", {"runs": [{"name": "exp", "command": "special",
                              "config": {"lambda": -1.0}, "format": "json"}]}),
         ("simulate", _with(_SIM_BASE, integrator__method="RK4")),
+        # a setting is refused where nothing would read it
+        ("simulate", _with(_SIM_BASE, integrator__h=1e-3)),
+        ("map-ef", {**_MAP_EF_BASE,
+                    "integrator": {"method": "rk4", "rel_tol": 1e-10}}),
+        ("map-ef", {**_MAP_EF_BASE,
+                    "integrator": {"method": "rk4", "abs_tol": 1e-12}}),
+        ("figure", {"which": "fig2", "literal_caption": True}),
+        ("orbit", {"mu": 0.0, "r_grid": [1.0, 2.0],
+                   "integrator": {"rel_tol": -1}}),
+        ("special", {"lambda": 1.0, "Y0": 2.0}),
     ], ids=["figure-span-text", "figure-span-reversed", "noether-span-text",
             "noether-initial-short", "noether-empty-grid", "simulate-method-7",
             "simulate-negative-r", "special-initial-text", "simulate-h0-zero",
@@ -496,7 +507,10 @@ class TestBadInputExits1:
             "noether-grid-overflow", "special-lambda-nan",
             "orbit-grid-num-huge", "special-lambda-int-overflow",
             "orbit-grid-num-1e7", "sweep-max-workers", "orbit-n",
-            "sweep-run-variant", "sweep-run-format", "simulate-method-upper"])
+            "sweep-run-variant", "sweep-run-format", "simulate-method-upper",
+            "simulate-rk45-h", "map-ef-rk4-rel-tol", "map-ef-rk4-abs-tol",
+            "figure-literal-caption", "orbit-integrator-without-compare",
+            "special-Y0-lambda-not-minus-1"])
     def test_clean_config_error(self, tmp_path, capsys, command, cfg):
         code, _ = _run(tmp_path, command, cfg)
         assert code == 1
