@@ -654,7 +654,10 @@ def _ratio_range(rep: analysis.ChainQuadrature) -> dict:
 
 def cmd_orbit(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     mu, r0, tol, rg = c["mu"], c["r0"], c["tol"], c["r_grid"]
-    if c["integrator"] is not None and not c["compare_simulation"]:
+    if c["compare_simulation"]:
+        if mu <= -2.0:
+            raise ConfigError("compare_simulation needs mu > -2")
+    elif c["integrator"] is not None:
         raise ConfigError("integrator is read only with compare_simulation")
     n = 2.0  # a polar run maps to T'' = J^2 T^m
     theta_rep = analysis.orbit_theta_of_r(mu, r0, rg, tol=tol)
@@ -673,8 +676,6 @@ def cmd_orbit(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         k: _ratio_range(rep) for k, rep in reps.items()}
 
     if c["compare_simulation"]:
-        if mu <= -2.0:
-            raise ConfigError("compare_simulation needs mu > -2")
         j1 = analysis.j_of_r(float(rg[0]), mu, r0, n, analysis.m_from_mu(mu))
         seed = analysis.seed_polar_from_particular(mu, r0, j1)
         t_phys = abs(mu + 2.0) ** (-1.0 / (n + 2.0)) * time_rep.values

@@ -7,16 +7,20 @@ cubic Hermite interpolation (core.resample) works on every step and event
 roots can be located by bisection on that interpolant.
 
 The step loop is Python source generated from the tableau (_A, _C, _E)
-for each method, state size and whether events exist, the first time a
-run needs it, and then cached.  State, slope and stage components are
-scalar locals (y0, y1, ...), zero tableau terms are dropped and constants
-are written with repr, so they round-trip exactly.  Every component keeps
-the operations, in order, of elementwise array arithmetic on the whole
-state: stage sums add their terms in index order, as do RK4's
+for each method, state size, whether events exist and right-hand-side
+formula, the first time a run needs it, and then cached.  The formula's
+text is pasted at every stage and its constants are bound at each run, so
+a stage calls nothing.  State, slope and stage components are scalar
+locals (y0, y1, ...), zero tableau terms are dropped and constants are
+written with repr, so they round-trip exactly.  Every component keeps the
+operations, in order, of elementwise array arithmetic on the whole state:
+stage sums add their terms in index order, as do RK4's
 h6 * (f + 2 k2 + 2 k3 + k4) and the error norm.  To read a loop:
 
     from curlforce.integrate import _loop
-    print(_loop("rk45", 2, False).source)
+    from curlforce.systems import IsotropicField, polar_rhs
+    rhs = polar_rhs(IsotropicField(-1.5))
+    print(_loop("rk4", 4, False, rhs.formula).source)
 
 The stepper is deliberately free of platform-dependent branches: repeated
 runs with identical inputs produce bit-identical trajectories.
@@ -31,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Trajectory, _hermite, bisect_root
+from .core import Trajectory, _hermite, bisect_root, real_power
 
 __all__ = [
     "Event",
@@ -133,13 +137,18 @@ def _dense(t0: float, y0: list, f0: list, t1: float, y1: list, f1: list,
             for a, b, c, d in zip(y0, f0, y1, f1)]
 
 
-def _loop_source(method: str, dim: int, events: bool) -> str:
-    """Python source of the step loop for one method and state size.
+def _loop_source(method: str, dim: int, events: bool, stage=None) -> str:
+    """Python source of the step loop for one method, state size and stage.
 
-    loop(kernel, on_step, ts, ys, fs, t, y, f, t1, h, rel_tol, abs_tol,
-    max_steps, h_min) steps from the node (t, y, f), appends each accepted
-    node to ts, ys and fs, and returns (termination, t, accepted, rejected,
-    kernel calls); "max-steps" and "not-finite" are failures at that t.
+    stage is (args, body, free): body is the text of one right-hand-side
+    evaluation.  It reads the stage time args[0] (none if empty) and state
+    args[1:], and assigns the slopes {0}..{dim-1}; the loop pastes it at
+    every stage.  free names the constants the body reads, bound by
+    make(*free), which returns loop(on_step, ts, ys, fs, t, y, f, t1, h,
+    rel_tol, abs_tol, max_steps, h_min).  None is a body calling kernel.
+    The loop steps from the node (t, y, f), appends each accepted node to
+    ts, ys and fs, and returns (termination, t, accepted, rejected, stage
+    evaluations); "max-steps" and "not-finite" are failures at that t.
     With events, on_step(t_new, y_new, f_new) runs on each accepted step
     and returns True to end the run there.
     """
@@ -148,22 +157,30 @@ def _loop_source(method: str, dim: int, events: bool) -> str:
     def vec(fmt: str) -> str:
         return ", ".join(fmt.format(c) for c in comps)
 
-    def total(c: int, terms: list) -> str:
-        # y_c plus each (coefficient, slope) term, in index order
-        return " + ".join([f"y{c}"] + [f"{b} * {k}{c}" for b, k in terms])
+    args, text, free = stage or (
+        ("t_", *(f"s{c}" for c in comps)),
+        f"[{', '.join(f'{{{c}}}' for c in comps)}] = kernel(t_, [{vec('s{}')}])",
+        ("kernel",))
 
-    def stage(slope: str, time: str, terms: list) -> list:
-        state = ",\n    ".join(total(c, terms) for c in comps)
-        return ["n_evals += 1",
-                f"[{vec(slope + '{}')}] = kernel({time}, [\n    {state}])"]
+    def totals(terms: list) -> list:
+        # y_c plus each (coefficient, slope) term, in index order
+        return [" + ".join([f"y{c}"] + [f"{b} * {k}{c}" for b, k in terms])
+                for c in comps]
+
+    def stage(slope: str, time: str, state: list) -> list:
+        # the body evaluated at time and state, one expression a component
+        lines = ["n_evals += 1"] + ([f"{args[0]} = {time}"] if args[0] else [])
+        lines += [f"{a} = {x}" for a, x in zip(args[1:], state)]
+        return lines + text.format(*(f"{slope}{c}" for c in comps)).splitlines()
 
     def check(*slopes: str) -> str:
         return " and ".join(f"isfinite({k}{c})" for k in slopes for c in comps)
 
     def finish(time: str) -> list:
         # z is the new state and g its slope, the next step's f
-        return [f"y_new = [{vec('z{}')}]", "n_evals += 1",
-                f"[{vec('g{}')}] = f_new = kernel({time}, y_new)"]
+        return [f"y_new = [{vec('z{}')}]",
+                *stage("g", time, [f"z{c}" for c in comps]),
+                f"f_new = [{vec('g{}')}]"]
 
     done = "n_accept, n_reject, n_evals"
     reject = ["    n_reject += 1", "    h = 0.5 * h_use", "    continue"]
@@ -179,9 +196,9 @@ def _loop_source(method: str, dim: int, events: bool) -> str:
              "else:", "    h_use = h", "    t_new = t + h_use"]
     if rk4:
         body += ["hh = 0.5 * h_use",
-                 *stage("k2_", "t + 0.5 * h_use", [("hh", "f")]),
-                 *stage("k3_", "t + 0.5 * h_use", [("hh", "k2_")]),
-                 *stage("k4_", "t_new", [("h_use", "k3_")]),
+                 *stage("k2_", "t + 0.5 * h_use", totals([("hh", "f")])),
+                 *stage("k3_", "t + 0.5 * h_use", totals([("hh", "k2_")])),
+                 *stage("k4_", "t_new", totals([("h_use", "k3_")])),
                  "h6 = h_use / 6.0"]
         body += [f"z{c} = y{c} + h6 * (f{c} + 2.0 * k2_{c} + 2.0 * k3_{c}"
                  f" + k4_{c})" for c in comps]
@@ -195,9 +212,9 @@ def _loop_source(method: str, dim: int, events: bool) -> str:
             body += [f"b{j + 1} = h_use * {a!r}" for j, a in enumerate(_A[i]) if a]
             time = f"t + {_C[i]!r} * h_use"
             if i < 6:
-                body += stage(slopes[i], time, terms)
+                body += stage(slopes[i], time, totals(terms))
             else:
-                body += [f"z{c} = {total(c, terms)}" for c in comps]
+                body += [f"z{c} = {x}" for c, x in enumerate(totals(terms))]
                 body += finish(time)
             body += [f"if not ({check(slopes[i])}):", *reject]
         # RMS of the scaled error; u >= w is False when w is nan, so nan
@@ -224,25 +241,33 @@ def _loop_source(method: str, dim: int, events: bool) -> str:
              f"{vec('f{}')} = {vec('g{}')}",
              "ts.append(t)", "ys.append(y_new)", "fs.append(f_new)"]
     return (
-        "def loop(kernel, on_step, ts, ys, fs, t, y, f, t1, h, rel_tol,\n"
-        "         abs_tol, max_steps, h_min):\n"
-        f"    [{vec('y{}')}] = y\n    [{vec('f{}')}] = f\n"
-        "    n_accept = n_reject = n_evals = attempts = 0\n"
-        "    err_prev = 1e-4\n    while t < t1:\n        "
-        + "\n".join(body).replace("\n", "\n        ")
-        + f"\n    return 'completed', t, {done}\n")
+        f"def make({', '.join(free)}):\n"
+        "    def loop(on_step, ts, ys, fs, t, y, f, t1, h, rel_tol, abs_tol,\n"
+        "             max_steps, h_min):\n"
+        f"        [{vec('y{}')}] = y\n        [{vec('f{}')}] = f\n"
+        "        n_accept = n_reject = n_evals = attempts = 0\n"
+        "        err_prev = 1e-4\n        while t < t1:\n            "
+        + "\n".join(body).replace("\n", "\n            ")
+        + f"\n        return 'completed', t, {done}\n    return loop\n")
 
 
 @functools.cache
-def _loop(method: str, dim: int, events: bool):
-    """The compiled step loop for one key; its text is loop.source."""
-    source = _loop_source(method, dim, events)
-    name = f"<{method} loop, {dim} components{', events' if events else ''}>"
-    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt}
+def _compile(source: str, name: str):
+    """The function make that source defines, compiled once per text."""
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan,
+                 "inf": math.inf, "cos": math.cos, "sin": math.sin,
+                 "real_power": real_power}
     exec(compile(source, name, "exec"), namespace)
-    loop = namespace["loop"]
-    loop.source = source
-    return loop
+    make = namespace["make"]
+    make.source = source
+    return make
+
+
+@functools.cache
+def _loop(method: str, dim: int, events: bool, stage=None):
+    """make(*free) -> the step loop of one key; its text is make.source."""
+    name = f"<{method} loop, {dim} components{', events' if events else ''}>"
+    return _compile(_loop_source(method, dim, events, stage), name)
 
 
 def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
@@ -262,11 +287,14 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     may expose the same formula as a float kernel, an attribute
     rhs.kernel(t, y) that takes a float and a list of floats and returns a
     new list of floats; the step loop then calls the kernel and builds no
-    ndarray per stage.  The systems.*_rhs builders all do.  Any other
-    callable gets an ndarray of the stage state.  rhs itself is called once
-    at the initial state to check its shape and finiteness; a kernel whose
-    output changes length later raises ValueError.  Event functions receive
-    the state as a list of floats, as kernels do.
+    ndarray per stage.  An rhs with a kernel may also expose its text,
+    rhs.formula = (args, body, free) as in _loop_source, and the values of
+    the free names, rhs.constants; the loop then pastes the body at every
+    stage and calls nothing.  The systems.*_rhs builders expose all three.
+    Any other callable gets an ndarray of the stage state.  rhs itself is
+    called once at the initial state to check its shape and finiteness; a
+    kernel whose output changes length later raises ValueError.  Event
+    functions receive the state as a list of floats, as kernels do.
     """
     t0, t1 = settings.t_span
     span = t1 - t0
@@ -323,9 +351,11 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
         return True
 
     h = settings.h if settings.method == "rk4" else span / 100.0
-    loop = _loop(settings.method, len(y), bool(events))
+    formula = getattr(rhs, "formula", None)
+    constants = rhs.constants if formula else (kernel,)
+    loop = _loop(settings.method, len(y), bool(events), formula)(*constants)
     termination, t, n_accept, n_reject, n_evals = loop(
-        kernel, on_step, ts, ys, fs, t0, y, f, t1, h, settings.rel_tol,
+        on_step, ts, ys, fs, t0, y, f, t1, h, settings.rel_tol,
         settings.abs_tol, settings.max_steps, _UNDERFLOW * span)
     failure = {"max-steps": f"max_steps={settings.max_steps} exceeded at t={t}",
                "not-finite": f"right-hand side not finite near t={t}",

@@ -4,19 +4,21 @@ Position-only families (Ermakov, Gorringe-Leach, isotropic azimuthal) and
 one velocity-dependent extension (isotropic azimuthal plus radial drag).
 Every family exposes analytic force components and the analytic curl
 (1/r)[d(r F_theta)/dr - dF_r/dtheta]; curl_fd is the finite-difference
-oracle for the same expression.  Each family writes both once, as _force
-and _curl, which assume r > 0: the public force and curl check r first, and
-polar_rhs, which tests r itself, calls _force.  AngleFunction dispatches its
-family once per derivative order, when it is built; the kernels, the h2
-event and the angular fields' _force and _curl call those float formulas
+oracle for the same expression.  Each family writes both once, its force
+as text (_FORCE) and its curl as _curl, which assume r > 0: the public
+force and curl check r first, and polar_rhs, which tests r itself, pastes
+the force text into its own.  AngleFunction dispatches its family once per
+derivative order, when it is built; the right-hand sides, the h2 event and
+the angular fields' force and curl call those float formulas
 (AngleFunction._scalar) directly, and __call__ serves public callers.
 The float formulas call math.cos and math.sin, which raise ValueError at
-+-inf: the kernels turn that into a rejected stage (NaN), and __call__,
-force and curl into nan, as numpy gives for arrays.
++-inf: the right-hand sides turn that into a rejected stage (NaN), and
+__call__, force and curl into nan, as numpy gives for arrays.
 
 The *_rhs builders return closures suitable for integrate.integrate: each
-formula is written once, as a kernel on Python floats that integrate calls
-directly, and the closure rhs(t, y) -> ndarray wraps it for everyone else.
+formula is written once, as text on Python floats.  integrate pastes it
+into its step loop, the same text compiled is the float kernel rhs.kernel,
+and the closure rhs(t, y) -> ndarray wraps that for everyone else.
 State conventions:
 
     polar_rhs        y = (r, theta, rdot, thetadot), independent t
@@ -34,13 +36,14 @@ stopping is the job of the event guards at the bottom of this module.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import DomainError, _rpow, real_power
-from .integrate import Event
+from .integrate import Event, _compile
 
 __all__ = [
     "AngleFunction",
@@ -181,20 +184,53 @@ def _require_positive_r(r: float) -> None:
         raise DomainError(f"radius must be positive, got {r}")
 
 
+def _indent(text: str, n: int) -> str:
+    return "".join(" " * n + line + "\n" for line in text.splitlines())
+
+
+def _bind(params: str, body: str, result: str, constants: dict):
+    """def f(params): body; return result, with the constants bound.
+
+    The text is compiled once (integrate._compile); binding is a call.
+    """
+    return _compile(f"def make({', '.join(constants)}):\n"
+                    f"    def f({params}):\n" + _indent(body, 8)
+                    + f"        return {result}\n    return f\n",
+                    "<formula>")(*constants.values())
+
+
+def _power(name: str, p: str) -> str:
+    """Text setting name to real_power(r, p) where r > 0: r ** p, inf on
+    overflow (for r > 0, r ** p has math.pow's bits)."""
+    return f"try:\n    {name} = r ** {p}\nexcept OverflowError:\n    {name} = inf\n"
+
+
 class _Field:
     """Public force and curl: the r > 0 check, then the family's formula.
 
-    theta goes to the formula as float(theta), so an int or numpy-scalar
-    angle gets the bits AngleFunction.__call__ gives it.  An angle function
-    evaluated at an infinite angle makes the result nan, as in __call__.
+    Each family writes its force once, as _FORCE: text that reads r > 0,
+    theta, rdot and the names _constants() binds, and sets f_r and f_t.
+    _force is that text compiled; polar_rhs pastes it into its own.  r and
+    theta go to the formula as floats, so an int or numpy-scalar angle gets
+    the bits AngleFunction.__call__ gives it.  An angle function evaluated
+    at an infinite angle makes the result nan, as in __call__.
     """
 
     def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
         _require_positive_r(r)
         try:
-            return self._force(r, float(theta), rdot)
+            return self._force(float(r), float(theta), rdot)
         except ValueError:   # math.cos or math.sin at +-inf
             return (math.nan, math.nan)
+
+    @functools.cached_property
+    def _force(self):
+        return _bind("r, theta, rdot", self._FORCE, "(f_r, f_t)",
+                     self._constants())
+
+    def __reduce__(self):
+        # rebuilt from the fields: the compiled _force does not pickle
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     def curl(self, r: float, theta: float) -> float:
         _require_positive_r(r)
@@ -212,10 +248,12 @@ class ErmakovField(_Field):
     U: AngleFunction = AngleFunction.zero()
     V: AngleFunction = AngleFunction.zero()
 
-    def _force(self, r, theta, rdot):
-        r3 = real_power(r, 3.0)
-        return (-real_power(self.w, 2.0) * r + self.U._scalar[0](theta) / r3,
-                -self.V._scalar[1](theta) / r3)
+    _FORCE = _power("r3", "3.0") + (
+        "f_r = -w2 * r + U0(theta) / r3\nf_t = -V1(theta) / r3\n")
+
+    def _constants(self):
+        return {"w2": real_power(self.w, 2.0), "U0": self.U._scalar[0],
+                "V1": self.V._scalar[1]}
 
     def _curl(self, r, theta):
         return ((2.0 * self.V._scalar[1](theta) - self.U._scalar[1](theta))
@@ -233,12 +271,13 @@ class GorringeLeachField(_Field):
     U: AngleFunction = AngleFunction.zero()
     V: AngleFunction = AngleFunction.zero()
 
-    def _force(self, r, theta, rdot):
+    _FORCE = _power("r32", "1.5") + _power("r2", "2.0") + (
+        "f_r = -((U2(theta) + U0(theta)) / r2 + 2.0 * V1(theta) / r32)\n"
+        "f_t = -V0(theta) / r32\n")
+
+    def _constants(self):
         U, V = self.U._scalar, self.V._scalar
-        r32 = real_power(r, 1.5)
-        f_r = -((U[2](theta) + U[0](theta)) / real_power(r, 2.0)
-                + 2.0 * V[1](theta) / r32)
-        return (f_r, -V[0](theta) / r32)
+        return {"U0": U[0], "U2": U[2], "V0": V[0], "V1": V[1]}
 
     def _curl(self, r, theta):
         U, V = self.U._scalar, self.V._scalar
@@ -258,8 +297,10 @@ class IsotropicField(_Field):
             raise ValueError("mu = -2 is excluded: the torque map divides by mu + 2")
         object.__setattr__(self, "mu", float(self.mu))
 
-    def _force(self, r, theta, rdot):
-        return (0.0, real_power(r, self.mu))
+    _FORCE = "f_r = 0.0\n" + _power("f_t", "mu")
+
+    def _constants(self):
+        return {"mu": self.mu}
 
     def _curl(self, r, theta):
         return (self.mu + 1.0) * real_power(r, self.mu - 1.0)
@@ -279,8 +320,10 @@ class IsotropicDragField(IsotropicField):
         super().__post_init__()
         object.__setattr__(self, "nu", float(self.nu))
 
-    def _force(self, r, theta, rdot):
-        return (real_power(r, self.nu) * rdot, real_power(r, self.mu))
+    _FORCE = _power("r_nu", "nu") + "f_r = r_nu * rdot\n" + _power("f_t", "mu")
+
+    def _constants(self):
+        return {"mu": self.mu, "nu": self.nu}
 
 
 ForceField = ErmakovField | GorringeLeachField | IsotropicField | IsotropicDragField
@@ -304,19 +347,27 @@ def curl_fd(field: ForceField, r: float, theta: float, h: float = 1e-4) -> float
     return (d_rft - d_fr) / r
 
 
-def _rhs(kernel):
-    """The public rhs(t, y) -> ndarray around a float kernel.
+def _rhs(args: tuple, body: str, **constants):
+    """The public rhs(t, y) -> ndarray of a formula written once, as text.
 
-    kernel(t, y) takes a float and a list of floats and returns a new list
-    of floats.  integrate.integrate calls it directly (as rhs.kernel), so
-    its step loop builds no ndarray; everyone else calls the returned
-    function with an ndarray or any sequence of numbers.
+    body reads the time args[0] (none if empty), the state args[1:] and
+    the constants, and sets the slopes {0}, {1}, ...  integrate.integrate
+    pastes it into its step loop (rhs.formula, rhs.constants).  The same
+    text compiled is rhs.kernel(t, y), which takes a float and a list of
+    floats and returns a new list of floats; everyone else calls rhs with
+    an ndarray or any sequence of numbers.
     """
+    outs = [f"d{c}" for c in range(len(args) - 1)]
+    kernel = _bind(f"{args[0] or '_'}, y",
+                   f"[{', '.join(args[1:])}] = y\n" + body.format(*outs),
+                   f"[{', '.join(outs)}]", constants)
 
     def rhs(t, y):
         return np.array(kernel(float(t), [float(v) for v in y]))
 
     rhs.kernel = kernel
+    rhs.formula = (args, body, tuple(constants))
+    rhs.constants = tuple(constants.values())
     return rhs
 
 
@@ -324,27 +375,23 @@ def polar_rhs(field: ForceField):
     """Planar Newtonian motion: y = (r, theta, rdot, thetadot).
 
     rddot = r*thetadot^2 + F_r, thetaddot = (F_theta - 2*rdot*thetadot)/r.
+    A power of r in the field's formula that underflows to 0.0, or an
+    angle function met at theta = +-inf (math.cos raises there), makes the
+    stage nan.
     """
-    force = field._force
-
-    def kernel(t, y):
-        r, theta, rdot, thetadot = y
-        if not (r > 0.0):
-            return [math.nan] * 4
-        try:
-            f_r, f_t = force(r, theta, rdot)
-        except (ZeroDivisionError, ValueError):
-            # a power of r in the field's formula underflowed to 0.0, or an
-            # angle function met theta = +-inf (math.cos raises there)
-            return [math.nan] * 4
-        return [
-            rdot,
-            thetadot,
-            r * thetadot * thetadot + f_r,
-            (f_t - 2.0 * rdot * thetadot) / r,
-        ]
-
-    return _rhs(kernel)
+    return _rhs(("", "r", "theta", "rdot", "thetadot"),
+                "if not (r > 0.0):\n"
+                "    {0} = {1} = {2} = {3} = nan\n"
+                "else:\n"
+                "    try:\n" + _indent(field._FORCE, 8)
+                + "    except (ZeroDivisionError, ValueError):\n"
+                "        {0} = {1} = {2} = {3} = nan\n"
+                "    else:\n"
+                "        {0} = rdot\n"
+                "        {1} = thetadot\n"
+                "        {2} = r * thetadot * thetadot + f_r\n"
+                "        {3} = (f_t - 2.0 * rdot * thetadot) / r",
+                **field._constants())
 
 
 def _variant_factor(variant: str) -> float:
@@ -365,25 +412,21 @@ def psi_reduced_rhs(I: float, U: AngleFunction, V: AngleFunction,
     The two differ only in the damping coefficient; the equivalence tests
     against the direct polar simulation adjudicate between them.
     """
-    factor = _variant_factor(variant)
-    V0, V1, U0 = V._scalar[0], V._scalar[1], U._scalar[0]
-
-    def kernel(theta, y):
-        psi, dpsi = y
-        try:
-            h2 = 2.0 * (I - V0(theta))
-            if h2 == 0.0:
-                return [math.nan] * 2
-            h2p = -2.0 * V1(theta)
-            return [
-                dpsi,
-                -(factor * h2p / h2) * dpsi - (1.0 + U0(theta) / h2) * psi,
-            ]
-        except ValueError:
-            # k * theta overflowed to +-inf, where math.cos raises
-            return [math.nan] * 2
-
-    return _rhs(kernel)
+    # a ValueError is k * theta overflowed to +-inf, where math.cos raises
+    return _rhs(("theta", "psi", "dpsi"),
+                "try:\n"
+                "    h2 = 2.0 * (I - V0(theta))\n"
+                "    if h2 == 0.0:\n"
+                "        {0} = {1} = nan\n"
+                "    else:\n"
+                "        h2p = -2.0 * V1(theta)\n"
+                "        {0} = dpsi\n"
+                "        {1} = -(factor * h2p / h2) * dpsi"
+                " - (1.0 + U0(theta) / h2) * psi\n"
+                "except ValueError:\n"
+                "    {0} = {1} = nan",
+                I=I, factor=_variant_factor(variant), V0=V._scalar[0],
+                V1=V._scalar[1], U0=U._scalar[0])
 
 
 def mu_minus3_rhs(I: float, variant: str = "derived"):
@@ -401,36 +444,29 @@ def orbit_polar_rhs(I: float):
 
     r'' = [2 r'^2 - r*r'*sin(theta)/(2*(I - cos(theta))) + r^2] / r
     """
-
-    def kernel(theta, y):
-        r, rp = y
-        denom = I - math.cos(theta)
-        if not (r > 0.0) or denom == 0.0:
-            return [math.nan] * 2
-        a = math.sin(theta) / (2.0 * denom)
-        return [rp, (2.0 * rp * rp - r * rp * a + r * r) / r]
-
-    return _rhs(kernel)
+    return _rhs(("theta", "r", "rp"),
+                "denom = I - cos(theta)\n"
+                "if not (r > 0.0) or denom == 0.0:\n"
+                "    {0} = {1} = nan\n"
+                "else:\n"
+                "    a = sin(theta) / (2.0 * denom)\n"
+                "    {0} = rp\n"
+                "    {1} = (2.0 * rp * rp - r * rp * a + r * r) / r",
+                I=I)
 
 
 def ef_rhs(n: float, m: float):
     """T'' = J^n * T^m with y = (T, T')."""
-
-    def kernel(J, y):
-        t, tp = y
-        return [tp, real_power(J, n) * real_power(t, m)]
-
-    return _rhs(kernel)
+    return _rhs(("J", "T", "Tp"),
+                "{0} = Tp\n{1} = real_power(J, n) * real_power(T, m)", n=n, m=m)
 
 
 def drag_ef_rhs(lam: float, sigma: float):
     """T'' = T^lambda * T' + J^2 * T^sigma with y = (T, T')."""
-
-    def kernel(J, y):
-        t, tp = y
-        return [tp, real_power(t, lam) * tp + J * J * real_power(t, sigma)]
-
-    return _rhs(kernel)
+    return _rhs(("J", "T", "Tp"),
+                "{0} = Tp\n"
+                "{1} = real_power(T, lam) * Tp + J * J * real_power(T, sigma)",
+                lam=lam, sigma=sigma)
 
 
 def geodesic_rhs(lam: float, sigma: float):
@@ -446,32 +482,23 @@ def geodesic_rhs(lam: float, sigma: float):
     T'' = T^lambda T' + J^2 T^sigma, and the sign-free version recovers the
     damping term negated instead.
     """
-
-    def kernel(s, y):
-        t, j, td, jd = y
-        jd2 = jd * jd
-        return [
-            td,
-            jd,
-            j * j * real_power(t, sigma) * jd2,
-            -real_power(t, lam) * jd2,
-        ]
-
-    return _rhs(kernel)
+    return _rhs(("", "T", "J", "Td", "Jd"),
+                "jd2 = Jd * Jd\n{0} = Td\n{1} = Jd\n"
+                "{2} = J * J * real_power(T, sigma) * jd2\n"
+                "{3} = -real_power(T, lam) * jd2",
+                lam=lam, sigma=sigma)
 
 
 def third_order_rhs(lam: float, sigma: float):
     """Y''' = [(Y'' + (Y')^(2+lambda)) Y'' + Y^2 (Y')^(sigma+3)] / Y'."""
-
-    def kernel(z, y):
-        yy, yp, ypp = y
-        if yp == 0.0:
-            return [math.nan] * 3
-        num = (ypp + real_power(yp, 2.0 + lam)) * ypp \
-            + yy * yy * real_power(yp, sigma + 3.0)
-        return [yp, ypp, num / yp]
-
-    return _rhs(kernel)
+    return _rhs(("", "yy", "yp", "ypp"),
+                "if yp == 0.0:\n"
+                "    {0} = {1} = {2} = nan\n"
+                "else:\n"
+                "    num = ((ypp + real_power(yp, p_lam)) * ypp\n"
+                "           + yy * yy * real_power(yp, p_sigma))\n"
+                "    {0} = yp\n    {1} = ypp\n    {2} = num / yp",
+                p_lam=2.0 + lam, p_sigma=sigma + 3.0)
 
 
 def third_order_residual(y, yp, ypp, yppp, lam: float, sigma: float):

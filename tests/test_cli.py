@@ -360,6 +360,24 @@ class TestOrbit:
         code, _ = _run(tmp_path, "orbit", cfg)
         assert code == 1
 
+    @pytest.mark.parametrize("cfg", [
+        {"mu": -2.5, "r0": "inf", "compare_simulation": True},
+        {"mu": 0.0, "integrator": {"rel_tol": 1e-8}},
+    ], ids=["compare-mu", "integrator-without-compare"])
+    def test_config_rules_before_quadrature(self, tmp_path, capsys,
+                                            monkeypatch, cfg):
+        # a config the rules refuse pays for no branch quadrature
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature before the config rules")
+
+        monkeypatch.setattr(curlforce.analysis, "orbit_theta_of_r", refuse)
+        monkeypatch.setattr(curlforce.analysis, "time_of_r", refuse)
+        code, _ = _run(tmp_path, "orbit", {**cfg, "r_grid": [1.0, 2.0]})
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("curlforce orbit: config error:")
+        assert "\n" not in err
+
 
 class TestSpecial:
     def test_exponential_branch(self, tmp_path):

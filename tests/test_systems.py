@@ -1,14 +1,25 @@
 import copy
 import hashlib
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 
+import curlforce
 from curlforce.core import DomainError, real_power
-from curlforce.integrate import IntegratorSettings, integrate
+from curlforce.integrate import (
+    IntegrationError,
+    IntegratorSettings,
+    _compile,
+    _loop,
+    integrate,
+)
 from curlforce.systems import (
     AngleFunction,
     ErmakovField,
@@ -30,6 +41,7 @@ from curlforce.systems import (
     third_order_rhs,
     yprime_floor_event,
 )
+from test_integrate import _trajectory_digest
 
 _THETA = sp.symbols("theta")
 
@@ -681,3 +693,166 @@ class TestAngleFastPath:
                                  via_call(field, r, angle)):
                         assert _bytes([*got[0], got[1]]) == \
                             _bytes([*want[0], want[1]]), (kind, theta)
+
+
+def _call_path(rhs, initial=None):
+    """rhs with only its kernel, so integrate calls it at every stage.
+
+    initial, when given, is the slope the public rhs reports at the
+    initial state: with zero slopes the loop's first stage meets the
+    initial state itself, guard inputs included.
+    """
+
+    def call(t, y):
+        return rhs(t, y) if initial is None else np.array(initial)
+
+    call.kernel = rhs.kernel
+    return call
+
+
+def _fused_path(rhs, initial=None):
+    """_call_path plus the formula, so integrate pastes it into its loop."""
+    fused = _call_path(rhs, initial)
+    fused.formula, fused.constants = rhs.formula, rhs.constants
+    return fused
+
+
+def _outcome(rhs, y0, kwargs):
+    """Digest, meta and error message of one integration."""
+    try:
+        traj, error = integrate(rhs, y0, IntegratorSettings(**kwargs)), None
+    except IntegrationError as exc:
+        traj, error = exc.trajectory, str(exc)
+    return _trajectory_digest(traj), traj.meta, error
+
+
+# The guard inputs of the kernel tests above, met at the loop's first stage:
+# name -> (builder, initial state, initial slope, method, t_span).  rk4
+# steps over the whole span, so its first stage is at the middle, and the
+# stage state is the initial state plus half the span times the slope.
+_ISO = lambda: polar_rhs(IsotropicField(mu=-1.0))  # noqa: E731
+_GUARDS = {
+    "polar-r-zero": (_ISO, [0.0] * 4, [0.0] * 4, "rk45", (0.0, 1.0)),
+    "polar-r-negative": (_ISO, [-0.5, 0.0, 0.0, 0.0], [0.0] * 4, "rk4",
+                         (0.0, 1.0)),
+    **{f"{name}-theta-{sign}inf": (
+        lambda name=name: polar_rhs(_FIELDS[name]), [1.0, 0.0, 0.1, 0.5],
+        [0.0, float(f"{sign}1e308"), 0.0, 0.0], "rk4", (0.0, 4.0))
+       for name in ("ermakov", "gorringe_leach") for sign in "+-"},
+    "psi-h2-zero": (lambda: psi_reduced_rhs(1.0, AngleFunction.zero(),
+                                            AngleFunction.cos()),
+                    [1.0, 0.0], [0.0, 0.0], "rk4", (-0.5, 0.5)),
+    **{f"psi-k-theta-overflow-{which}": (
+        lambda which=which: psi_reduced_rhs(2.0, *(
+            (AngleFunction.cos(0.5, 1e300), AngleFunction.constant(0.1))
+            if which == "U" else
+            (AngleFunction.zero(), AngleFunction.cos(0.5, 1e300)))),
+        [1.0, 0.0], [0.0, 0.0], "rk4", (1e10 - 0.5, 1e10 + 0.5))
+       for which in "UV"},
+    "orbit-polar-denom-zero": (lambda: orbit_polar_rhs(1.0), [1.0, 0.2],
+                               [0.0, 0.0], "rk4", (-0.5, 0.5)),
+    "third-order-yprime-zero": (lambda: third_order_rhs(1.0, 5.0),
+                                [1.0, 0.0, 0.5], [0.0] * 3, "rk45",
+                                (0.0, 1.0)),
+}
+
+
+class TestFusedStage:
+    """integrate pastes each builder's formula into its step loop; the
+    same text compiled is rhs.kernel, so both paths give the same bits."""
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_fused_run_matches_call_path(self, name):
+        make, y0, kwargs, _ = _BUILDERS[name]
+        rhs = make()
+        calls = [0]
+
+        def counted(t, y):
+            calls[0] += 1
+            return rhs.kernel(t, y)
+
+        fused = _fused_path(rhs)
+        fused.kernel = counted
+        got = _outcome(fused, y0, kwargs)
+        assert got == _outcome(_call_path(rhs), y0, kwargs)
+        assert got == _outcome(rhs, y0, kwargs)
+        # the fused loop calls no kernel; an event's final sample does
+        traj = integrate(rhs, y0, IntegratorSettings(**kwargs))
+        assert calls[0] == len(traj.events)
+
+    @pytest.mark.parametrize("name", sorted(_GUARDS))
+    def test_fused_stage_rejects_where_call_path_does(self, name):
+        make, y0, slope, method, t_span = _GUARDS[name]
+        rhs = make()
+        kwargs = dict(method=method, t_span=t_span)
+        if method == "rk4":
+            kwargs["h"] = t_span[1] - t_span[0]
+            t = t_span[0] + 0.5 * kwargs["h"]
+            stage = [y + 0.5 * kwargs["h"] * f for y, f in zip(y0, slope)]
+        else:
+            t, stage = t_span[0], y0
+        assert all(map(math.isnan, rhs.kernel(t, stage)))
+        digest, meta, error = _outcome(_fused_path(rhs, slope), y0, kwargs)
+        assert (digest, meta, error) == \
+            _outcome(_call_path(rhs, slope), y0, kwargs)
+        # rk4 fails at its first step; rk45 halves its step to underflow
+        # without accepting one
+        if method == "rk4":
+            assert error == f"right-hand side not finite near t={t_span[1]}"
+        else:
+            assert error is None and meta["accepted"] == 0
+            assert meta["rejected"] > 1
+
+
+def _loop_locals(dim):
+    """Every local name of the step loops of one state size."""
+    return {name for method in ("rk45", "rk4") for events in (False, True)
+            for name in _loop(method, dim, events)(None).__code__.co_varnames}
+
+
+class TestGeneratorHygiene:
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_body_names_disjoint_from_loop_locals(self, name):
+        make, y0, _, _ = _BUILDERS[name]
+        args, body, constants = make().formula
+        outs = [f"out{c}" for c in range(len(y0))]
+        code = compile("def stage():\n" + "".join(
+            f"    {line}\n" for line in body.format(*outs).splitlines()),
+            "<stage>", "exec").co_consts[0]
+        assigned = set(code.co_varnames) - set(outs)
+        for names in (assigned, set(args) - {""}, set(constants)):
+            assert not names & _loop_locals(len(y0)), name
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_fused_loop_calls_no_kernel(self, name):
+        make, y0, _, _ = _BUILDERS[name]
+        formula = make().formula
+        for method in ("rk45", "rk4"):
+            for events in (False, True):
+                source = _loop(method, len(y0), events, formula).source
+                assert "kernel(" not in source
+                last = formula[1].format(*(f"g{c}" for c in range(len(y0))))
+                assert last.splitlines()[-1].strip() in source
+
+    def test_new_constants_reuse_the_compiled_loop(self):
+        settings = IntegratorSettings(method="rk4", h=1e-2, t_span=(0.0, 1.0))
+        integrate(polar_rhs(IsotropicField(mu=-1.5)), [1.0, 0.0, 0.1, 0.6],
+                  settings)
+        loops, texts = _loop.cache_info(), _compile.cache_info()
+        traj = integrate(polar_rhs(IsotropicField(mu=0.25)),
+                         [1.0, 0.0, 0.1, 0.6], settings)
+        assert traj.termination == "completed"
+        assert _loop.cache_info().misses == loops.misses
+        assert _loop.cache_info().hits == loops.hits + 1
+        assert _compile.cache_info().misses == texts.misses
+
+    def test_import_compiles_nothing(self):
+        src = Path(curlforce.__file__).resolve().parents[1]
+        code = ("import curlforce.cli; "
+                "from curlforce.integrate import _compile, _loop; "
+                "print(_loop.cache_info().currsize, "
+                "_compile.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["0", "0"]
