@@ -227,7 +227,7 @@ _INTEGRATOR = {
     "abs_tol": (_num, None),
     "h": (_num, None),
     "t_span": (_span, None),
-    "max_steps": (_int(1), None),
+    "max_steps": (_int(1, 1_000_000), None),
 }
 
 
@@ -536,6 +536,8 @@ _NOETHER = {
              "abs_tol": (_num, 1e-13)}, {}),
     "label": (_any, None),
 }
+# the most points a grid (noether's J x T x T', orbit's r_grid) may have
+_MAX_POINTS = 1_000_000
 # (J, T, T') points where the constructed integral meets its known form
 _KNOWN_FORM_PROBE = [(0.9, 1.1, 0.3), (1.4, 0.8, -0.2), (2.0, 1.7, 0.6)]
 
@@ -555,6 +557,10 @@ def cmd_noether(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         grid = _default_grid()
     else:
         g = c["grid"]
+        points = len(g["J"]) * len(g["T"]) * len(g["Tprime"])
+        if points > _MAX_POINTS:
+            raise ConfigError(f"grid has {points} points (J x T x Tprime); "
+                              f"at most {_MAX_POINTS} are allowed")
         grid = [(J, T, Tp) for J in g["J"] for T in g["T"]
                 for Tp in g["Tprime"]]
     residuals = invariants.noether_residual(L, G, grid)
@@ -614,7 +620,7 @@ def cmd_noether(c: dict, out: Path, fmt: str, manifest: dict) -> None:
 
 # the bound keeps np.linspace from allocating a huge grid
 _LINSPACE = {"start": (_num, _REQUIRED), "stop": (_num, _REQUIRED),
-             "num": (_int(2, 1_000_000), _REQUIRED)}
+             "num": (_int(2, _MAX_POINTS), _REQUIRED)}
 
 
 def _r_grid(value: Any, where: str) -> np.ndarray:

@@ -4,15 +4,14 @@ Position-only families (Ermakov, Gorringe-Leach, isotropic azimuthal) and
 one velocity-dependent extension (isotropic azimuthal plus radial drag).
 Every family exposes analytic force components and the analytic curl
 (1/r)[d(r F_theta)/dr - dF_r/dtheta]; curl_fd is the finite-difference
-oracle for the same expression.  Each family writes both once, its force
-as text (_FORCE) and its curl as _curl, which assume r > 0: the public
-force and curl check r first, and polar_rhs, which tests r itself, pastes
-the force text into its own.  AngleFunction dispatches its family once per
-derivative order, when it is built; the right-hand sides, the h2 event and
-the angular fields' force and curl call those float formulas
-(AngleFunction._scalar) directly, and __call__ serves public callers.
-The float formulas call math.cos and math.sin, which raise ValueError at
-+-inf: the right-hand sides turn that into a rejected stage (NaN), and
+oracle for the same expression.  Each family writes both once, as text
+(_FORCE, _CURL) that assumes r > 0: the public force and curl check r and
+bind the text; polar_rhs, which tests r itself, pastes the force text.
+AngleFunction writes each order of each family once, as expression text
+(_ANGLE) reading a tuple computed when the function is built; the fields,
+the psi body and the h2 event paste that text, so they call no angle
+function.  math.cos and math.sin raise ValueError at +-inf: the
+right-hand sides turn that into a rejected stage (NaN), and the h2 event,
 __call__, force and curl into nan, as numpy gives for arrays.
 
 The *_rhs builders return closures suitable for integrate.integrate: each
@@ -36,9 +35,8 @@ stopping is the job of the event guards at the bottom of this module.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,35 +67,34 @@ __all__ = [
 ]
 
 
-def _consts(*values):
-    return tuple(lambda th, v=v: v for v in values)
+def _sinusoid(signs, *waves: str) -> tuple:
+    """A sinusoid's values, signs[n] * c*k^n for orders n = 0..3 and then
+    k, and its texts, amplitude n times waves[n](k * theta)."""
+    def values(c, k, p):
+        amps = [c * real_power(k, n) for n in range(4)]
+        return tuple(a if s > 0 else -a for a, s in zip(amps, signs)) + (k,)
+    return values, tuple(f"({{f}}[{n}] * {w}({{f}}[4] * theta))"
+                         for n, w in enumerate(waves))
 
 
-def _waves(c: float, k: float, waves, signs):
-    """Orders 0..3 of a sinusoid: signs[n] * c*k^n * waves[n](k*theta)."""
-    amps = [c * real_power(k, n) for n in range(4)]
-    amps = [a if s > 0 else -a for a, s in zip(amps, signs)]
-    return tuple(lambda th, a=a, w=w: a * w(k * th) for a, w in zip(amps, waves))
-
-
-def _poly(c0, c1, c2, c3):
-    return (lambda th: c0 + th * (c1 + th * (c2 + th * c3)),
-            lambda th: c1 + th * (2.0 * c2 + th * (3.0 * c3)),
-            lambda th: 2.0 * c2 + 6.0 * c3 * th) + _consts(6.0 * c3)
-
-
-# family -> (c, k, coeffs, cos, sin) -> its value and first three
-# derivatives, each a function of theta; cos and sin act on theta's type
-# (float or ndarray).  A constant is a float, which AngleFunction
-# broadcasts over an array argument.
-_FORMULAS = {
-    "zero": lambda c, k, p, cos, sin: _consts(0.0, 0.0, 0.0, 0.0),
-    "constant": lambda c, k, p, cos, sin: _consts(c, 0.0, 0.0, 0.0),
-    "linear_theta": lambda c, k, p, cos, sin: (
-        (lambda th: c * th,) + _consts(c, 0.0, 0.0)),
-    "cos": lambda c, k, p, cos, sin: _waves(c, k, (cos, sin, cos, sin), (1, -1, -1, 1)),
-    "sin": lambda c, k, p, cos, sin: _waves(c, k, (sin, cos, sin, cos), (1, 1, -1, -1)),
-    "poly": lambda c, k, p, cos, sin: _poly(*p),
+# family -> (values(c, k, coeffs), the texts of its value and first three
+# derivatives).  values gives the tuple of floats a function reads,
+# computed once when it is built; each text is an expression in theta that
+# reads the tuple as {f}, an atom or parenthesised, so that it pastes
+# anywhere.  A text without theta gives a float, which __call__ broadcasts
+# over an array.
+_ANGLE = {
+    "zero": (lambda c, k, p: (), ("0.0",) * 4),
+    "constant": (lambda c, k, p: (c,), ("{f}[0]", "0.0", "0.0", "0.0")),
+    "linear_theta": (lambda c, k, p: (c,),
+                     ("({f}[0] * theta)", "{f}[0]", "0.0", "0.0")),
+    "cos": _sinusoid((1, -1, -1, 1), "cos", "sin", "cos", "sin"),
+    "sin": _sinusoid((1, 1, -1, -1), "sin", "cos", "sin", "cos"),
+    "poly": (lambda c, k, p: p, (
+        "({f}[0] + theta * ({f}[1] + theta * ({f}[2] + theta * {f}[3])))",
+        "({f}[1] + theta * (2.0 * {f}[2] + theta * (3.0 * {f}[3])))",
+        "(2.0 * {f}[2] + 6.0 * {f}[3] * theta)",
+        "(6.0 * {f}[3])")),
 }
 
 
@@ -108,8 +105,8 @@ class AngleFunction:
     Families: zero, constant (c), linear_theta (c*theta), cos (c*cos(k*theta)),
     sin (c*sin(k*theta)), poly (c0 + c1*theta + c2*theta^2 + c3*theta^3).
     Call with order=0..3 to get the value or a derivative; accepts scalars
-    and numpy arrays.  The family is dispatched once, here: construction
-    builds each order's formula for floats (math) and for arrays (numpy).
+    and numpy arrays.  Each order is written once, as text (_ANGLE);
+    construction computes the values it reads.
     """
 
     family: str
@@ -118,7 +115,7 @@ class AngleFunction:
     coeffs: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.family not in _FORMULAS:
+        if self.family not in _ANGLE:
             raise ValueError(f"unknown angle-function family {self.family!r}")
         coeffs = tuple(float(x) for x in self.coeffs)
         if len(coeffs) != 4:
@@ -126,16 +123,8 @@ class AngleFunction:
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "k", float(self.k))
         object.__setattr__(self, "coeffs", coeffs)
-        # keyed by order, so an order given as 1.0 still works
-        formulas = _FORMULAS[self.family]
-        object.__setattr__(self, "_scalar", dict(enumerate(
-            formulas(self.c, self.k, coeffs, math.cos, math.sin))))
-        object.__setattr__(self, "_array", dict(enumerate(
-            formulas(self.c, self.k, coeffs, np.cos, np.sin))))
-
-    def __reduce__(self):
-        # rebuilt from the four fields: the formula closures do not pickle
-        return (type(self), (self.family, self.c, self.k, self.coeffs))
+        object.__setattr__(self, "_values",
+                           _ANGLE[self.family][0](self.c, self.k, coeffs))
 
     @classmethod
     def zero(cls) -> "AngleFunction":
@@ -165,23 +154,34 @@ class AngleFunction:
     def __call__(self, theta, order: int = 0):
         if order not in (0, 1, 2, 3):
             raise ValueError("derivative order must be 0, 1, 2 or 3")
-        if isinstance(theta, (float, int)):
-            # scalar callers skip numpy entirely
+        # scalar callers skip numpy entirely: the text binds math's cos and
+        # sin for them, numpy's for everyone else
+        scalar = isinstance(theta, (float, int))
+        lib = math if scalar else np
+        text = _ANGLE[self.family][1][int(order)].format(f="values")
+        fn = _bind("theta", "", text, {"values": self._values,
+                                       "cos": lib.cos, "sin": lib.sin})
+        if scalar:
             try:
-                return self._scalar[order](float(theta))
+                return fn(float(theta))
             except ValueError:
                 # math.cos and math.sin raise at +-inf, where numpy gives nan
                 return math.nan
         th = np.asarray(theta, dtype=float)
-        out = self._array[order](th)
+        out = fn(th)
         if np.ndim(theta) == 0:
             return float(out)
         return out if isinstance(out, np.ndarray) else np.full_like(th, out)
 
 
-def _require_positive_r(r: float) -> None:
-    if not (r > 0.0):
-        raise DomainError(f"radius must be positive, got {r}")
+def _angles(text: str, **fns: AngleFunction) -> tuple[str, dict]:
+    """text with each {U0}..{U3} set to that order of the angle function
+    passed as U (any name), and the values the filled text reads, by name.
+    """
+    for name, fn in fns.items():
+        for n, order in enumerate(_ANGLE[fn.family][1]):
+            text = text.replace(f"{{{name}{n}}}", order.format(f=name))
+    return text, {name: fn._values for name, fn in fns.items()}
 
 
 def _indent(text: str, n: int) -> str:
@@ -191,7 +191,8 @@ def _indent(text: str, n: int) -> str:
 def _bind(params: str, body: str, result: str, constants: dict):
     """def f(params): body; return result, with the constants bound.
 
-    The text is compiled once (integrate._compile); binding is a call.
+    The text is compiled once (integrate._compile); binding is a call.  No
+    constant may be named f, the function's own name.
     """
     return _compile(f"def make({', '.join(constants)}):\n"
                     f"    def f({params}):\n" + _indent(body, 8)
@@ -209,35 +210,39 @@ class _Field:
     """Public force and curl: the r > 0 check, then the family's formula.
 
     Each family writes its force once, as _FORCE: text that reads r > 0,
-    theta, rdot and the names _constants() binds, and sets f_r and f_t.
-    _force is that text compiled; polar_rhs pastes it into its own.  r and
-    theta go to the formula as floats, so an int or numpy-scalar angle gets
-    the bits AngleFunction.__call__ gives it.  An angle function evaluated
-    at an infinite angle makes the result nan, as in __call__.
+    theta, rdot and the names _formula binds, and sets f_r and f_t; and its
+    curl as _CURL, which sets curl.  _formula fills in the angle functions
+    ({U0}..{V3}).  theta goes to the text as a float, so an int or
+    numpy-scalar angle gets the bits AngleFunction.__call__ gives it, and
+    an infinite one makes the result nan, as in __call__.
     """
 
+    def _constants(self) -> dict:
+        return {}
+
+    def _formula(self, text: str) -> tuple[str, dict]:
+        """text with the field's angle functions filled in, and the names
+        it reads."""
+        text, values = _angles(text, **{n: v for n, v in vars(self).items()
+                                        if isinstance(v, AngleFunction)})
+        return text, {**self._constants(), **values}
+
     def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
-        _require_positive_r(r)
-        try:
-            return self._force(float(r), float(theta), rdot)
-        except ValueError:   # math.cos or math.sin at +-inf
-            return (math.nan, math.nan)
-
-    @functools.cached_property
-    def _force(self):
-        return _bind("r, theta, rdot", self._FORCE, "(f_r, f_t)",
-                     self._constants())
-
-    def __reduce__(self):
-        # rebuilt from the fields: the compiled _force does not pickle
-        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+        return self._at(self._FORCE, "(f_r, f_t)", (math.nan, math.nan),
+                        r, theta, rdot)
 
     def curl(self, r: float, theta: float) -> float:
-        _require_positive_r(r)
+        return self._at(self._CURL, "curl", math.nan, r, theta, 0.0)
+
+    def _at(self, text: str, result: str, nan, r, theta, rdot):
+        if not (r > 0.0):
+            raise DomainError(f"radius must be positive, got {r}")
+        body, constants = self._formula(text)
+        fn = _bind("r, theta, rdot", body, result, constants)
         try:
-            return self._curl(r, float(theta))
-        except ValueError:
-            return math.nan
+            return fn(float(r), float(theta), rdot)
+        except ValueError:   # math.cos or math.sin at +-inf
+            return nan
 
 
 @dataclass(frozen=True)
@@ -249,15 +254,11 @@ class ErmakovField(_Field):
     V: AngleFunction = AngleFunction.zero()
 
     _FORCE = _power("r3", "3.0") + (
-        "f_r = -w2 * r + U0(theta) / r3\nf_t = -V1(theta) / r3\n")
+        "f_r = -w2 * r + {U0} / r3\nf_t = -{V1} / r3\n")
+    _CURL = "curl = (2.0 * {V1} - {U1}) / real_power(r, 4.0)\n"
 
     def _constants(self):
-        return {"w2": real_power(self.w, 2.0), "U0": self.U._scalar[0],
-                "V1": self.V._scalar[1]}
-
-    def _curl(self, r, theta):
-        return ((2.0 * self.V._scalar[1](theta) - self.U._scalar[1](theta))
-                / real_power(r, 4.0))
+        return {"w2": real_power(self.w, 2.0)}
 
 
 @dataclass(frozen=True)
@@ -272,18 +273,10 @@ class GorringeLeachField(_Field):
     V: AngleFunction = AngleFunction.zero()
 
     _FORCE = _power("r32", "1.5") + _power("r2", "2.0") + (
-        "f_r = -((U2(theta) + U0(theta)) / r2 + 2.0 * V1(theta) / r32)\n"
-        "f_t = -V0(theta) / r32\n")
-
-    def _constants(self):
-        U, V = self.U._scalar, self.V._scalar
-        return {"U0": U[0], "U2": U[2], "V0": V[0], "V1": V[1]}
-
-    def _curl(self, r, theta):
-        U, V = self.U._scalar, self.V._scalar
-        return ((U[3](theta) + U[1](theta)) / real_power(r, 3.0)
-                + (0.5 * V[0](theta) + 2.0 * V[2](theta))
-                / real_power(r, 2.5))
+        "f_r = -(({U2} + {U0}) / r2 + 2.0 * {V1} / r32)\n"
+        "f_t = -{V0} / r32\n")
+    _CURL = ("curl = (({U3} + {U1}) / real_power(r, 3.0)\n"
+             "        + (0.5 * {V0} + 2.0 * {V2}) / real_power(r, 2.5))\n")
 
 
 @dataclass(frozen=True)
@@ -298,12 +291,10 @@ class IsotropicField(_Field):
         object.__setattr__(self, "mu", float(self.mu))
 
     _FORCE = "f_r = 0.0\n" + _power("f_t", "mu")
+    _CURL = "curl = (mu + 1.0) * real_power(r, mu - 1.0)\n"
 
     def _constants(self):
         return {"mu": self.mu}
-
-    def _curl(self, r, theta):
-        return (self.mu + 1.0) * real_power(r, self.mu - 1.0)
 
 
 @dataclass(frozen=True)
@@ -379,11 +370,12 @@ def polar_rhs(field: ForceField):
     angle function met at theta = +-inf (math.cos raises there), makes the
     stage nan.
     """
+    force, constants = field._formula(field._FORCE)
     return _rhs(("", "r", "theta", "rdot", "thetadot"),
                 "if not (r > 0.0):\n"
                 "    {0} = {1} = {2} = {3} = nan\n"
                 "else:\n"
-                "    try:\n" + _indent(field._FORCE, 8)
+                "    try:\n" + _indent(force, 8)
                 + "    except (ZeroDivisionError, ValueError):\n"
                 "        {0} = {1} = {2} = {3} = nan\n"
                 "    else:\n"
@@ -391,7 +383,7 @@ def polar_rhs(field: ForceField):
                 "        {1} = thetadot\n"
                 "        {2} = r * thetadot * thetadot + f_r\n"
                 "        {3} = (f_t - 2.0 * rdot * thetadot) / r",
-                **field._constants())
+                **constants)
 
 
 def _variant_factor(variant: str) -> float:
@@ -413,20 +405,19 @@ def psi_reduced_rhs(I: float, U: AngleFunction, V: AngleFunction,
     against the direct polar simulation adjudicate between them.
     """
     # a ValueError is k * theta overflowed to +-inf, where math.cos raises
-    return _rhs(("theta", "psi", "dpsi"),
-                "try:\n"
-                "    h2 = 2.0 * (I - V0(theta))\n"
-                "    if h2 == 0.0:\n"
-                "        {0} = {1} = nan\n"
-                "    else:\n"
-                "        h2p = -2.0 * V1(theta)\n"
-                "        {0} = dpsi\n"
-                "        {1} = -(factor * h2p / h2) * dpsi"
-                " - (1.0 + U0(theta) / h2) * psi\n"
-                "except ValueError:\n"
-                "    {0} = {1} = nan",
-                I=I, factor=_variant_factor(variant), V0=V._scalar[0],
-                V1=V._scalar[1], U0=U._scalar[0])
+    body, values = _angles("try:\n"
+                           "    h2 = 2.0 * (I - {V0})\n"
+                           "    if h2 == 0.0:\n"
+                           "        {0} = {1} = nan\n"
+                           "    else:\n"
+                           "        h2p = -2.0 * {V1}\n"
+                           "        {0} = dpsi\n"
+                           "        {1} = -(factor * h2p / h2) * dpsi"
+                           " - (1.0 + {U0} / h2) * psi\n"
+                           "except ValueError:\n"
+                           "    {0} = {1} = nan", U=U, V=V)
+    return _rhs(("theta", "psi", "dpsi"), body, I=I,
+                factor=_variant_factor(variant), **values)
 
 
 def mu_minus3_rhs(I: float, variant: str = "derived"):
@@ -520,15 +511,13 @@ def r_floor_event(threshold: float = 1e-8) -> Event:
 def h2_singularity_event(I: float, V: AngleFunction,
                          threshold: float = 1e-6) -> Event:
     """Stop a psi-reduction run when h2 = 2*(I - V(theta)) crosses zero."""
-    V0 = V._scalar[0]
-
-    def g(theta, y):
-        try:
-            return abs(2.0 * (I - V0(theta))) - threshold
-        except ValueError:   # math.cos or math.sin at +-inf
-            return math.nan
-
-    return Event("h2-singular", g)
+    # a ValueError is math.cos or math.sin at +-inf
+    body, values = _angles("try:\n"
+                           "    g = abs(2.0 * (I - {V0})) - threshold\n"
+                           "except ValueError:\n"
+                           "    g = nan\n", V=V)
+    return Event("h2-singular", _bind("theta, y", body, "g",
+                                      {"I": I, "threshold": threshold, **values}))
 
 
 def yprime_floor_event(threshold: float = 1e-10) -> Event:

@@ -544,6 +544,13 @@ class TestQuadAdaptive:
         with pytest.raises(QuadratureError):
             quad_adaptive(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)
 
+    def test_singularity_met_by_refinement_raises(self):
+        # the panel's nodes 0, 0.5 and 1 miss the pole at 0.25; the probe
+        # of its first refinement (_simpson_rec) meets it
+        with pytest.raises(QuadratureError,
+                           match=r"integrand not finite at x = 0\.25$"):
+            quad_adaptive(lambda x: 1.0 / (x - 0.25), 0.0, 1.0)
+
     def test_nonintegrable_divergence_reports_partial(self):
         with pytest.raises(QuadratureError) as info:
             quad_adaptive(lambda x: 1.0 / x, 0.0, 1.0)

@@ -515,6 +515,10 @@ class TestBadInputExits1:
         ("orbit", {"mu": 0.0, "r_grid": [1.0, 2.0],
                    "integrator": {"rel_tol": -1}}),
         ("special", {"lambda": 1.0, "Y0": 2.0}),
+        # 101 x 100 x 100 points: refused before the grid is built
+        ("noether", _with(_NOETHER_BASE, grid={
+            "J": [1.0] * 101, "T": [1.0] * 100, "Tprime": [0.0] * 100})),
+        ("simulate", _with(_SIM_BASE, integrator__max_steps=1_000_001)),
     ], ids=["figure-span-text", "figure-span-reversed", "noether-span-text",
             "noether-initial-short", "noether-empty-grid", "simulate-method-7",
             "simulate-negative-r", "special-initial-text", "simulate-h0-zero",
@@ -528,7 +532,8 @@ class TestBadInputExits1:
             "sweep-run-variant", "sweep-run-format", "simulate-method-upper",
             "simulate-rk45-h", "map-ef-rk4-rel-tol", "map-ef-rk4-abs-tol",
             "figure-literal-caption", "orbit-integrator-without-compare",
-            "special-Y0-lambda-not-minus-1"])
+            "special-Y0-lambda-not-minus-1", "noether-grid-too-many-points",
+            "simulate-max-steps-over-bound"])
     def test_clean_config_error(self, tmp_path, capsys, command, cfg):
         code, _ = _run(tmp_path, command, cfg)
         assert code == 1

@@ -26,6 +26,7 @@ from curlforce.systems import (
     GorringeLeachField,
     IsotropicDragField,
     IsotropicField,
+    _angles,
     curl,
     curl_fd,
     drag_ef_rhs,
@@ -121,6 +122,21 @@ class TestAngleFunction:
             fn(0.5, order + 4)
         with pytest.raises(ValueError):
             fn(np.array([0.5]), -1 - order)
+        # the text a stage pastes, bound as a stage binds it (math's cos and
+        # sin from the loop's namespace), gives the same bits; it raises
+        # ValueError where __call__ returns nan
+        text, values = _angles(f"{{U{order}}}", U=fn)
+        stage = _compile("def make(U):\n    def f(theta):\n"
+                         f"        return {text}\n    return f\n",
+                         "<angle>")(values["U"])
+        for x in [*thetas.tolist(), *ints.tolist(), *special.tolist()]:
+            try:
+                got = stage(float(x))
+            except ValueError:
+                assert name in ("cos", "sin") and math.isinf(x)
+                assert math.isnan(fn(x, order))
+            else:
+                assert _bytes([got]) == _bytes([fn(x, order)])
 
 
 # one instance of every force-field family
@@ -632,8 +648,8 @@ class TestFloatKernels:
 
 
 class TestAngleFastPath:
-    """The kernels, the h2 event and the angular fields call AngleFunction's
-    prebuilt float formulas directly, never its checked __call__."""
+    """The kernels, the h2 event and the angular fields paste AngleFunction's
+    formula text; none calls its checked __call__."""
 
     # name -> (builder of the kernel or event function, _BUILDERS points)
     _ANGULAR = {
@@ -822,6 +838,37 @@ class TestGeneratorHygiene:
         assigned = set(code.co_varnames) - set(outs)
         for names in (assigned, set(args) - {""}, set(constants)):
             assert not names & _loop_locals(len(y0)), name
+
+    # the globals a pasted formula may read besides the loop's own
+    _FORMULA_GLOBALS = {"cos", "sin", "abs", "nan", "inf", "ValueError",
+                        "ZeroDivisionError", "OverflowError"}
+
+    @pytest.mark.parametrize("name", ["h2-event", "polar-ermakov",
+                                      "polar-gorringe-leach", "psi-derived"])
+    def test_angle_formulas_call_only_cos_and_sin(self, name):
+        # an angle function is pasted as text reading a bound tuple of
+        # floats: the fused loops and the h2 event bind nothing callable,
+        # and of the angle functions' names they read only cos and sin
+        if name == "h2-event":
+            fn = h2_singularity_event(0.9, AngleFunction.sin(0.3, 2.0)).fn
+            codes = [(fn.__code__, [c.cell_contents for c in fn.__closure__],
+                      set())]
+        else:
+            make, y0, _, _ = _BUILDERS[name]
+            rhs = make()
+            assert {"U", "V"} <= set(rhs.formula[2])
+            assert not {"U", "V"} & _loop_locals(len(y0))
+            codes = [(_loop(method, len(y0), events, rhs.formula)(
+                          *rhs.constants).__code__, rhs.constants,
+                      set(_loop(method, len(y0), events)(None).__code__
+                          .co_names))
+                     for method in ("rk45", "rk4") for events in (False, True)]
+        for code, bound, own in codes:
+            for value in bound:
+                assert type(value) is float or (type(value) is tuple and all(
+                    type(x) is float for x in value)), value
+            read = set(code.co_names) - own
+            assert read & {"cos", "sin"} and read <= self._FORMULA_GLOBALS
 
     @pytest.mark.parametrize("name", sorted(_BUILDERS))
     def test_fused_loop_calls_no_kernel(self, name):
