@@ -686,7 +686,7 @@ def cmd_orbit(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         seed = analysis.seed_polar_from_particular(mu, r0, j1)
         t_phys = abs(mu + 2.0) ** (-1.0 / (n + 2.0)) * time_rep.values
         duration = 3.0 * (t_phys[-1] - t_phys[0]) + 1.0
-        stop = Event("r-target", lambda t, y: y[0] - rg[-1])
+        stop = systems.r_floor_event(float(rg[-1]), "r-target")
         settings = _integrator(c["integrator"] or {}, (0.0, duration), (stop,))
         traj = _run(systems.polar_rhs(systems.IsotropicField(mu)),
                     seed.as_array(), settings, ("event",))

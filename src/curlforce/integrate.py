@@ -7,15 +7,20 @@ cubic Hermite interpolation (core.resample) works on every step and event
 roots can be located by bisection on that interpolant.
 
 The step loop is Python source generated from the tableau (_A, _C, _E)
-for each method, state size, whether events exist and right-hand-side
-formula, the first time a run needs it, and then cached.  The formula's
-text is pasted at every stage and its constants are bound at each run, so
-a stage calls nothing.  State, slope and stage components are scalar
-locals (y0, y1, ...), zero tableau terms are dropped and constants are
-written with repr, so they round-trip exactly.  Every component keeps the
+for each method, state size, event formulas and right-hand-side formula,
+the first time a run needs it, and then cached.  The formula's text is
+pasted at every stage and its constants are bound at each run, so a stage
+calls nothing.  Each event's formula is pasted after every accepted step,
+with its names renamed apart from the stage's, and the loop calls Python
+only when an event's value changes sign.  State, slope and stage
+components are scalar locals (y0, y1, ...), zero tableau terms are
+dropped and constants are written with repr, so they round-trip exactly.
+Accepted nodes go to flat lists, dim floats a node, so a step builds no
+list unless it calls an event function.  Every component keeps the
 operations, in order, of elementwise array arithmetic on the whole state:
 stage sums add their terms in index order, as do RK4's
-h6 * (f + 2 k2 + 2 k3 + k4) and the error norm.  To read a loop:
+h6 * (f + 2 k2 + 2 k3 + k4) and the error norm.  To read a loop (method,
+state size, events, formula):
 
     from curlforce.integrate import _loop
     from curlforce.systems import IsotropicField, polar_rhs
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -137,22 +143,57 @@ def _dense(t0: float, y0: list, f0: list, t1: float, y1: list, f1: list,
             for a, b, c, d in zip(y0, f0, y1, f1)]
 
 
-def _loop_source(method: str, dim: int, events: bool, stage=None) -> str:
-    """Python source of the step loop for one method, state size and stage.
+def _event_lines(k: int, formula, dim: int) -> tuple[list, list]:
+    """Event k's value at the new node (t_new, z0..) as lines setting e{k},
+    and the names of its constants in the loop.
+
+    formula is (args, body, free) as a stage's, its body setting {0}; an
+    arg left "" is not read, and None is a body calling fn on a list.
+    Every name the body binds, and each of its args and constants, is
+    renamed e{k}_name, so an event's constants never meet the stage's or
+    another event's.
+    """
+    state = ", ".join(f"s{c}" for c in range(dim))
+    args, body, free = formula or (
+        ("t_", *(f"s{c}" for c in range(dim))),
+        f"{{0}} = float(fn(t_, [{state}]))", ("fn",))
+    text = body.format(f"e{k}")
+    code = compile("def body():\n" + "".join(
+        f"    {line}\n" for line in text.splitlines()), "<event>", "exec")
+    names = {*code.co_consts[0].co_varnames, *args, *free} - {"", f"e{k}"}
+    if names:
+        text = re.sub(r"(?<![\w.])(" + "|".join(sorted(names)) + r")(?!\w)",
+                      rf"e{k}_\1", text)
+    feed = ([f"e{k}_{args[0]} = t_new"] if args[0] else []) + [
+        f"e{k}_{a} = z{c}" for c, a in enumerate(args[1:]) if a]
+    return feed + text.splitlines(), [f"e{k}_{name}" for name in free]
+
+
+def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
+    """Python source of the step loop for one method, state size, events
+    and stage.
 
     stage is (args, body, free): body is the text of one right-hand-side
     evaluation.  It reads the stage time args[0] (none if empty) and state
     args[1:], and assigns the slopes {0}..{dim-1}; the loop pastes it at
-    every stage.  free names the constants the body reads, bound by
-    make(*free), which returns loop(on_step, ts, ys, fs, t, y, f, t1, h,
-    rel_tol, abs_tol, max_steps, h_min).  None is a body calling kernel.
+    every stage.  free names the constants the body reads.  None is a body
+    calling kernel.  events holds each event's formula, as _event_lines
+    takes it (a false value: no events); the loop pastes each after every
+    accepted step.  make(*free, *each event's free) binds the constants
+    and returns loop(stop_on_step, gp, ts, ys, fs, t, y, f, t1, h,
+    rel_tol, abs_tol, max_steps, h_min).
+
     The loop steps from the node (t, y, f), appends each accepted node to
-    ts, ys and fs, and returns (termination, t, accepted, rejected, stage
-    evaluations); "max-steps" and "not-finite" are failures at that t.
-    With events, on_step(t_new, y_new, f_new) runs on each accepted step
-    and returns True to end the run there.
+    the flat lists ts, ys and fs (ys and fs hold dim floats a node), and
+    returns (termination, t, accepted, rejected, stage evaluations);
+    "max-steps" and "not-finite" are failures at that t.  gp holds the
+    events' values at t.  Only when an event's value changes sign, or
+    reaches zero from a nonzero value, over an accepted step does the loop
+    call stop_on_step(t_new, y_new, f_new, gp, g), which records the stop
+    and returns the evaluations it made; the run then ends there.
     """
     comps = range(dim)
+    events = events or ()
 
     def vec(fmt: str) -> str:
         return ", ".join(fmt.format(c) for c in comps)
@@ -178,9 +219,7 @@ def _loop_source(method: str, dim: int, events: bool, stage=None) -> str:
 
     def finish(time: str) -> list:
         # z is the new state and g its slope, the next step's f
-        return [f"y_new = [{vec('z{}')}]",
-                *stage("g", time, [f"z{c}" for c in comps]),
-                f"f_new = [{vec('g{}')}]"]
+        return stage("g", time, [f"z{c}" for c in comps])
 
     done = "n_accept, n_reject, n_evals"
     reject = ["    n_reject += 1", "    h = 0.5 * h_use", "    continue"]
@@ -234,17 +273,30 @@ def _loop_source(method: str, dim: int, events: bool, stage=None) -> str:
                  "err_prev = max(err, 1e-4)",
                  f"h = h_use * max({_FAC_MIN!r}, min({_FAC_MAX!r}, fac))"]
     body.append("n_accept += 1")
+    head = ""
     if events:
-        body += ["if on_step(t_new, y_new, f_new):",
-                 f"    return 'event', t_new, {done}"]
+        old = ", ".join(f"ep{k}" for k in range(len(events)))
+        new = ", ".join(f"e{k}" for k in range(len(events)))
+        for k, formula in enumerate(events):
+            lines, names = _event_lines(k, formula, dim)
+            body += lines
+            free = (*free, *names)
+        crossed = " or ".join(f"ep{k} * e{k} < 0.0 or (e{k} == 0.0 and ep{k}"
+                              " != 0.0)" for k in range(len(events)))
+        body += [f"if {crossed}:",
+                 f"    n_evals += stop_on_step(t_new, [{vec('z{}')}], "
+                 f"[{vec('g{}')}], [{old}], [{new}])",
+                 f"    return 'event', t_new, {done}", f"{old} = {new}"]
+        head = f"        [{old}] = gp\n"
     body += ["t = t_new", f"{vec('y{}')} = {vec('z{}')}",
              f"{vec('f{}')} = {vec('g{}')}",
-             "ts.append(t)", "ys.append(y_new)", "fs.append(f_new)"]
+             "ts.append(t)", f"ys += ({vec('y{}')},)",
+             f"fs += ({vec('f{}')},)"]
     return (
         f"def make({', '.join(free)}):\n"
-        "    def loop(on_step, ts, ys, fs, t, y, f, t1, h, rel_tol, abs_tol,\n"
-        "             max_steps, h_min):\n"
-        f"        [{vec('y{}')}] = y\n        [{vec('f{}')}] = f\n"
+        "    def loop(stop_on_step, gp, ts, ys, fs, t, y, f, t1, h, rel_tol,\n"
+        "             abs_tol, max_steps, h_min):\n"
+        f"        [{vec('y{}')}] = y\n        [{vec('f{}')}] = f\n" + head +
         "        n_accept = n_reject = n_evals = attempts = 0\n"
         "        err_prev = 1e-4\n        while t < t1:\n            "
         + "\n".join(body).replace("\n", "\n            ")
@@ -264,9 +316,9 @@ def _compile(source: str, name: str):
 
 
 @functools.cache
-def _loop(method: str, dim: int, events: bool, stage=None):
+def _loop(method: str, dim: int, events=(), stage=None):
     """make(*free) -> the step loop of one key; its text is make.source."""
-    name = f"<{method} loop, {dim} components{', events' if events else ''}>"
+    name = f"<{method} loop, {dim} components, {len(events or ())} events>"
     return _compile(_loop_source(method, dim, events, stage), name)
 
 
@@ -293,8 +345,15 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     stage and calls nothing.  The systems.*_rhs builders expose all three.
     Any other callable gets an ndarray of the stage state.  rhs itself is
     called once at the initial state to check its shape and finiteness; a
-    kernel whose output changes length later raises ValueError.  Event
-    functions receive the state as a list of floats, as kernels do.
+    kernel whose output changes length later raises ValueError.
+
+    Event functions receive the state as a list of floats, as kernels do.
+    An event function may expose its text in the same way, fn.formula =
+    (args, body, free) with a body that sets {0} (an arg left "" is not
+    read), and fn.constants; the loop then pastes the body after every
+    accepted step, and calls fn only to bisect a sign change along the
+    step's interpolant.  Any other event function is called at every
+    accepted node.  The systems.*_event builders expose both.
     """
     t0, t1 = settings.t_span
     span = t1 - t0
@@ -316,59 +375,59 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
 
     y = y_arr.tolist()
     f = f_arr.tolist()
-    ts = [t0]
-    ys = [y]
-    fs = [f]
+    dim = len(y)
+    ts, ys, fs = [t0], list(y), list(f)
     events = settings.events
     events_log: list[tuple[float, str]] = []
-    g_prev = [float(ev.fn(t0, y)) for ev in events]
-    event_evals = 0
 
-    def on_step(t_new: float, y_new: list, f_new: list) -> bool:
-        # Accepted step; look for event crossings on [t, t_new].
-        nonlocal g_prev, event_evals
+    def stop_on_step(t_new: float, y_new: list, f_new: list, g_old: list,
+                     g_new: list) -> int:
+        # an event changed sign on [t, t_new]: record the earliest crossing
+        # and the sample there; returns the right-hand-side evaluations made
         t = ts[-1]
-        g_new = [float(ev.fn(t_new, y_new)) for ev in events]
-        step = (t, ys[-1], fs[-1], t_new, y_new, f_new)
+        step = (t, ys[-dim:], fs[-dim:], t_new, y_new, f_new)
         stop_at = None
         stop_name = None
-        for ev, g0, g1 in zip(events, g_prev, g_new):
+        for ev, g0, g1 in zip(events, g_old, g_new):
             if (g0 * g1 < 0.0) or (g1 == 0.0 and g0 != 0.0):
                 # bisect the event function along the step's interpolant
                 te = bisect_root(lambda tm: ev.fn(tm, _dense(*step, tm)),
                                  t, t_new, g0, _EVENT_RESOLUTION)
                 if stop_at is None or te < stop_at:
                     stop_at, stop_name = te, ev.name
-        if stop_at is None:
-            g_prev = g_new
-            return False
-        if stop_at > t:
-            ts.append(stop_at)
-            ys.append(_dense(*step, stop_at))
-            event_evals += 1
-            fs.append(kernel(stop_at, ys[-1]))
         events_log.append((stop_at, stop_name))
-        return True
+        if not stop_at > t:
+            return 0
+        y_stop = _dense(*step, stop_at)
+        ts.append(stop_at)
+        ys.extend(y_stop)
+        fs.extend(kernel(stop_at, y_stop))
+        return 1
 
     h = settings.h if settings.method == "rk4" else span / 100.0
     formula = getattr(rhs, "formula", None)
-    constants = rhs.constants if formula else (kernel,)
-    loop = _loop(settings.method, len(y), bool(events), formula)(*constants)
+    texts = tuple(getattr(ev.fn, "formula", None) for ev in events)
+    constants = [*(rhs.constants if formula else (kernel,))]
+    for ev, text in zip(events, texts):
+        constants += ev.fn.constants if text else (ev.fn,)
+    loop = _loop(settings.method, dim, texts, formula)(*constants)
     termination, t, n_accept, n_reject, n_evals = loop(
-        on_step, ts, ys, fs, t0, y, f, t1, h, settings.rel_tol,
-        settings.abs_tol, settings.max_steps, _UNDERFLOW * span)
+        stop_on_step, [float(ev.fn(t0, y)) for ev in events], ts, ys, fs,
+        t0, y, f, t1, h, settings.rel_tol, settings.abs_tol,
+        settings.max_steps, _UNDERFLOW * span)
     failure = {"max-steps": f"max_steps={settings.max_steps} exceeded at t={t}",
                "not-finite": f"right-hand side not finite near t={t}",
                }.get(termination)
     traj = Trajectory(
-        t=np.array(ts), y=np.array(ys), dy=np.array(fs),
+        t=np.array(ts), y=np.array(ys).reshape(-1, dim),
+        dy=np.array(fs).reshape(-1, dim),
         termination="aborted" if failure else termination,
         events=tuple(events_log),
         meta={"method": settings.method,
               **{k: getattr(settings, k) for k in _READS[settings.method]},
               "t_span": (t0, t1),
               "accepted": n_accept, "rejected": n_reject,
-              "rhs_evals": 1 + n_evals + event_evals})
+              "rhs_evals": 1 + n_evals})
     if failure:
         raise IntegrationError(failure, trajectory=traj)
     return traj

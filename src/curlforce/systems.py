@@ -31,6 +31,9 @@ State conventions:
 Right-hand sides return NaN outside their domain (r <= 0, vanishing
 denominators) so the adaptive stepper rejects the step; controlled
 stopping is the job of the event guards at the bottom of this module.
+Each guard writes its value once, as text (_event): integrate pastes it
+into its step loop after every accepted step, and the same text compiled
+is the event function.
 """
 
 from __future__ import annotations
@@ -214,7 +217,9 @@ class _Field:
     curl as _CURL, which sets curl.  _formula fills in the angle functions
     ({U0}..{V3}).  theta goes to the text as a float, so an int or
     numpy-scalar angle gets the bits AngleFunction.__call__ gives it, and
-    an infinite one makes the result nan, as in __call__.
+    an infinite one makes the result nan, as in __call__.  A radius so
+    small that a power of it underflows to 0.0 makes the result nan too,
+    as in polar_rhs.
     """
 
     def _constants(self) -> dict:
@@ -241,7 +246,9 @@ class _Field:
         fn = _bind("r, theta, rdot", body, result, constants)
         try:
             return fn(float(r), float(theta), rdot)
-        except ValueError:   # math.cos or math.sin at +-inf
+        # a power of a tiny r underflowed to 0.0, or math.cos or math.sin
+        # met +-inf
+        except (ZeroDivisionError, ValueError):
             return nan
 
 
@@ -503,9 +510,26 @@ def third_order_residual(y, yp, ypp, yppp, lam: float, sigma: float):
                         + y * y * _rpow(yp, sigma + 3.0))
 
 
-def r_floor_event(threshold: float = 1e-8) -> Event:
-    """Stop a polar run when the radius reaches the floor."""
-    return Event("r-floor", lambda t, y: y[0] - threshold)
+def _event(name: str, args: tuple, body: str, **constants) -> Event:
+    """An Event whose value is a formula written once, as text.
+
+    body reads the time args[0] and the state components args[1:] (an arg
+    left "" is not read) and the constants, and sets {0}.
+    integrate.integrate pastes it into its step loop after each accepted
+    step (fn.formula, fn.constants); the same text compiled is fn(t, y),
+    which bisection and everyone else call with a list of floats.
+    """
+    reads = "".join(f"{a} = y[{c}]\n" for c, a in enumerate(args[1:]) if a)
+    fn = _bind(f"{args[0] or '_'}, y", reads + body.format("g"), "g",
+               constants)
+    fn.formula = (args, body, tuple(constants))
+    fn.constants = tuple(constants.values())
+    return Event(name, fn)
+
+
+def r_floor_event(threshold: float = 1e-8, name: str = "r-floor") -> Event:
+    """Stop a polar run when the radius reaches the threshold."""
+    return _event(name, ("", "r"), "{0} = r - threshold", threshold=threshold)
 
 
 def h2_singularity_event(I: float, V: AngleFunction,
@@ -513,13 +537,14 @@ def h2_singularity_event(I: float, V: AngleFunction,
     """Stop a psi-reduction run when h2 = 2*(I - V(theta)) crosses zero."""
     # a ValueError is math.cos or math.sin at +-inf
     body, values = _angles("try:\n"
-                           "    g = abs(2.0 * (I - {V0})) - threshold\n"
+                           "    {0} = abs(2.0 * (I - {V0})) - threshold\n"
                            "except ValueError:\n"
-                           "    g = nan\n", V=V)
-    return Event("h2-singular", _bind("theta, y", body, "g",
-                                      {"I": I, "threshold": threshold, **values}))
+                           "    {0} = nan", V=V)
+    return _event("h2-singular", ("theta",), body, I=I, threshold=threshold,
+                  **values)
 
 
 def yprime_floor_event(threshold: float = 1e-10) -> Event:
     """Stop a third-order run when |Y'| collapses (equation divides by Y')."""
-    return Event("Yprime-floor", lambda z, y: abs(y[1]) - threshold)
+    return _event("Yprime-floor", ("", "", "yp"), "{0} = abs(yp) - threshold",
+                  threshold=threshold)

@@ -310,12 +310,12 @@ class TestGeneratedLoop:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @pytest.mark.parametrize("method", ["rk45", "rk4"])
     def test_loop_compiles_for_each_key(self, method, dim, events):
-        loop = _loop(method, dim, events)
+        loop = _loop(method, dim, (None,) * events)
         print(loop.source)
         assert "zip(" not in loop.source
         body = loop.source.split("):\n", 1)[1]   # after the signature
         assert ("on_step(" in body) == events
-        assert loop is _loop(method, dim, events)
+        assert loop is _loop(method, dim, (None,) * events)
         ev = (Event("never", lambda t, y: 1.0),) if events else ()
         step = {"h": 0.01} if method == "rk4" else {}
         traj = integrate(lambda t, y: -y, [1.0] * dim, IntegratorSettings(

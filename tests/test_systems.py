@@ -1,8 +1,10 @@
 import copy
+import dataclasses
 import hashlib
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import sympy as sp
 import curlforce
 from curlforce.core import DomainError, real_power
 from curlforce.integrate import (
+    Event,
     IntegrationError,
     IntegratorSettings,
     _compile,
@@ -27,6 +30,7 @@ from curlforce.systems import (
     IsotropicDragField,
     IsotropicField,
     _angles,
+    _event,
     curl,
     curl_fd,
     drag_ef_rhs,
@@ -289,6 +293,16 @@ class TestForces:
             field.curl(r, 0.3)
         with pytest.raises(DomainError):
             curl(field, r, 0.3)
+
+    @pytest.mark.parametrize("name, method, r", [
+        ("ermakov", "force", 1e-110), ("ermakov", "curl", 1e-90),
+        ("gorringe_leach", "curl", 1e-110)])
+    def test_nan_where_a_power_of_a_tiny_radius_underflows(self, name,
+                                                           method, r):
+        # the formula divides by a power of r that underflows to 0.0; the
+        # public force and curl return nan there, as polar_rhs's stage does
+        out = getattr(_FIELDS[name], method)(r, 0.3)
+        assert all(map(math.isnan, out if method == "force" else [out]))
 
     @pytest.mark.parametrize("theta", [math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["ermakov", "gorringe_leach"])
@@ -820,10 +834,127 @@ class TestFusedStage:
             assert meta["rejected"] > 1
 
 
+def _fn_only(ev):
+    """ev with a plain function in place of its formula, so the loop calls
+    it after each accepted step."""
+    return Event(ev.name, lambda t, y: ev.fn(t, y))
+
+
+# name -> (rhs builder, initial state, settings): runs that end at an event
+# written as a formula, one for each event builder, two with each method
+_EVENT_RUNS = {
+    "r-floor": (lambda: polar_rhs(ErmakovField(w=1.0)), [1.0, 0.0, 0.0, 0.3],
+                dict(t_span=(0.0, 5.0), events=(r_floor_event(0.5),))),
+    "r-target": (lambda: polar_rhs(IsotropicField(mu=-1.5)),
+                 [1.0, 0.0, 0.3, 0.6],
+                 dict(method="rk4", h=1e-2, t_span=(0.0, 10.0),
+                      events=(r_floor_event(1.5, "r-target"),))),
+    "h2-singular": _BUILDERS["psi-derived"][:3],
+    "Yprime-floor": (lambda: third_order_rhs(1.0, 5.0), [1.1, 0.6, -0.2],
+                     dict(method="rk4", h=1e-2, t_span=(0.0, 5.0),
+                          events=(yprime_floor_event(0.3),))),
+}
+
+
+class TestEventFormulas:
+    """integrate pastes each event's formula into its step loop after every
+    accepted step and calls Python only on a sign change; an event whose
+    function has no formula is called instead, with the same bits."""
+
+    @pytest.mark.parametrize("name", sorted(_EVENT_RUNS))
+    def test_pasted_event_matches_fn_only(self, name):
+        make, y0, kwargs = _EVENT_RUNS[name]
+        (ev,) = kwargs["events"]
+        assert ev.fn.formula and ev.name == name
+        got = _outcome(make(), y0, kwargs)
+        plain = {**kwargs, "events": (_fn_only(ev),)}
+        assert got == _outcome(make(), y0, plain)
+        traj = integrate(make(), y0, IntegratorSettings(**kwargs))
+        assert traj.termination == "event" and traj.events[0][1] == name
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_earliest_of_two_crossings_wins(self, plain):
+        # one rk4 step of y' = -y from 1 takes y below both 0.8 and 0.7;
+        # the event listed second crosses first
+        late, early = r_floor_event(0.7, "late"), r_floor_event(0.8, "early")
+        events = (late, _fn_only(early) if plain else early)
+        traj = integrate(lambda t, y: -y, [1.0], IntegratorSettings(
+            method="rk4", h=0.5, t_span=(0.0, 2.0), events=events))
+        assert traj.meta["accepted"] == 1
+        ((t_stop, name),) = traj.events
+        assert name == "early"
+        assert abs(t_stop - math.log(1.0 / 0.8)) < 1e-3
+        assert traj.t[-1] == t_stop and traj.t.size == 2
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_value_exactly_zero_at_a_node(self, plain):
+        # nodes at t = 0.25, 0.5, ...: "half" is exactly 0.0 at the second
+        # node, which ends the run on that step.  "start" is exactly 0.0 at
+        # the initial node, which stops nothing; its sign change after t =
+        # 0.5 is still seen
+        at_half = _event("half", ("t",), "{0} = t - 0.5")
+        at_start = _event("start", ("t",), "{0} = t * (0.6 - t)")
+        assert at_half.fn(0.5, [1.0]) == 0.0 == at_start.fn(0.0, [1.0])
+
+        def run(*events):
+            return integrate(lambda t, y: -y, [1.0], IntegratorSettings(
+                method="rk4", h=0.25, t_span=(0.0, 2.0), events=tuple(
+                    _fn_only(ev) if plain else ev for ev in events)))
+
+        traj = run(at_start, at_half)
+        assert traj.meta["accepted"] == 2
+        ((t_stop, name),) = traj.events
+        assert name == "half" and 0.5 - 1e-11 < t_stop < 0.5
+        assert traj.t.tolist() == [0.0, 0.25, t_stop]
+        ((t_stop, name),) = run(at_start).events
+        assert name == "start" and abs(t_stop - 0.6) < 1e-11
+
+    def test_event_constants_kept_apart_from_the_stage(self):
+        # the psi rhs and the h2 event both read constants named I and V:
+        # the rhs's I = 1.5 must not reach the event, whose I = 1.2 stops
+        # the run where the called event does, earlier than an I = 1.5
+        # event would
+        V = AngleFunction.cos(2.0)
+        ev = h2_singularity_event(1.2, V, threshold=0.5)
+        kwargs = dict(t_span=(-math.pi, 0.0), events=(ev,))
+
+        def make():
+            return psi_reduced_rhs(1.5, AngleFunction.zero(), V)
+
+        got = _outcome(make(), [1.0, 0.0], kwargs)
+        assert got == _outcome(make(), [1.0, 0.0],
+                               {**kwargs, "events": (_fn_only(ev),)})
+        traj = integrate(make(), [1.0, 0.0], IntegratorSettings(**kwargs))
+        ((theta, _),) = traj.events
+        assert -math.acos(0.6) - 0.5 < theta < -math.acos(0.6)
+        other = h2_singularity_event(1.5, V, threshold=0.5)
+        moved = integrate(make(), [1.0, 0.0], IntegratorSettings(
+            **{**kwargs, "events": (other,)}))
+        assert moved.events[0][0] > theta + 0.1
+
+    def test_replaced_fn_is_called_at_every_accepted_step(self):
+        # a wrapper put in with dataclasses.replace has no formula, so the
+        # loop calls it at the initial node and at every accepted one
+        make, y0, kwargs, _ = _BUILDERS["polar-ermakov"]
+        (ev,) = kwargs["events"]
+        seen = []
+
+        def wrapper(t, y):
+            seen.append(t)
+            return ev.fn(t, y)
+
+        wrapped = {**kwargs, "events": (dataclasses.replace(ev, fn=wrapper),)}
+        traj = integrate(make(), y0, IntegratorSettings(**wrapped))
+        assert traj.termination == "completed"
+        assert seen == traj.t.tolist()
+        assert _outcome(make(), y0, wrapped) == _outcome(make(), y0, kwargs)
+
+
 def _loop_locals(dim):
     """Every local name of the step loops of one state size."""
     return {name for method in ("rk45", "rk4") for events in (False, True)
-            for name in _loop(method, dim, events)(None).__code__.co_varnames}
+            for name in _loop(method, dim, (None,) * events)(
+                None, *(None,) * events).__code__.co_varnames}
 
 
 class TestGeneratorHygiene:
@@ -858,10 +989,11 @@ class TestGeneratorHygiene:
             rhs = make()
             assert {"U", "V"} <= set(rhs.formula[2])
             assert not {"U", "V"} & _loop_locals(len(y0))
-            codes = [(_loop(method, len(y0), events, rhs.formula)(
-                          *rhs.constants).__code__, rhs.constants,
-                      set(_loop(method, len(y0), events)(None).__code__
-                          .co_names))
+            codes = [(_loop(method, len(y0), (None,) * events, rhs.formula)(
+                          *rhs.constants, *(None,) * events).__code__,
+                      rhs.constants,
+                      set(_loop(method, len(y0), (None,) * events)(
+                          None, *(None,) * events).__code__.co_names))
                      for method in ("rk45", "rk4") for events in (False, True)]
         for code, bound, own in codes:
             for value in bound:
@@ -870,13 +1002,43 @@ class TestGeneratorHygiene:
             read = set(code.co_names) - own
             assert read & {"cos", "sin"} and read <= self._FORMULA_GLOBALS
 
+    @pytest.mark.parametrize("name", sorted(_EVENT_RUNS))
+    def test_event_names_scoped_in_the_loop(self, name):
+        # each name an event's text binds, takes as an argument or reads as
+        # a constant enters the loop as e0_name, apart from the stage's
+        # names and the loop's own; the event binds only floats and tuples
+        # of floats, and the loop reads no global for it beyond a
+        # formula's and calls Python only on a crossing
+        make, y0, kwargs = _EVENT_RUNS[name]
+        (ev,) = kwargs["events"]
+        rhs = make()
+        for value in [c.cell_contents for c in ev.fn.__closure__]:
+            assert type(value) is float or (type(value) is tuple and all(
+                type(x) is float for x in value)), value
+        free = ev.fn.formula[2]
+        for method in ("rk45", "rk4"):
+            make_loop = _loop(method, len(y0), (ev.fn.formula,), rhs.formula)
+            code = make_loop.__code__
+            assert code.co_varnames[:code.co_argcount] == (
+                *rhs.formula[2], *(f"e0_{n}" for n in free))
+            loop = make_loop(*rhs.constants, *ev.fn.constants).__code__
+            base = _loop(method, len(y0), (), rhs.formula)(
+                *rhs.constants).__code__
+            added = set(loop.co_varnames) - set(base.co_varnames)
+            assert {"e0", "ep0"} <= added
+            assert all(re.fullmatch(r"e0_\w+|e0|ep0", n) for n in added), added
+            assert set(loop.co_names) - set(base.co_names) <= \
+                self._FORMULA_GLOBALS
+            assert make_loop.source.count("stop_on_step(") == 1
+
     @pytest.mark.parametrize("name", sorted(_BUILDERS))
     def test_fused_loop_calls_no_kernel(self, name):
         make, y0, _, _ = _BUILDERS[name]
         formula = make().formula
         for method in ("rk45", "rk4"):
             for events in (False, True):
-                source = _loop(method, len(y0), events, formula).source
+                source = _loop(method, len(y0), (None,) * events,
+                               formula).source
                 assert "kernel(" not in source
                 last = formula[1].format(*(f"g{c}" for c in range(len(y0))))
                 assert last.splitlines()[-1].strip() in source
