@@ -9,6 +9,12 @@ drag_map_residual, abel_reduction_residual, scaling_map_residual), the
 power-solution root of the third-order reduction (power_solution_y0), and
 a self-contained adaptive quadrature (quad_adaptive).
 
+The adaptive Simpson rule is written once, as Python source (_simpson)
+around an integrand's text, and compiled once per text.  Each chain
+integrand of the orbit and time quadratures is such a text, so one call
+integrates every panel of an r grid with the text pasted at each
+evaluation; quad_adaptive pastes a call of its integrand.
+
 Scale conventions, with n = 2 throughout: a raw series (Jt, Tt) built from
 a trajectory via Tt = (r^(mu+2) - r0^(mu+2))/(mu+2), Jt = r^2*thetadot,
 Tt' = rdot is rescaled to T = (mu+2)*Tt, J = (mu+2)^(1/4)*Jt,
@@ -21,6 +27,7 @@ real-valued.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -41,7 +48,9 @@ from .core import (
     real_power,
     resample,
 )
+from .integrate import _compile
 from .invariants import angular_momentum
+from .systems import _bind, _indent
 
 __all__ = [
     "NonRealLambda",
@@ -356,21 +365,63 @@ def _positive_branch(mu: float) -> tuple[float, ParticularSolution]:
     return m, sol
 
 
-def _cumulative_quadrature(chain, printed, rg: np.ndarray,
-                           tol: float) -> ChainQuadrature:
-    """Integral of chain from rg[0] to each rg[i], with printed/chain at each r."""
-    values = np.zeros(rg.size)
-    err = 0.0
-    evals = 0
-    for i in range(1, rg.size):
-        res = quad_adaptive(chain, rg[i - 1], rg[i], tol)
-        values[i] = values[i - 1] + res.value
-        err += res.abs_error_estimate
-        evals += res.evaluations
+def _ratio(printed, chain, r: float, y: float) -> float:
+    """printed(r) / chain(r) on numpy scalars, given y = chain(r) on floats
+    (nan where that raised).
+
+    Each float operation rounds as the numpy one does, so a float result
+    that raised nothing is numpy's; elsewhere numpy's inf or nan is taken.
+    """
+    if not math.isnan(y):
+        try:
+            return printed(r) / y
+        except (ZeroDivisionError, OverflowError):
+            pass
+    r = np.float64(r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.array([printed(r) / chain(r) for r in rg])
-    return ChainQuadrature(r=rg, values=values, printed_ratio=ratio,
+        return printed(r) / chain(r)
+
+
+def _cumulative_quadrature(text: str, constants: dict, printed, rg: np.ndarray,
+                           tol: float) -> ChainQuadrature:
+    """Integral of the chain text from rg[0] to each rg[i], with printed/chain
+    at each r.
+
+    text reads r and the constants and sets v; it writes each real_power(u,
+    q) as pow(u, q) if u > 0.0 else real_power(u, q).  The quadrature binds
+    pow to math.pow, which raises OverflowError where real_power returns
+    inf; on the branches' domains that ends in a value that is not finite
+    either way, so every probe keeps real_power's outcome.  The scalar
+    chain, for the ratios and the panels handed to quad_adaptive, binds
+    pow to real_power.
+    """
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
+    chain = _bind("r", text, "v", {**constants, "pow": real_power})
+    rs = rg.tolist()
+    values, err, evals, ys = [0.0], 0.0, 0, [math.nan]
+    if rg.size > 1:
+        quad = _simpson(text, ("pow", *constants), _HANDOFF)(
+            f=chain, QuadratureError=QuadratureError,
+            max_depth=_QUAD_MAX_DEPTH, pow=math.pow, **constants)
+        # quad_adaptive and the budget are looked up at each call, so a
+        # wrapper installed in quad_adaptive's place gets the handed-off panels
+        values, err, evals, ys = quad(rs, tol, _QUAD_MAX_EVALS, quad_adaptive)
+    ratio = np.array([_ratio(printed, chain, r, y) for r, y in zip(rs, ys)])
+    return ChainQuadrature(r=rg, values=np.array(values), printed_ratio=ratio,
                            abs_error_estimate=err, evaluations=evals)
+
+
+# The chain integrands, in r and the names each producer binds
+_THETA = """\
+u = (r ** p - r0p) / lam
+J = pow(u, q) if u > 0.0 else real_power(u, q)
+v = s * J / (r * r * (lam_e * (pow(J, e1) if J > 0.0 else real_power(J, e1))))
+"""
+_TAU = """\
+u = r ** p - r0p
+v = coef * (pow(u, q1) if u > 0.0 else real_power(u, q1))
+"""
 
 
 def orbit_theta_of_r(mu: float, r0: float, r_grid,
@@ -394,18 +445,17 @@ def orbit_theta_of_r(mu: float, r0: float, r_grid,
     r0p = _r0_power(r0, p)
     # the constants of sol.Tprime and printed, bound once; the products
     # keep their left-to-right order and so their bits
-    lam, lam_e, e1 = sol.Lambda, sol.Lambda * sol.exponent, sol.exponent - 1.0
+    lam = sol.Lambda
     printed_coef = q * real_power(lam, -2.0 * q)
     printed_p = -2.0 * (n + m + 3.0) / (n + 2.0)
-
-    def chain(r: float) -> float:
-        J = real_power((r ** p - r0p) / lam, q)
-        return s * J / (r * r * (lam_e * real_power(J, e1)))
 
     def printed(r: float) -> float:
         return printed_coef * real_power(r ** p - r0p, printed_p)
 
-    return _cumulative_quadrature(chain, printed, rg, tol)
+    return _cumulative_quadrature(
+        _THETA, {"s": s, "q": q, "p": p, "r0p": r0p, "lam": lam,
+                 "lam_e": lam * sol.exponent, "e1": sol.exponent - 1.0},
+        printed, rg, tol)
 
 
 def time_of_r(mu: float, r0: float, r_grid, tau0: float = 0.0,
@@ -429,17 +479,15 @@ def time_of_r(mu: float, r0: float, r_grid, tau0: float = 0.0,
     p = mu + 2.0
     r0p = _r0_power(r0, p)
     # constants bound once, in the products' left-to-right order
-    coef, q1 = q * a * real_power(sol.Lambda, -q), q - 1.0
     printed_coef = q * p * real_power(sol.Lambda, (n + m + 1.0) / (n + 2.0))
     printed_p = -(n + m + 3.0) / (n + 2.0)
-
-    def chain(r: float) -> float:
-        return coef * real_power(r ** p - r0p, q1)
 
     def printed(r: float) -> float:
         return printed_coef * real_power(r ** p - r0p, printed_p)
 
-    res = _cumulative_quadrature(chain, printed, rg, tol)
+    res = _cumulative_quadrature(
+        _TAU, {"coef": q * a * real_power(sol.Lambda, -q), "q1": q - 1.0,
+               "p": p, "r0p": r0p}, printed, rg, tol)
     values = res.values + tau0
     if physical_time:
         values = values * a ** (-1.0 / (n + 2.0))
@@ -687,70 +735,168 @@ def power_solution_y0(lam: float) -> float:
 
 
 _QUAD_MAX_DEPTH = 60
-# Integrand evaluations per quad_adaptive call.  A smooth orbit panel takes
-# a few dozen and an integrable endpoint singularity such as x^-1/2 tens of
-# thousands; a nonintegrable one reaches the budget in about a second
-# instead of refining to _QUAD_MAX_DEPTH on each of millions of subintervals.
+# Integrand evaluations per panel.  A smooth orbit panel takes a few dozen
+# and an integrable endpoint singularity such as x^-1/2 tens of thousands;
+# a nonintegrable one reaches the budget in about a second instead of
+# refining to _QUAD_MAX_DEPTH on each of millions of subintervals.
 _QUAD_MAX_EVALS = 1_000_000
 
 
-class _QuadState:
-    __slots__ = ("evals", "err")
+# The one adaptive Simpson rule, as Python source.  quad(xs, tol, max_evals,
+# handoff) runs it over each panel [xs[i-1], xs[i]] in order, depth first.
+# A line "@x" evaluates the integrand text at r = x into v (nan where the
+# text raises); "@ends" takes a panel with an end where the integrand is
+# not finite (_HANDOFF or _STRIPS).  A panel's budget and decisions count
+# its own two ends, as a lone panel does, though each xs[i] is evaluated
+# once.
+_QUAD = """\
+    def quad(xs, tol, max_evals, handoff):
+        def rec(a, fa, m, fm, b, fb, whole, depth):
+            nonlocal ev, err
+            lm = 0.5 * (a + m)
+            rm = 0.5 * (m + b)
+            @lm
+            flm = v
+            @rm
+            frm = v
+            ev += 2
+            if not (isfinite(flm) and isfinite(frm)):
+                bad = rm if isfinite(flm) else lm
+                raise QuadratureError(f"integrand not finite at x = {bad}")
+            left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+            right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+            s2 = left + right
+            delta = s2 - whole
+            if (abs(delta) <= 15.0 * tol_density * (b - a)
+                    or ev >= max_evals):
+                err += abs(delta) / 15.0
+                return s2 + delta / 15.0
+            if depth >= max_depth:
+                raise QuadratureError(f"no convergence after {max_depth} "
+                                      f"bisection levels on [{a}, {b}]")
+            return (rec(a, fa, lm, flm, m, fm, left, depth + 1)
+                    + rec(m, fm, rm, frm, b, fb, right, depth + 1))
 
-    def __init__(self) -> None:
-        self.evals = 0
-        self.err = 0.0
+        def panel(a, b, fa, fb):
+            nonlocal ev
+            m = 0.5 * (a + b)
+            @m
+            ev += 1
+            if not (isfinite(fa) and isfinite(fb) and isfinite(v)):
+                raise QuadratureError(f"integrand not finite inside [{a}, {b}]")
+            return rec(a, fa, m, v, b, fb, (b - a) / 6.0 * (fa + 4.0 * v + fb),
+                       0)
+
+        out = [0.0]
+        acc = total_err = 0.0
+        b = xs[0]
+        @b
+        fb = v
+        ys = [v]
+        evals = 1
+        for i in range(1, len(xs)):
+            a = b
+            fa = fb
+            b = xs[i]
+            @b
+            fb = v
+            ys.append(v)
+            evals += 1
+            ev = 2
+            err = 0.0
+            tol_density = tol / (b - a)
+            if isfinite(fa) and isfinite(fb):
+                value = panel(a, b, fa, fb)
+            else:
+                @ends
+            if ev >= max_evals:
+                raise QuadratureError(f"stopped after {ev} integrand "
+                                      f"evaluations (budget {max_evals})",
+                                      partial=value)
+            evals += ev - 2
+            acc += value
+            out.append(acc)
+            total_err += err
+        return out, total_err, evals, ys
+    return quad
+"""
+# In a chain quadrature such a panel goes to quad_adaptive.  quad_adaptive
+# itself moves that end in by eps = 1e-12 * (b - a) and adds twice the
+# integral over the quarter strip next to it, which is exact for
+# inverse-square-root singularities; each strip and the panel between them
+# evaluate both their ends, as a fresh panel does.
+_HANDOFF = """\
+res = handoff(f, a, b, tol)
+acc += res.value
+out.append(acc)
+total_err += res.abs_error_estimate
+evals += res.evaluations
+continue
+"""
+_STRIPS = """\
+eps = 1e-12 * (b - a)
+lo = a
+hi = b
+tail = 0.0
+if not isfinite(fa):
+    lo = a + eps
+    x = a + 0.25 * eps
+    @x
+    f0 = v
+    @lo
+    ev += 2
+    strip = panel(x, lo, f0, v)
+    tail += 2.0 * strip
+    err += abs(strip)
+if not isfinite(fb):
+    hi = b - eps
+    x = b - 0.25 * eps
+    @hi
+    f0 = v
+    @x
+    ev += 2
+    strip = panel(hi, x, f0, v)
+    tail += 2.0 * strip
+    err += abs(strip)
+if not isfinite(fa):
+    @lo
+    fa = v
+    ev += 1
+if not isfinite(fb):
+    @hi
+    fb = v
+    ev += 1
+value = panel(lo, hi, fa, fb) + tail
+"""
 
 
-def _probe(f, x: float) -> float | None:
-    try:
-        v = float(f(x))
-    except (ZeroDivisionError, ValueError, OverflowError):
-        return None
-    return v if math.isfinite(v) else None
+@functools.cache
+def _simpson(text: str, names: tuple[str, ...], ends: str):
+    """make(f, QuadratureError, max_depth, *names) -> quad, compiled once.
 
-
-def _simpson_rec(f, a: float, fa: float, m: float, fm: float, b: float,
-                 fb: float, whole: float, depth: int, tol_density: float,
-                 state: _QuadState) -> float:
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = _probe(f, lm)
-    frm = _probe(f, rm)
-    state.evals += 2
-    if flm is None or frm is None:
-        bad = lm if flm is None else rm
-        raise QuadratureError(f"integrand not finite at x = {bad}")
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    s2 = left + right
-    delta = s2 - whole
-    if (abs(delta) <= 15.0 * tol_density * (b - a)
-            or state.evals >= _QUAD_MAX_EVALS):
-        state.err += abs(delta) / 15.0
-        return s2 + delta / 15.0
-    if depth >= _QUAD_MAX_DEPTH:
-        raise QuadratureError(f"no convergence after {_QUAD_MAX_DEPTH} "
-                              f"bisection levels on [{a}, {b}]")
-    return (_simpson_rec(f, a, fa, lm, flm, m, fm, left, depth + 1,
-                         tol_density, state)
-            + _simpson_rec(f, m, fm, rm, frm, b, fb, right, depth + 1,
-                           tol_density, state))
-
-
-def _simpson_panel(f, a: float, b: float, tol_density: float,
-                   state: _QuadState, fa: float | None = None,
-                   fb: float | None = None) -> float:
-    # fa, fb: f(a), f(b) when the caller has probed them, else None
-    state.evals += 1 + (fa is None) + (fb is None)
-    fa = _probe(f, a) if fa is None else fa
-    fb = _probe(f, b) if fb is None else fb
-    m = 0.5 * (a + b)
-    fm = _probe(f, m)
-    if fa is None or fb is None or fm is None:
-        raise QuadratureError(f"integrand not finite inside [{a}, {b}]")
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, fa, m, fm, b, fb, whole, 0, tol_density, state)
+    text reads r and the names and sets v.  quad returns the integrals
+    from xs[0] to each xs[i] as a list, the summed error estimate, the
+    evaluations made and the integrand at each xs[i] (nan where the text
+    raised).  A panel accepts |S_fine - S_coarse| <= 15 * tol * w / (b - a)
+    with Richardson correction, so its error is of order tol; a
+    subinterval still unconverged after max_depth bisection levels raises
+    QuadratureError at once, and a panel that reaches max_evals raises it
+    carrying the panel's value.
+    """
+    lines = []
+    for line in _QUAD.replace("@ends", _indent(ends, 16).strip()).splitlines():
+        body = line.lstrip()
+        indent = len(line) - len(body)
+        if body.startswith("@"):
+            lines.append(_indent(
+                f"r = {body[1:]}\ntry:\n" + _indent(text, 4)
+                + "except (ZeroDivisionError, ValueError, OverflowError):\n"
+                "    v = nan\n", indent))
+        else:
+            lines.append(line + "\n")
+    params = ", ".join(("f", "QuadratureError", "max_depth", *names))
+    return _compile(f"def make({params}):\n" + "".join(lines),
+                    "<adaptive Simpson>")
 
 
 def quad_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
@@ -771,32 +917,9 @@ def quad_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult
         raise ValueError("quadrature needs b >= a")
     if b == a:
         return QuadratureResult(0.0, 0.0, 0)
-    if tol <= 0.0:
+    if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    span = b - a
-    state = _QuadState()
-    tol_density = tol / span
-
-    fa = _probe(f, a)
-    fb = _probe(f, b)
-    state.evals += 2
-    lo = a
-    hi = b
-    eps = 1e-12 * span
-    tail = 0.0
-    if fa is None:
-        lo = a + eps
-        strip = _simpson_panel(f, a + 0.25 * eps, a + eps, tol_density, state)
-        tail += 2.0 * strip
-        state.err += abs(strip)
-    if fb is None:
-        hi = b - eps
-        strip = _simpson_panel(f, b - eps, b - 0.25 * eps, tol_density, state)
-        tail += 2.0 * strip
-        state.err += abs(strip)
-    value = _simpson_panel(f, lo, hi, tol_density, state, fa, fb) + tail
-    if state.evals >= _QUAD_MAX_EVALS:
-        raise QuadratureError(
-            f"stopped after {state.evals} integrand evaluations (budget "
-            f"{_QUAD_MAX_EVALS})", partial=value)
-    return QuadratureResult(value, state.err, state.evals)
+    quad = _simpson("v = float(f(r))\n", (), _STRIPS)(
+        f=f, QuadratureError=QuadratureError, max_depth=_QUAD_MAX_DEPTH)
+    values, err, evals, _ = quad([a, b], tol, _QUAD_MAX_EVALS, None)
+    return QuadratureResult(values[1], err, evals)

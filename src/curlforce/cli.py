@@ -263,8 +263,9 @@ def _write_table(out: Path, stem: str, fmt: str, header: Sequence[str],
                  columns: Sequence[np.ndarray],
                  labels: Sequence[str] | None = None) -> str:
     """Write a data table; labels, when given, prepend a string curve column."""
-    rows = np.column_stack(columns).tolist()
+    cells = np.column_stack(columns)
     if fmt == "json":
+        rows = cells.tolist()
         if labels is not None:
             rows = [[lab, *row] for lab, row in zip(labels, rows)]
         name = f"{stem}.json"
@@ -272,13 +273,15 @@ def _write_table(out: Path, stem: str, fmt: str, header: Sequence[str],
             json.dumps({"columns": list(header), "rows": rows},
                        sort_keys=True) + "\n")
         return name
-    # one %-format per row; %.17g prints exactly what format(x, ".17g") does
-    row_fmt = ",".join(["%.17g"] * (len(rows[0]) if rows else 0))
-    lines = [row_fmt % tuple(row) for row in rows]
+    # one %-format over every row's values, read row by row from one flat
+    # list; %.17g prints exactly what format(x, ".17g") does
+    row_fmt = ",".join(["%.17g"] * cells.shape[1])
     if labels is not None:
-        lines = [f"{lab},{line}" for lab, line in zip(labels, lines)]
+        row_fmt = "%s," + row_fmt
+        cells = np.column_stack([np.array(labels, dtype=object), cells])
     name = f"{stem}.csv"
-    (out / name).write_text("\n".join([",".join(header), *lines]) + "\n")
+    (out / name).write_text(",".join(header) + "\n" + (row_fmt + "\n")
+                            * len(cells) % tuple(cells.ravel().tolist()))
     return name
 
 

@@ -1,9 +1,13 @@
+import dis
 import hashlib
+import inspect
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curlforce import analysis
 from curlforce.analysis import (
@@ -28,7 +32,8 @@ from curlforce.analysis import (
     time_of_r,
     torque_map,
 )
-from curlforce.core import DomainError, EFSeries, Trajectory, resample
+from curlforce.core import (DomainError, EFSeries, Trajectory, real_power,
+                            resample)
 from curlforce.integrate import IntegratorSettings, integrate
 from curlforce.systems import IsotropicField, drag_ef_rhs, polar_rhs
 
@@ -323,6 +328,247 @@ class TestChainQuadratures:
             time_of_r(-1.0, 0.0, [1.0, 2.0])
 
 
+# the mu values of the benchmark's branch-quadrature jobs
+MU_BRANCH = (-0.5, 0.0, 0.5, 1.0, 2.0)
+
+
+def _ref_probe(f, x):
+    try:
+        v = float(f(x))
+    except (ZeroDivisionError, ValueError, OverflowError):
+        return None
+    return v if math.isfinite(v) else None
+
+
+def _ref_quad(f, a, b, tol, max_evals):
+    """quad_adaptive on one panel as a plain depth-first recursion:
+    (value, error estimate, evaluations)."""
+    a, b = float(a), float(b)
+    span = b - a
+    tol_density = tol / span
+    state = {"evals": 0, "err": 0.0}
+
+    def rec(a, fa, m, fm, b, fb, whole, depth):
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = _ref_probe(f, lm), _ref_probe(f, rm)
+        state["evals"] += 2
+        if flm is None or frm is None:
+            bad = lm if flm is None else rm
+            raise QuadratureError(f"integrand not finite at x = {bad}")
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        s2 = left + right
+        delta = s2 - whole
+        if (abs(delta) <= 15.0 * tol_density * (b - a)
+                or state["evals"] >= max_evals):
+            state["err"] += abs(delta) / 15.0
+            return s2 + delta / 15.0
+        if depth >= 60:
+            raise QuadratureError(
+                f"no convergence after 60 bisection levels on [{a}, {b}]")
+        return (rec(a, fa, lm, flm, m, fm, left, depth + 1)
+                + rec(m, fm, rm, frm, b, fb, right, depth + 1))
+
+    def panel(a, b, fa=None, fb=None):
+        state["evals"] += 1 + (fa is None) + (fb is None)
+        fa = _ref_probe(f, a) if fa is None else fa
+        fb = _ref_probe(f, b) if fb is None else fb
+        m = 0.5 * (a + b)
+        fm = _ref_probe(f, m)
+        if fa is None or fb is None or fm is None:
+            raise QuadratureError(f"integrand not finite inside [{a}, {b}]")
+        return rec(a, fa, m, fm, b, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb),
+                   0)
+
+    fa, fb = _ref_probe(f, a), _ref_probe(f, b)
+    state["evals"] += 2
+    lo, hi, tail, eps = a, b, 0.0, 1e-12 * span
+    if fa is None:
+        lo = a + eps
+        strip = panel(a + 0.25 * eps, a + eps)
+        tail += 2.0 * strip
+        state["err"] += abs(strip)
+    if fb is None:
+        hi = b - eps
+        strip = panel(b - eps, b - 0.25 * eps)
+        tail += 2.0 * strip
+        state["err"] += abs(strip)
+    value = panel(lo, hi, fa, fb) + tail
+    if state["evals"] >= max_evals:
+        raise QuadratureError(
+            f"stopped after {state['evals']} integrand evaluations (budget "
+            f"{max_evals})", partial=value)
+    return value, state["err"], state["evals"]
+
+
+def _per_panel_quadrature(chain, printed, rg, tol, max_evals):
+    """(values, error estimate, evaluations, printed ratios), one _ref_quad
+    per panel.  The evaluations are counted as the grid loop makes them:
+    each radius once, plus each panel's own, less its two ends unless
+    quad_adaptive took the panel over (an end not finite)."""
+    values = np.zeros(rg.size)
+    err, evals = 0.0, 0
+    for i in range(1, rg.size):
+        value, e, n = _ref_quad(chain, rg[i - 1], rg[i], tol, max_evals)
+        values[i] = values[i - 1] + value
+        err += e
+        evals += n
+    finite = [_ref_probe(chain, float(r)) is not None for r in rg]
+    regular = sum(a and b for a, b in zip(finite, finite[1:]))
+    if rg.size > 1:
+        evals += rg.size - 2 * regular
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.array([printed(r) / chain(r) for r in rg])
+    return values, err, evals, ratio
+
+
+def _reference_integrands(kind, mu, r0):
+    """The chain and printed integrands of orbit_theta_of_r or time_of_r
+    as closures over real_power."""
+    n, m = 2.0, m_from_mu(mu)
+    sol = particular_solution(n, m)
+    q, p = (1.0 - m) / (n + 2.0), mu + 2.0
+    r0p = 0.0 if r0 == 0.0 else real_power(r0, p)
+    lam = sol.Lambda
+    if kind == "theta":
+        s = math.sqrt(abs(mu + 2.0))
+        lam_e, e1 = lam * sol.exponent, sol.exponent - 1.0
+        coef = q * real_power(lam, -2.0 * q)
+        printed_p = -2.0 * (n + m + 3.0) / (n + 2.0)
+
+        def chain(r):
+            J = real_power((r ** p - r0p) / lam, q)
+            return s * J / (r * r * (lam_e * real_power(J, e1)))
+    else:
+        coef_t, q1 = q * abs(mu + 2.0) * real_power(lam, -q), q - 1.0
+        coef = q * p * real_power(lam, (n + m + 1.0) / (n + 2.0))
+        printed_p = -(n + m + 3.0) / (n + 2.0)
+
+        def chain(r):
+            return coef_t * real_power(r ** p - r0p, q1)
+
+    def printed(r):
+        return coef * real_power(r ** p - r0p, printed_p)
+
+    return chain, printed
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except QuadratureError as exc:
+        return exc
+
+
+def _same_outcome(got, ref):
+    """got (a ChainQuadrature or QuadratureError) matches the reference's
+    (values, err, evals, ratio) or its QuadratureError bit for bit."""
+    if isinstance(ref, QuadratureError):
+        assert isinstance(got, QuadratureError), got
+        assert str(got) == str(ref)
+        assert got.partial == ref.partial or (math.isnan(got.partial)
+                                              and math.isnan(ref.partial))
+        return
+    assert not isinstance(got, QuadratureError), got
+    values, err, evals, ratio = ref
+    assert got.values.tobytes() == values.tobytes()
+    assert got.abs_error_estimate == err
+    assert got.evaluations == evals
+    assert got.printed_ratio.tobytes() == ratio.tobytes()
+
+
+class TestGridQuadrature:
+    """The generated grid loop against quad_adaptive's recursion run on each
+    panel alone."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["theta", "tau"]),
+           mu=st.sampled_from(MU_BRANCH), start=st.floats(1.0, 1.5),
+           length=st.floats(0.01, 1.5), num=st.integers(2, 300),
+           r0=st.one_of(st.just("start"), st.floats(0.0, 0.9)),
+           max_evals=st.sampled_from([None, 20, 300, 5000]))
+    def test_matches_per_panel_reference(self, kind, mu, start, length, num,
+                                         r0, max_evals):
+        # r0 = "start" puts an integrable singularity on the grid's first
+        # radius, so quad_adaptive takes the first panel over
+        rg = np.linspace(start, start + length, num)
+        r0 = start if r0 == "start" else r0 * start
+        budget = max_evals or analysis._QUAD_MAX_EVALS
+        chain, printed = _reference_integrands(kind, mu, r0)
+        quadrature = orbit_theta_of_r if kind == "theta" else time_of_r
+        with mock.patch.object(analysis, "_QUAD_MAX_EVALS", budget):
+            got = _outcome(quadrature, mu, r0, rg)
+        _same_outcome(got, _outcome(_per_panel_quadrature, chain, printed,
+                                    rg, 1e-10, budget))
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(num=st.integers(2, 40), panel=st.floats(0.0, 1.0),
+           where=st.sampled_from([0.5, 0.25, 0.75, 0.375]))
+    def test_integrand_not_finite_inside_a_panel(self, num, panel, where):
+        # the pole sits on the panel's midpoint (found by the panel) or on a
+        # point of its refinement (found by the recursion)
+        rg = np.linspace(1.0, 2.0, num)
+        i = min(int(panel * (num - 1)), num - 2)
+        a, b = float(rg[i]), float(rg[i + 1])
+        c = a + where * (b - a)
+        if where != 0.5:
+            m = 0.5 * (a + b)
+            c = 0.5 * (a + m) if where < 0.5 else 0.5 * (m + b)
+        got = _outcome(analysis._cumulative_quadrature, "v = 1.0 / (r - c)\n",
+                       {"c": c}, lambda r: 1.0, rg, 1e-10)
+        ref = _outcome(_per_panel_quadrature, lambda r: 1.0 / (r - c),
+                       lambda r: 1.0, rg, 1e-10, analysis._QUAD_MAX_EVALS)
+        assert isinstance(ref, QuadratureError)
+        _same_outcome(got, ref)
+
+    def test_single_point_grid(self):
+        for quadrature in (orbit_theta_of_r, time_of_r):
+            rep = quadrature(0.5, 0.3, [1.2])
+            assert rep.values.tolist() == [0.0]
+            assert rep.evaluations == 0
+            assert rep.abs_error_estimate == 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_tol_checked_on_any_grid(self, tol):
+        for quadrature in (orbit_theta_of_r, time_of_r):
+            for rg in ([1.2], [1.2, 1.5]):
+                with pytest.raises(ValueError, match="tol must be positive"):
+                    quadrature(0.5, 0.3, rg, tol=tol)
+
+    def test_generated_source_reads_only_its_namespace(self, monkeypatch):
+        # every name the quadrature text reads is a parameter of make, bound
+        # by name, or a name of the namespace it is compiled in; a constant
+        # left unbound would be read as a global (and fail only when reached)
+        bound = []
+        simpson = analysis._simpson
+
+        def recording(*key):
+            make = simpson(*key)
+
+            def bind(**constants):
+                bound.append((make, constants))
+                return make(**constants)
+            return bind
+
+        monkeypatch.setattr(analysis, "_simpson", recording)
+        orbit_theta_of_r(0.5, 0.3, [1.2, 1.5])
+        time_of_r(0.5, 0.3, [1.2, 1.5])
+        quad_adaptive(math.sin, 0.0, 1.0)
+        assert len(bound) == 3
+        allowed = {"abs", "float", "len", "range", "ZeroDivisionError",
+                   "ValueError", "OverflowError"}
+        for make, constants in bound:
+            assert set(inspect.signature(make).parameters) == set(constants)
+            namespace = set(make.__globals__) - {"__builtins__", "make"}
+            codes = [make.__code__]
+            while codes:
+                code = codes.pop()
+                codes += [c for c in code.co_consts if inspect.iscode(c)]
+                for ins in dis.get_instructions(code):
+                    if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
+                        assert ins.argval in namespace | allowed, ins.argval
+
+
 class TestSeeding:
     def test_seed_lies_on_branch(self):
         J1 = j_of_r(1.0, mu=0.0, r0=0.0, n=2.0, m=-2.0)
@@ -539,6 +785,10 @@ class TestQuadAdaptive:
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
             quad_adaptive(math.sin, 0.0, 1.0, tol=0.0)
+
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            quad_adaptive(math.sin, 0.0, math.pi, tol=math.nan)
 
     def test_interior_singularity_raises(self):
         with pytest.raises(QuadratureError):
