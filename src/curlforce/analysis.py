@@ -7,7 +7,9 @@ of polar runs from the branch (seed_polar_from_particular), residual
 adjudicators for printed-versus-derived formula variants (ef_residual,
 drag_map_residual, abel_reduction_residual, scaling_map_residual), the
 power-solution root of the third-order reduction (power_solution_y0), and
-a self-contained adaptive quadrature (quad_adaptive).
+a self-contained adaptive quadrature (quad_adaptive).  A residual evaluates
+its equation's right-hand side: its model is the slope of that rhs's float
+kernel, taken row by row (_slope, _model).
 
 The adaptive Simpson rule is written once, as Python source (_simpson)
 around an integrand's text, and compiled once per text.  Each chain
@@ -31,7 +33,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .core import (
 )
 from .integrate import _compile
 from .invariants import angular_momentum
-from .systems import _bind, _indent
+from .systems import _bind, _indent, drag_ef_rhs, ef_rhs
 
 __all__ = [
     "NonRealLambda",
@@ -171,7 +173,8 @@ class ParticularSolution:
 
     def ode_residual(self, J):
         """T'' - J^n T^m evaluated on the branch; zero when Lambda is exact."""
-        return self.Tsecond(J) - _rpow(J, self.n) * _rpow(self.T(J), self.m)
+        return self.Tsecond(J) - _model(_slope(ef_rhs(self.n, self.m)), J,
+                                        self.T(J), self.Tprime(J))
 
 
 def particular_solution(n: float, m: float) -> ParticularSolution:
@@ -278,19 +281,31 @@ def _rms_max(resid: np.ndarray) -> tuple[float, float]:
     return float(np.sqrt(np.mean(resid * resid))), float(np.max(np.abs(resid)))
 
 
-def _residual_stats(fd2: np.ndarray, model: np.ndarray,
-                    slope_max: float) -> ResidualStats:
-    resid = fd2 - model
-    scale = max(float(np.max(np.abs(fd2))), 1e-30)
-    return ResidualStats(*_rms_max(resid), scale=scale, slope_max=slope_max,
-                         count=int(resid.size))
+def _slope(rhs):
+    """(J, T, T') -> T'' of an rhs with state (T, T'), through its kernel."""
+    kernel = rhs.kernel
+    return lambda J, T, Tp: kernel(J, [T, Tp])[1]
 
 
-def _slope_consistency(J: np.ndarray, T: np.ndarray, Tp: np.ndarray) -> float:
-    """Max deviation of chord slopes from averaged endpoint derivatives."""
+def _model(f, J, T, Tp):
+    """f(J, T, T') at each row of the columns, on Python floats: an array
+    of the columns' shape, or a float for scalars."""
+    cols = (np.asarray(c).ravel().tolist() for c in (J, T, Tp))
+    out = np.array([f(j, t, tp) for j, t, tp in zip(*cols)])
+    return out.reshape(np.shape(J)) if np.ndim(J) else out.item()
+
+
+def _residual_stats(slope, J: np.ndarray, T: np.ndarray,
+                    Tp: np.ndarray) -> ResidualStats:
+    """d2T/dJ2 by finite differences minus slope at each interior row;
+    slope_max is the largest gap between chord slopes and averaged T'."""
+    fd2 = _fd2(J, T)
+    resid = fd2 - _model(slope, J[1:-1], T[1:-1], Tp[1:-1])
     chord = np.diff(T) / np.diff(J)
-    avg = 0.5 * (Tp[:-1] + Tp[1:])
-    return float(np.max(np.abs(chord - avg)))
+    return ResidualStats(
+        *_rms_max(resid), scale=max(float(np.max(np.abs(fd2))), 1e-30),
+        slope_max=float(np.max(np.abs(chord - 0.5 * (Tp[:-1] + Tp[1:])))),
+        count=int(resid.size))
 
 
 def ef_residual(series: EFSeries, n: float, m: float) -> ResidualStats:
@@ -302,10 +317,8 @@ def ef_residual(series: EFSeries, n: float, m: float) -> ResidualStats:
     """
     if len(series) < 3:
         raise ValueError("residual needs at least 3 samples")
-    fd2 = _fd2(series.J, series.T)
-    model = _rpow(series.J[1:-1], n) * _rpow(series.T[1:-1], m)
-    return _residual_stats(fd2, model, _slope_consistency(series.J, series.T,
-                                                          series.Tprime))
+    return _residual_stats(_slope(ef_rhs(n, m)), series.J, series.T,
+                           series.Tprime)
 
 
 def j_of_r(r, mu: float, r0: float, n: float, m: float):
@@ -422,6 +435,7 @@ _TAU = """\
 u = r ** p - r0p
 v = coef * (pow(u, q1) if u > 0.0 else real_power(u, q1))
 """
+_PRINTED = "coef * real_power(r ** p - r0p, k)"  # either printed closed form
 
 
 def orbit_theta_of_r(mu: float, r0: float, r_grid,
@@ -446,12 +460,9 @@ def orbit_theta_of_r(mu: float, r0: float, r_grid,
     # the constants of sol.Tprime and printed, bound once; the products
     # keep their left-to-right order and so their bits
     lam = sol.Lambda
-    printed_coef = q * real_power(lam, -2.0 * q)
-    printed_p = -2.0 * (n + m + 3.0) / (n + 2.0)
-
-    def printed(r: float) -> float:
-        return printed_coef * real_power(r ** p - r0p, printed_p)
-
+    printed = _bind("r", "", _PRINTED, {
+        "coef": q * real_power(lam, -2.0 * q), "p": p, "r0p": r0p,
+        "k": -2.0 * (n + m + 3.0) / (n + 2.0)})
     return _cumulative_quadrature(
         _THETA, {"s": s, "q": q, "p": p, "r0p": r0p, "lam": lam,
                  "lam_e": lam * sol.exponent, "e1": sol.exponent - 1.0},
@@ -475,23 +486,24 @@ def time_of_r(mu: float, r0: float, r_grid, tau0: float = 0.0,
     m, sol = _positive_branch(mu)
     rg = _check_r_grid(r_grid)
     q = (1.0 - m) / (n + 2.0)
-    a = abs(mu + 2.0)
     p = mu + 2.0
     r0p = _r0_power(r0, p)
     # constants bound once, in the products' left-to-right order
-    printed_coef = q * p * real_power(sol.Lambda, (n + m + 1.0) / (n + 2.0))
-    printed_p = -(n + m + 3.0) / (n + 2.0)
-
-    def printed(r: float) -> float:
-        return printed_coef * real_power(r ** p - r0p, printed_p)
-
+    printed = _bind("r", "", _PRINTED, {
+        "coef": q * p * real_power(sol.Lambda, (n + m + 1.0) / (n + 2.0)),
+        "p": p, "r0p": r0p, "k": -(n + m + 3.0) / (n + 2.0)})
     res = _cumulative_quadrature(
-        _TAU, {"coef": q * a * real_power(sol.Lambda, -q), "q1": q - 1.0,
+        _TAU, {"coef": q * abs(p) * real_power(sol.Lambda, -q), "q1": q - 1.0,
                "p": p, "r0p": r0p}, printed, rg, tol)
     values = res.values + tau0
     if physical_time:
-        values = values * a ** (-1.0 / (n + 2.0))
+        values = values * _physical_time_factor(mu)
     return replace(res, values=values)
+
+
+def _physical_time_factor(mu: float) -> float:
+    """|mu+2|^(-1/(n+2)), which turns the branch's tau into unscaled time."""
+    return abs(mu + 2.0) ** (-1.0 / (_N + 2.0))
 
 
 def seed_polar_from_particular(mu: float, r0: float, J1: float) -> PolarState:
@@ -559,13 +571,7 @@ def scaling_map_residual(traj: Trajectory, alpha: float, beta: float,
     states = resample(traj, np.clip(grid * c, t0, t1))
     T_hat = amp * states[:, 0]
     Tp_hat = amp * c * states[:, 1]
-    fd2 = _fd2(grid, T_hat)
-    model_vals = np.array([
-        model(float(j), float(tt), float(tp))
-        for j, tt, tp in zip(grid[1:-1], T_hat[1:-1], Tp_hat[1:-1])
-    ])
-    return _residual_stats(fd2, model_vals,
-                           _slope_consistency(grid, T_hat, Tp_hat))
+    return _residual_stats(model, grid, T_hat, Tp_hat)
 
 
 @dataclass(frozen=True)
@@ -616,19 +622,16 @@ def drag_map_residual(traj: Trajectory, mu: float,
 
     fd2 = _fd2(j_raw, t_raw)
     ji = j_raw[1:-1]
-    ti = t_raw[1:-1]
     tpi = rdot[1:-1]
     wi = w[1:-1]
     scale = max(float(np.max(np.abs(fd2))), 1e-30)
 
     derived = fd2 - ji * ji * _rpow(wi, lam)
+    rms_p = max_p = math.nan
     if nu is not None:
         derived = derived - _rpow(wi, rho) * tpi
-        printed = fd2 - _rpow(ti, lam) * tpi - ji * ji * _rpow(ti, sigma)
-        rms_p, max_p = _rms_max(printed)
-    else:
-        rms_p = math.nan
-        max_p = math.nan
+        rms_p, max_p = _rms_max(fd2 - _model(_slope(drag_ef_rhs(lam, sigma)),
+                                             ji, t_raw[1:-1], tpi))
     rms_d, max_d = _rms_max(derived)
 
     if math.isnan(rms_p) or rms_d < 0.1 * rms_p:

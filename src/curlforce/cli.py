@@ -471,7 +471,7 @@ def cmd_map_ef(c: dict, out: Path, fmt: str, manifest: dict) -> None:
 
     manifest["run"] = _traj_block(traj)
     manifest["mu"] = mu
-    manifest["m"] = analysis.m_from_mu(mu)
+    manifest["m"] = m = analysis.m_from_mu(mu)
     manifest["r0_effective"] = "inf" if math.isinf(r0) else r0
     manifest["scaled"] = apply_scaling
     with warnings.catch_warnings(record=True) as caught:
@@ -483,7 +483,6 @@ def cmd_map_ef(c: dict, out: Path, fmt: str, manifest: dict) -> None:
             report["lambda"] = report.pop("lam")
             manifest["drag_map_residual"] = report
         else:
-            m = analysis.m_from_mu(mu)
             manifest["ef_residual"] = dataclasses.asdict(
                 analysis.ef_residual(series, 2.0, m))
             drifts = {}
@@ -543,6 +542,18 @@ _NOETHER = {
 _MAX_POINTS = 1_000_000
 # (J, T, T') points where the constructed integral meets its known form
 _KNOWN_FORM_PROBE = [(0.9, 1.1, 0.3), (1.4, 0.8, -0.2), (2.0, 1.7, 0.6)]
+# the known integrals of T'' = J^n T^m by (n, m), each under the manifest
+# key of its largest difference there; a string is written as it is
+_KNOWN_FORMS = {
+    (2.0, -5.0): {"quartic_form_max_diff": invariants.ef_integral_m5},
+    (2.0, -7.0): {
+        "coefficient_one_third_max_diff":
+            lambda *p: invariants.ef_integral_m7(*p, c=1.0 / 3.0),
+        "coefficient_one_max_diff":
+            lambda *p: invariants.ef_integral_m7(*p, c=1.0),
+        "note": ("the conserved cubic-term coefficient is 1/3; the "
+                 "coefficient-1 variant is not constant along solutions")},
+}
 
 
 def _default_grid() -> list[tuple[float, float, float]]:
@@ -581,8 +592,7 @@ def cmd_noether(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     settings = _integrator({"rel_tol": run["rel_tol"],
                             "abs_tol": run["abs_tol"]}, run["J_span"])
     traj = _run(systems.ef_rhs(n, m), np.array(run["initial"]), settings)
-    values = np.array([evaluator(float(J), float(T), float(Tp))
-                       for J, (T, Tp) in zip(traj.t, traj.y)])
+    values = analysis._model(evaluator, traj.t, traj.y[:, 0], traj.y[:, 1])
 
     manifest["lagrangian"] = {"n": n, "m": m, "potential_scale": scale}
     manifest["generator"] = manifest["config"]["generator"]
@@ -601,24 +611,11 @@ def cmd_noether(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         manifest["integral"]["note"] = (
             "generator is not Noetherian for this Lagrangian; the evaluator "
             "is generally not conserved")
-    if n == 2.0 and m == -7.0:
-        diff_third = max(
-            abs(evaluator(*p) - float(invariants.ef_integral_m7(*p, c=1.0 / 3.0)))
-            for p in _KNOWN_FORM_PROBE)
-        diff_one = max(
-            abs(evaluator(*p) - float(invariants.ef_integral_m7(*p, c=1.0)))
-            for p in _KNOWN_FORM_PROBE)
-        manifest["integral"]["matches_known_form"] = {
-            "coefficient_one_third_max_diff": diff_third,
-            "coefficient_one_max_diff": diff_one,
-            "note": ("the conserved cubic-term coefficient is 1/3; the "
-                     "coefficient-1 variant is not constant along solutions"),
-        }
-    if n == 2.0 and m == -5.0:
-        diff = max(abs(evaluator(*p) - float(invariants.ef_integral_m5(*p)))
-                   for p in _KNOWN_FORM_PROBE)
-        manifest["integral"]["matches_known_form"] = {
-            "quartic_form_max_diff": diff}
+    known = {key: form if isinstance(form, str) else max(
+        abs(evaluator(*p) - float(form(*p))) for p in _KNOWN_FORM_PROBE)
+        for key, form in _KNOWN_FORMS.get((n, m), {}).items()}
+    if known:
+        manifest["integral"]["matches_known_form"] = known
 
 
 # the bound keeps np.linspace from allocating a huge grid
@@ -668,15 +665,15 @@ def cmd_orbit(c: dict, out: Path, fmt: str, manifest: dict) -> None:
             raise ConfigError("compare_simulation needs mu > -2")
     elif c["integrator"] is not None:
         raise ConfigError("integrator is read only with compare_simulation")
-    n = 2.0  # a polar run maps to T'' = J^2 T^m
     theta_rep = analysis.orbit_theta_of_r(mu, r0, rg, tol=tol)
     time_rep = analysis.time_of_r(mu, r0, rg, tol=tol)
+    m, branch = analysis._positive_branch(mu)
 
     header = ["r", "theta", "tau"]
     columns = [rg, theta_rep.values, time_rep.values]
     manifest["mu"] = mu
-    manifest["m"] = analysis.m_from_mu(mu)
-    manifest["Lambda"] = analysis.lambda_coeff(n, analysis.m_from_mu(mu))
+    manifest["m"] = m
+    manifest["Lambda"] = branch.Lambda
     reps = {"theta": theta_rep, "tau": time_rep}
     manifest["quadrature"] = {
         k: {"abs_error_estimate": rep.abs_error_estimate,
@@ -685,9 +682,9 @@ def cmd_orbit(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         k: _ratio_range(rep) for k, rep in reps.items()}
 
     if c["compare_simulation"]:
-        j1 = analysis.j_of_r(float(rg[0]), mu, r0, n, analysis.m_from_mu(mu))
+        j1 = analysis.j_of_r(float(rg[0]), mu, r0, branch.n, m)
         seed = analysis.seed_polar_from_particular(mu, r0, j1)
-        t_phys = abs(mu + 2.0) ** (-1.0 / (n + 2.0)) * time_rep.values
+        t_phys = analysis._physical_time_factor(mu) * time_rep.values
         duration = 3.0 * (t_phys[-1] - t_phys[0]) + 1.0
         stop = systems.r_floor_event(float(rg[-1]), "r-target")
         settings = _integrator(c["integrator"] or {}, (0.0, duration), (stop,))
@@ -772,9 +769,8 @@ def cmd_special(c: dict, out: Path, fmt: str, manifest: dict) -> None:
 
     rhs = systems.drag_ef_rhs(lam, sigma)
     traj = _run(rhs, np.array(run["initial"]), settings)
-    stats = analysis.scaling_map_residual(
-        traj, alpha=-1.0, beta=-lam, eps=eps,
-        model=lambda J, T, Tp: rhs.kernel(J, [T, Tp])[1])
+    stats = analysis.scaling_map_residual(traj, alpha=-1.0, beta=-lam, eps=eps,
+                                          model=analysis._slope(rhs))
     manifest["scaling_map"] = {
         "eps": eps,
         "rms": stats.rms,
