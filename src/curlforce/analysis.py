@@ -202,8 +202,7 @@ def _r0_power(r0: float, p: float) -> float:
 def _polar_columns(traj: Trajectory, mu: float,
                    what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(r, rdot, r^2 thetadot) of a polar run checked for the torque map."""
-    if mu == -2.0:
-        raise ValueError("mu = -2 is excluded: the map divides by mu + 2")
+    m_from_mu(mu)
     if traj.y.shape[1] != 4:
         raise ValueError(f"{what} needs a polar trajectory with 4 state columns")
     r = traj.y[:, 0]

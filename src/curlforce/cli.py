@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -31,7 +32,8 @@ import numpy as np
 
 from . import __version__, analysis, invariants, systems
 from .core import Trajectory, crossing_times, drift_metric, resample
-from .integrate import Event, IntegrationError, IntegratorSettings, integrate
+from .integrate import (_READS, Event, IntegrationError, IntegratorSettings,
+                        integrate)
 from .systems import AngleFunction
 
 __all__ = ["ConfigError", "main"]
@@ -97,9 +99,12 @@ def _num(value: Any, where: str) -> float:
             or value != value):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise ConfigError(f"{where} is an integer too large for a float") from None
+    if math.isinf(x):  # JSON's Infinity; r0 spells infinity "inf"
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return x
 
 
 def _num_or_inf(value: Any, where: str) -> float:
@@ -222,7 +227,7 @@ def _state(value: Any, where: str) -> np.ndarray:
 # default, and an absent t_span the command's default span.  rel_tol and
 # abs_tol belong to rk45 and h to rk4; IntegratorSettings refuses the others
 _INTEGRATOR = {
-    "method": (_choice("rk45", "rk4"), None),
+    "method": (_choice(*_READS), None),
     "rel_tol": (_num, None),
     "abs_tol": (_num, None),
     "h": (_num, None),
@@ -365,26 +370,25 @@ def cmd_simulate(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         raise error
 
 
+# figure -> its default I values and initial (psi, dpsi) per curve
+_FIG_DEFAULTS = {
+    "fig1": ([1.1, 1.2, 2.0], [[0.1, 0.1]]),
+    "fig2": ([-1.1, -1.2, -2.0], [[0.1, 0.1]]),
+    "fig3": ([-1.0, 0.5], [[0.1, 0.1], [-0.1, 0.1], [0.1, -0.1]]),
+}
 _FIGURE = {
-    "which": (_choice("fig1", "fig2", "fig3"), _REQUIRED),
+    "which": (_choice(*_FIG_DEFAULTS), _REQUIRED),
     "I_values": (_nums(1), None),
     "initial_conditions": (_list(_nums(2, 2), 1), None),
     "theta_span": (_span, [0.0, 20.0]),
-    "variant": (_choice("derived", "as_printed"), "derived"),
+    "variant": (_choice(*systems._VARIANTS), "derived"),
 }
-_FIG_DEFAULT_I = {
-    "fig1": [1.1, 1.2, 2.0],
-    "fig2": [-1.1, -1.2, -2.0],
-    "fig3": [-1.0, 0.5],
-}
-_FIG3_ICS = [[0.1, 0.1], [-0.1, 0.1], [0.1, -0.1]]
 
 
 def _figure_curves(c: dict) -> list[tuple[str, float, tuple[float, float]]]:
-    which = c["which"]
-    i_values = c["I_values"] or _FIG_DEFAULT_I[which]
-    ics = c["initial_conditions"] or (_FIG3_ICS if which == "fig3"
-                                      else [[0.1, 0.1]])
+    i_values, ics = _FIG_DEFAULTS[c["which"]]
+    i_values = c["I_values"] or i_values
+    ics = c["initial_conditions"] or ics
     curves = []
     for I in i_values:
         for ic in ics:
@@ -411,7 +415,7 @@ def cmd_figure(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     labels: list[str] = []
     runs: list[Trajectory] = []
     curve_blocks = []
-    other = "as_printed" if variant == "derived" else "derived"
+    [other] = set(systems._VARIANTS) - {variant}
     for label, I, ic in curves:
         main_run = _figure_run(I, ic, span, variant)
         twin_run = _figure_run(I, ic, span, other)
@@ -445,6 +449,21 @@ def cmd_figure(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         "underlying family, recorded here for reproducibility")
     manifest["curves"] = curve_blocks
 
+
+# the known integrals of T'' = J^n T^m by (n, m), in the order they are
+# evaluated: (map-ef drift key, noether matches_known_form key, values at
+# (J, T, T')); a note, with no drift key, is written as it is
+_KNOWN_INTEGRALS = {
+    (2.0, -5.0): [("ef_integral_m5", "quartic_form_max_diff",
+                   invariants.ef_integral_m5)],
+    (2.0, -7.0): [
+        ("ef_integral_m7_c_one_third", "coefficient_one_third_max_diff",
+         functools.partial(invariants.ef_integral_m7, c=1.0 / 3.0)),
+        ("ef_integral_m7_c_one", "coefficient_one_max_diff",
+         functools.partial(invariants.ef_integral_m7, c=1.0)),
+        (None, "note", "the conserved cubic-term coefficient is 1/3; the "
+         "coefficient-1 variant is not constant along solutions")],
+}
 
 _MAP_EF = {
     "system": (_field, _REQUIRED),
@@ -484,19 +503,14 @@ def cmd_map_ef(c: dict, out: Path, fmt: str, manifest: dict) -> None:
             manifest["drag_map_residual"] = report
         else:
             manifest["ef_residual"] = dataclasses.asdict(
-                analysis.ef_residual(series, 2.0, m))
-            drifts = {}
-            if abs(m + 5.0) < 1e-9:
-                vals = invariants.ef_integral_m5(series.J, series.T,
-                                                 series.Tprime)
-                drifts["ef_integral_m5"] = _drift(vals, "ef_integral_m5")
-            if abs(m + 7.0) < 1e-9:
-                for k, key in ((1.0 / 3.0, "ef_integral_m7_c_one_third"),
-                               (1.0, "ef_integral_m7_c_one")):
-                    vals = invariants.ef_integral_m7(series.J, series.T,
-                                                    series.Tprime, c=k)
-                    drifts[key] = _drift(vals, key)
-            manifest["invariant_drifts"] = drifts
+                analysis.ef_residual(series, analysis._N, m))
+            # the mapped m is the row's to rounding: mu = -5/3 gives
+            # m = -7.000000000000001
+            manifest["invariant_drifts"] = {
+                key: _drift(integral(series.J, series.T, series.Tprime), key)
+                for (n, m_row), row in _KNOWN_INTEGRALS.items()
+                if n == analysis._N and abs(m - m_row) < 1e-9
+                for key, _, integral in row if key}
     manifest["warnings"] = [str(w.message) for w in caught]
     manifest["data"] = _write_table(out, "map_ef", fmt, ["J", "T", "Tprime"],
                                     [series.J, series.T, series.Tprime])
@@ -531,7 +545,10 @@ _NOETHER = {
     "generator": (_generator, _REQUIRED),
     "potential_scale": (_num, 1.0),
     "grid": ({"J": (_nums(1), _REQUIRED), "T": (_nums(1), _REQUIRED),
-              "Tprime": (_nums(1), _REQUIRED)}, None),
+              "Tprime": (_nums(1), _REQUIRED)},
+             {"J": [0.5, 0.875, 1.25, 1.625, 2.0],
+              "T": [0.5, 0.875, 1.25, 1.625, 2.0],
+              "Tprime": [-1.0, -0.5, 0.0, 0.5, 1.0]}),
     "run": ({"initial": (_nums(2, 2), [1.0, 0.0]),
              "J_span": (_span, [1.0, 3.0]),
              "rel_tol": (_num, 1e-12),
@@ -542,47 +559,24 @@ _NOETHER = {
 _MAX_POINTS = 1_000_000
 # (J, T, T') points where the constructed integral meets its known form
 _KNOWN_FORM_PROBE = [(0.9, 1.1, 0.3), (1.4, 0.8, -0.2), (2.0, 1.7, 0.6)]
-# the known integrals of T'' = J^n T^m by (n, m), each under the manifest
-# key of its largest difference there; a string is written as it is
-_KNOWN_FORMS = {
-    (2.0, -5.0): {"quartic_form_max_diff": invariants.ef_integral_m5},
-    (2.0, -7.0): {
-        "coefficient_one_third_max_diff":
-            lambda *p: invariants.ef_integral_m7(*p, c=1.0 / 3.0),
-        "coefficient_one_max_diff":
-            lambda *p: invariants.ef_integral_m7(*p, c=1.0),
-        "note": ("the conserved cubic-term coefficient is 1/3; the "
-                 "coefficient-1 variant is not constant along solutions")},
-}
-
-
-def _default_grid() -> list[tuple[float, float, float]]:
-    pts = np.linspace(0.5, 2.0, 5)
-    tps = np.linspace(-1.0, 1.0, 5)
-    return [(float(J), float(T), float(Tp))
-            for J in pts for T in pts for Tp in tps]
 
 
 def cmd_noether(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     n, m, scale, G = c["n"], c["m"], c["potential_scale"], c["generator"]
     L = invariants.PowerLagrangian(n, m, potential_scale=scale)
 
-    if c["grid"] is None:
-        grid = _default_grid()
-    else:
-        g = c["grid"]
-        points = len(g["J"]) * len(g["T"]) * len(g["Tprime"])
-        if points > _MAX_POINTS:
-            raise ConfigError(f"grid has {points} points (J x T x Tprime); "
-                              f"at most {_MAX_POINTS} are allowed")
-        grid = [(J, T, Tp) for J in g["J"] for T in g["T"]
-                for Tp in g["Tprime"]]
+    g = c["grid"]
+    points = len(g["J"]) * len(g["T"]) * len(g["Tprime"])
+    if points > _MAX_POINTS:
+        raise ConfigError(f"grid has {points} points (J x T x Tprime); "
+                          f"at most {_MAX_POINTS} are allowed")
+    grid = [(J, T, Tp) for J in g["J"] for T in g["T"] for Tp in g["Tprime"]]
     residuals = invariants.noether_residual(L, G, grid)
     max_resid = max(abs(r) for r in residuals)
     rms_resid = math.sqrt(sum(r * r for r in residuals) / len(residuals))
     if not math.isfinite(rms_resid):
         raise FloatingPointError("the Noether residual is not finite on the grid")
-    noetherian = max_resid <= 1e-9
+    noetherian = max_resid <= invariants._NOETHER_TOL
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", invariants.NonNoetherianWarning)
@@ -611,11 +605,12 @@ def cmd_noether(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         manifest["integral"]["note"] = (
             "generator is not Noetherian for this Lagrangian; the evaluator "
             "is generally not conserved")
-    known = {key: form if isinstance(form, str) else max(
-        abs(evaluator(*p) - float(form(*p))) for p in _KNOWN_FORM_PROBE)
-        for key, form in _KNOWN_FORMS.get((n, m), {}).items()}
-    if known:
-        manifest["integral"]["matches_known_form"] = known
+    if (n, m) in _KNOWN_INTEGRALS:
+        manifest["integral"]["matches_known_form"] = {
+            key: integral if isinstance(integral, str) else max(
+                abs(evaluator(*p) - float(integral(*p)))
+                for p in _KNOWN_FORM_PROBE)
+            for _, key, integral in _KNOWN_INTEGRALS[n, m]}
 
 
 # the bound keeps np.linspace from allocating a huge grid
@@ -741,11 +736,8 @@ def cmd_special(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         z = np.linspace(0.0, 2.0, 101)
         y = y0 * np.exp(-z)
         resid = systems.third_order_residual(y, -y, y, -y, lam, sigma)
-        manifest["exponential_solution"] = {
-            "Y0": y0,
-            "max_abs_residual": float(np.max(np.abs(resid))),
-            "note": "Y = Y0*exp(-z); exact only with sigma = -3",
-        }
+        key, block = "exponential_solution", {
+            "Y0": y0, "note": "Y = Y0*exp(-z); exact only with sigma = -3"}
     else:
         try:
             y0 = analysis.power_solution_y0(lam)
@@ -760,12 +752,12 @@ def cmd_special(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         yppp = y0 * p * (p - 1.0) * (p - 2.0) * z ** (p - 3.0)
         resid = systems.third_order_residual(y, yp, ypp, yppp, lam,
                                              1.0 + 4.0 * lam)
-        manifest["power_solution"] = {
-            "Y0": y0,
-            "exponent": p,
-            "max_abs_residual": float(np.max(np.abs(resid))),
-            "note": "Y = Y0*z^(lambda/(1+lambda)) solves the sigma = 1+4*lambda case",
-        }
+        key, block = "power_solution", {"Y0": y0, "exponent": p, "note": (
+            "Y = Y0*z^(lambda/(1+lambda)) solves the sigma = 1+4*lambda case")}
+    if not np.isfinite(resid).all():
+        raise FloatingPointError(
+            f"the {key.replace('_', ' ')}'s residual is not finite")
+    manifest[key] = {**block, "max_abs_residual": float(np.max(np.abs(resid)))}
 
     rhs = systems.drag_ef_rhs(lam, sigma)
     traj = _run(rhs, np.array(run["initial"]), settings)

@@ -186,11 +186,12 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
     The loop steps from the node (t, y, f), appends each accepted node to
     the flat lists ts, ys and fs (ys and fs hold dim floats a node), and
     returns (termination, t, accepted, rejected, stage evaluations);
-    "max-steps" and "not-finite" are failures at that t.  gp holds the
-    events' values at t.  Only when an event's value changes sign, or
-    reaches zero from a nonzero value, over an accepted step does the loop
-    call stop_on_step(t_new, y_new, f_new, gp, g), which records the stop
-    and returns the evaluations it made; the run then ends there.
+    "max-steps" and "not-finite" are failures at that t, and a step that
+    cannot advance t (or, rk45, is below h_min) ends it as "step-underflow".
+    gp holds the events' values at t.  Only when an event's value changes
+    sign, or reaches zero from a nonzero value, over an accepted step does
+    the loop call stop_on_step(t_new, y_new, f_new, gp, g), which records
+    the stop and returns the evaluations it made; the run then ends there.
     """
     comps = range(dim)
     events = events or ()
@@ -232,7 +233,8 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
     stretch = 1.4 if rk4 else 1.05
     body += ["remaining = t1 - t", f"if remaining <= {stretch!r} * h:",
              "    h_use = remaining", "    t_new = t1",
-             "else:", "    h_use = h", "    t_new = t + h_use"]
+             "else:", "    h_use = h", "    t_new = t + h_use",
+             "if not t_new > t:", f"    return 'step-underflow', t, {done}"]
     if rk4:
         body += ["hh = 0.5 * h_use",
                  *stage("k2_", "t + 0.5 * h_use", totals([("hh", "f")])),
@@ -329,7 +331,9 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
 
     rk4 steps by settings.h; rk45 starts with a step of a hundredth of the
     span and adapts it to rel_tol and abs_tol.  Returns a Trajectory whose
-    termination field is one of "completed", "event" and "step-underflow".
+    termination field is one of "completed", "event" and "step-underflow",
+    the last when t + step rounds to t (rk45: or a step is below 1e-14 of
+    the span).
     Exceeding max_steps raises IntegrationError with the partial trajectory
     attached, as does a non-finite right-hand side at an accepted point.
 

@@ -245,6 +245,9 @@ def noether_residual(L: PowerLagrangian, G: GeneratorSpec,
     return out
 
 
+# the largest |Noether residual| at which a generator counts as Noetherian
+_NOETHER_TOL = 1e-9
+
 _PROBE = [(J, T, Tp)
           for J in (0.7, 1.1, 1.6)
           for T in (0.8, 1.3, 2.1)
@@ -259,7 +262,7 @@ def noether_integral(L: PowerLagrangian, G: GeneratorSpec,
     on a probe grid; the returned evaluator is then generally not conserved.
     """
     res = noether_residual(L, G, _PROBE)
-    if max(abs(r) for r in res) > 1e-9:
+    if max(abs(r) for r in res) > _NOETHER_TOL:
         warnings.warn(
             "generator fails the Noether condition for this Lagrangian; "
             "the constructed quantity will not be conserved",

@@ -393,12 +393,8 @@ def polar_rhs(field: ForceField):
                 **constants)
 
 
-def _variant_factor(variant: str) -> float:
-    if variant == "derived":
-        return 0.5
-    if variant == "as_printed":
-        return 1.0
-    raise ValueError(f"unknown variant {variant!r}; use 'derived' or 'as_printed'")
+# psi_reduced_rhs variant -> its factor on the damping term (h2)'/h2
+_VARIANTS = {"derived": 0.5, "as_printed": 1.0}
 
 
 def psi_reduced_rhs(I: float, U: AngleFunction, V: AngleFunction,
@@ -411,6 +407,9 @@ def psi_reduced_rhs(I: float, U: AngleFunction, V: AngleFunction,
     The two differ only in the damping coefficient; the equivalence tests
     against the direct polar simulation adjudicate between them.
     """
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; use "
+                         + " or ".join(map(repr, _VARIANTS)))
     # a ValueError is k * theta overflowed to +-inf, where math.cos raises
     body, values = _angles("try:\n"
                            "    h2 = 2.0 * (I - {V0})\n"
@@ -424,7 +423,7 @@ def psi_reduced_rhs(I: float, U: AngleFunction, V: AngleFunction,
                            "except ValueError:\n"
                            "    {0} = {1} = nan", U=U, V=V)
     return _rhs(("theta", "psi", "dpsi"), body, I=I,
-                factor=_variant_factor(variant), **values)
+                factor=_VARIANTS[variant], **values)
 
 
 def mu_minus3_rhs(I: float, variant: str = "derived"):
@@ -506,8 +505,9 @@ def third_order_residual(y, yp, ypp, yppp, lam: float, sigma: float):
     elementwise on floats or ndarrays; the multiplied form avoids dividing
     by small Y'.
     """
-    return yppp * yp - ((ypp + _rpow(yp, 2.0 + lam)) * ypp
-                        + y * y * _rpow(yp, sigma + 3.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return yppp * yp - ((ypp + _rpow(yp, 2.0 + lam)) * ypp
+                            + y * y * _rpow(yp, sigma + 3.0))
 
 
 def _event(name: str, args: tuple, body: str, **constants) -> Event:
