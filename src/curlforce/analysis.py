@@ -52,7 +52,7 @@ from .core import (
 )
 from .integrate import _compile
 from .invariants import angular_momentum
-from .systems import _bind, _indent, drag_ef_rhs, ef_rhs
+from .systems import _bind, _check_mu, _indent, drag_ef_rhs, ef_rhs
 
 __all__ = [
     "NonRealLambda",
@@ -116,8 +116,7 @@ class QuadratureResult:
 
 def m_from_mu(mu: float) -> float:
     """Power-law exponent m = -(mu+4)/(mu+2) of the mapped equation."""
-    if mu == -2.0:
-        raise ValueError("mu = -2 is excluded: the map divides by mu + 2")
+    _check_mu(mu)
     return -(mu + 4.0) / (mu + 2.0)
 
 

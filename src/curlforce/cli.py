@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, analysis, invariants, systems
 from .core import Trajectory, crossing_times, drift_metric, resample
-from .integrate import (_READS, Event, IntegrationError, IntegratorSettings,
+from .integrate import (_METHODS, Event, IntegrationError, IntegratorSettings,
                         integrate)
 from .systems import AngleFunction
 
@@ -225,9 +225,10 @@ def _state(value: Any, where: str) -> np.ndarray:
 
 # integrator keys a config may set; an absent key takes IntegratorSettings'
 # default, and an absent t_span the command's default span.  rel_tol and
-# abs_tol belong to rk45 and h to rk4; IntegratorSettings refuses the others
+# abs_tol belong to rk45 and dop853 and h to rk4; IntegratorSettings refuses
+# the others
 _INTEGRATOR = {
-    "method": (_choice(*_READS), None),
+    "method": (_choice(*_METHODS), None),
     "rel_tol": (_num, None),
     "abs_tol": (_num, None),
     "h": (_num, None),
@@ -404,7 +405,8 @@ def _figure_run(I: float, ic: tuple[float, float], span: tuple[float, float],
     rhs = systems.psi_reduced_rhs(I, AngleFunction.zero(), AngleFunction.cos(),
                                   variant=variant)
     event = systems.h2_singularity_event(I, AngleFunction.cos())
-    return _run(rhs, np.array(ic), _integrator({}, span, (event,)),
+    return _run(rhs, np.array(ic),
+                _integrator({"method": "dop853"}, span, (event,)),
                 ("completed", "event"))
 
 
@@ -434,6 +436,7 @@ def cmd_figure(c: dict, out: Path, fmt: str, manifest: dict) -> None:
             "events": [{"name": n, "theta": float(t)}
                        for t, n in main_run.events],
             "max_abs_delta_psi_vs_other_variant": float(np.max(np.abs(delta))),
+            "integrator": dict(main_run.meta),
         })
 
     states = np.concatenate([run.y for run in runs])

@@ -2,8 +2,10 @@
 
 The trajectory container stores the accepted integration nodes together
 with the right-hand-side values at those nodes, which is exactly the data
-cubic Hermite interpolation needs.  Everything downstream (resampling,
-invariant drift reports, Emden-Fowler series) builds on these types.
+cubic Hermite interpolation needs, and, for a run of a pair with its own
+continuous extension, that extension's rows per step.  Everything
+downstream (resampling, invariant drift reports, Emden-Fowler series)
+builds on these types.
 """
 
 from __future__ import annotations
@@ -117,6 +119,9 @@ class Trajectory:
         on the partial trajectory an IntegrationError carries.
     events : tuple of (t_event, name) pairs, in time order.
     meta : read-only mapping with settings echo and step statistics.
+    dense : None, or (n - 1, 5, d) rows F2..F6 of each step's own
+        interpolant (see _continuous); None interpolates each step by
+        _hermite.
     """
 
     t: np.ndarray
@@ -125,6 +130,7 @@ class Trajectory:
     termination: str = "completed"
     events: tuple = ()
     meta: Mapping = field(default_factory=dict)
+    dense: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", _readonly(self.t))
@@ -141,6 +147,10 @@ class Trajectory:
             raise DomainError("trajectory times must increase strictly")
         if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.y))):
             raise DomainError("trajectory samples must be finite")
+        if self.dense is not None:
+            object.__setattr__(self, "dense", _readonly(self.dense))
+            if self.dense.shape != (self.t.size - 1, 5, self.y.shape[1]):
+                raise DomainError("dense rows must be (steps, 5, components)")
 
 
 def polar_states(traj: Trajectory) -> list[PolarState]:
@@ -211,12 +221,64 @@ def _hermite(t0, y0, f0, t1, y1, f1, t):
     )
 
 
+def _continuous(t0, y0, f0, t1, y1, f1, t, rows):
+    """A step's own interpolant from rows F2..F6 (along rows' first axis).
+
+    With h = t1 - t0, x = (t - t0) / h, F0 = y1 - y0 and F1 = h f0 - F0 the
+    state is y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + x (F4 + (1-x) (F5
+    + x F6)))))), the form of DOP853's seventh-order extension (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6 and II.10); with F2 = 2 F0 -
+    h (f0 + f1) and F3..F6 zero it is _hermite's cubic.  Broadcasts over
+    its arguments.
+    """
+    h = t1 - t0
+    x = (t - t0) / h
+    u = 1.0 - x
+    d0 = y1 - y0
+    f2, f3, f4, f5, f6 = rows
+    return y0 + x * (d0 + u * (h * f0 - d0 + x * (
+        f2 + u * (f3 + x * (f4 + u * (f5 + x * f6))))))
+
+
+# the terms x^a (1-x)^b of _continuous's F0..F6 (columns) as
+# coefficients of x^1..x^7 (rows); the matrix is upper triangular
+_MONOMIALS = tuple(tuple((-1) ** (j - a) * math.comb(b, j - a)
+                         if 0 <= j - a <= b else 0
+                         for a, b in ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2),
+                                      (3, 3), (4, 3)))
+                   for j in range(1, 8))
+
+
+def _cut(rows: np.ndarray, d0: np.ndarray, hf0: np.ndarray,
+         s: float) -> list:
+    """Rows F2..F6 of a step's interpolant restricted to its first fraction
+    s, given its rows and F0 = d0, F1 = hf0 - d0.
+
+    Its coefficients of x^j are the step's times s^j; back substitution
+    returns them to the F form.  Elementwise arithmetic only, in index
+    order, so the rows do not depend on a linear-algebra library.
+    """
+    f = [d0, hf0 - d0, *rows]
+    coef, power = [], 1.0
+    for row in _MONOMIALS:
+        power *= s
+        coef.append(power * sum(m * f[k] for k, m in enumerate(row) if m))
+    out = [None] * 7
+    for k in reversed(range(7)):
+        out[k] = (coef[k] - sum(_MONOMIALS[k][j] * out[j]
+                                for j in range(k + 1, 7)
+                                if _MONOMIALS[k][j])) / _MONOMIALS[k][k]
+    return out[2:]
+
+
 def resample(traj: Trajectory, times: Sequence[float]) -> np.ndarray:
-    """States at arbitrary times via per-step cubic Hermite interpolation.
+    """States at arbitrary times via each step's interpolant.
 
     Each accepted step [t_i, t_{i+1}] carries exact endpoint states and
-    derivatives, so the interpolant is O(h^4) accurate and reproduces any
-    cubic exactly.  Queries outside the sampled span raise DomainError.
+    derivatives.  A run without dense rows is interpolated by cubic Hermite,
+    which is O(h^4) accurate and reproduces any cubic exactly; a run with
+    them by its pair's own extension (_continuous).  Queries outside the
+    sampled span raise DomainError.
     """
     tq = np.asarray(times, dtype=float)
     t = traj.t
@@ -227,9 +289,11 @@ def resample(traj: Trajectory, times: Sequence[float]) -> np.ndarray:
     if t.size == 1:
         return np.repeat(traj.y, tq.size, axis=0)
     idx = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, t.size - 2)
-    return _hermite(t[idx][:, None], traj.y[idx], traj.dy[idx],
-                    t[idx + 1][:, None], traj.y[idx + 1], traj.dy[idx + 1],
-                    tq[:, None])
+    step = (t[idx][:, None], traj.y[idx], traj.dy[idx], t[idx + 1][:, None],
+            traj.y[idx + 1], traj.dy[idx + 1], tq[:, None])
+    if traj.dense is None:
+        return _hermite(*step)
+    return _continuous(*step, traj.dense[idx].transpose(1, 0, 2))
 
 
 def bisect_root(g: Callable[[float], float], a: float, b: float, ga: float,
@@ -253,8 +317,8 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
     """Times at which the strictly increasing state column `col` reaches each target.
 
     A target equal to a sample maps to that sample's time.  Any other
-    target inside the sampled range is a root of the column's Hermite
-    interpolant on its bracketing step [a, b], found by bisection: all
+    target inside the sampled range is a root of the column's interpolant
+    (resample's) on its bracketing step [a, b], found by bisection: all
     targets bisect together, and each stops once
     b - a <= 1e-13 * max(1, |b|) and returns the midpoint.  Every target
     sees the operations of bisect_root(g, a, b, g(a), 1e-13), so the times
@@ -271,11 +335,19 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
     c = np.clip(targets, x[0], x[-1])
     k = np.searchsorted(x, c, side="right")
     times = t[k - 1]
-    # the targets between samples, each with its step's Hermite data
+    # the targets between samples, each with its step's interpolation data
     pos = np.flatnonzero(x[k - 1] != c)
     k, c = k[pos], c[pos]
     xd = traj.dy[:, col]
     step = (t[k - 1], x[k - 1], xd[k - 1], t[k], x[k], xd[k])
+    if traj.dense is None:
+        def at(live, mid):
+            return _hermite(*(s[live] for s in step), mid)
+    else:
+        rows = traj.dense[k - 1, :, col].T
+
+        def at(live, mid):
+            return _continuous(*(s[live] for s in step), mid, rows[:, live])
     a, b, ga = step[0].copy(), step[3].copy(), step[1] - c
     live = np.arange(pos.size)
     while True:
@@ -284,7 +356,7 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
         if not live.size:
             break
         mid = 0.5 * (a[live] + b[live])
-        gm = _hermite(*(s[live] for s in step), mid) - c[live]
+        gm = at(live, mid) - c[live]
         left = ga[live] * gm <= 0.0
         b[live[left]] = mid[left]
         right = live[~left]

@@ -286,6 +286,12 @@ class GorringeLeachField(_Field):
              "        + (0.5 * {V0} + 2.0 * {V2}) / real_power(r, 2.5))\n")
 
 
+def _check_mu(mu: float) -> None:
+    """Refuse mu = -2, the one exponent the torque map cannot take."""
+    if mu == -2.0:
+        raise ValueError("mu = -2 is excluded: the torque map divides by mu + 2")
+
+
 @dataclass(frozen=True)
 class IsotropicField(_Field):
     """Purely azimuthal power-law force F_theta = r^mu."""
@@ -293,8 +299,7 @@ class IsotropicField(_Field):
     mu: float
 
     def __post_init__(self) -> None:
-        if self.mu == -2.0:
-            raise ValueError("mu = -2 is excluded: the torque map divides by mu + 2")
+        _check_mu(self.mu)
         object.__setattr__(self, "mu", float(self.mu))
 
     _FORCE = "f_r = 0.0\n" + _power("f_t", "mu")

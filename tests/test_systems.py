@@ -1,5 +1,7 @@
+import builtins
 import copy
 import dataclasses
+import dis
 import hashlib
 import math
 import os
@@ -16,6 +18,7 @@ import sympy as sp
 import curlforce
 from curlforce.core import DomainError, real_power
 from curlforce.integrate import (
+    _METHODS,
     Event,
     IntegrationError,
     IntegratorSettings,
@@ -1065,3 +1068,66 @@ class TestGeneratorHygiene:
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.split() == ["0", "0"]
+
+
+class TestMethodTableHygiene:
+    """TestGeneratorHygiene's rules over every row of integrate's method
+    table, each loop with and without events."""
+
+    _KEYS = [(method, events) for method in sorted(_METHODS)
+             for events in (False, True)]
+
+    @staticmethod
+    def _globals_read(code):
+        """The global and builtin names a loop's code reads."""
+        return {ins.argval for ins in dis.get_instructions(code)
+                if ins.opname == "LOAD_GLOBAL"}
+
+    @pytest.mark.parametrize("method, events", _KEYS)
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_no_global_outside_the_namespace(self, name, method, events):
+        # every name the loop reads beyond its locals and bound constants
+        # is in _compile's namespace or a builtin
+        make, y0, _, _ = _BUILDERS[name]
+        rhs = make()
+        loop = _loop(method, len(y0), (None,) * events, rhs.formula)(
+            *rhs.constants, *(None,) * events)
+        namespace = set(loop.__globals__) - {"__builtins__", "make"}
+        assert namespace <= set(vars(builtins)) | {
+            "isfinite", "sqrt", "nan", "inf", "cos", "sin", "real_power"}
+        unknown = self._globals_read(loop.__code__) - namespace - set(
+            vars(builtins))
+        assert not unknown, unknown
+
+    @pytest.mark.parametrize("method", sorted(_METHODS))
+    @pytest.mark.parametrize("name", sorted(_EVENT_RUNS))
+    def test_event_loops_read_no_global_outside_the_namespace(self, name,
+                                                              method):
+        make, y0, kwargs = _EVENT_RUNS[name]
+        (ev,) = kwargs["events"]
+        rhs = make()
+        make_loop = _loop(method, len(y0), (ev.fn.formula,), rhs.formula)
+        loop = make_loop(*rhs.constants, *ev.fn.constants)
+        assert not (self._globals_read(loop.__code__)
+                    - set(loop.__globals__) - set(vars(builtins)))
+        # the event's names enter the loop as e0_name, apart from the rest
+        base = _loop(method, len(y0), (), rhs.formula)(
+            *rhs.constants).__code__
+        added = set(loop.__code__.co_varnames) - set(base.co_varnames)
+        assert {"e0", "ep0"} <= added
+        assert all(re.fullmatch(r"e0_\w+|e0|ep0", n) for n in added), added
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_body_names_disjoint_from_every_loops_locals(self, name):
+        make, y0, _, _ = _BUILDERS[name]
+        args, body, constants = make().formula
+        outs = [f"out{c}" for c in range(len(y0))]
+        code = compile("def stage():\n" + "".join(
+            f"    {line}\n" for line in body.format(*outs).splitlines()),
+            "<stage>", "exec").co_consts[0]
+        assigned = set(code.co_varnames) - set(outs)
+        locals_ = {n for method, events in self._KEYS
+                   for n in _loop(method, len(y0), (None,) * events)(
+                       None, *(None,) * events).__code__.co_varnames}
+        for names in (assigned, set(args) - {""}, set(constants)):
+            assert not names & locals_, (name, names & locals_)
