@@ -29,6 +29,7 @@ from .systems import (
     orbit_polar_rhs,
     polar_rhs,
     psi_reduced_rhs,
+    raw_ef_rhs,
     third_order_residual,
     third_order_rhs,
 )

@@ -8,20 +8,24 @@ adjudicators for printed-versus-derived formula variants (ef_residual,
 drag_map_residual, abel_reduction_residual, scaling_map_residual), the
 power-solution root of the third-order reduction (power_solution_y0), and
 a self-contained adaptive quadrature (quad_adaptive).  A residual evaluates
-its equation's right-hand side: its model is the slope of that rhs's float
-kernel, taken row by row (_slope, _model).
+its equation's right-hand side: its model is that rhs's formula text,
+pasted into one generated loop over the rows' columns (_slope, _column,
+_model), with the bits its float kernel gives row by row.
 
 The adaptive Simpson rule is written once, as Python source (_simpson)
 around an integrand's text, and compiled once per text.  Each chain
 integrand of the orbit and time quadratures is such a text, so one call
 integrates every panel of an r grid with the text pasted at each
-evaluation; quad_adaptive pastes a call of its integrand.
+evaluation, and the printed comparator's text pasted at each grid radius;
+quad_adaptive pastes a call of its integrand.
 
 Scale conventions, with n = 2 throughout: a raw series (Jt, Tt) built from
 a trajectory via Tt = (r^(mu+2) - r0^(mu+2))/(mu+2), Jt = r^2*thetadot,
 Tt' = rdot is rescaled to T = (mu+2)*Tt, J = (mu+2)^(1/4)*Jt,
 T' = (mu+2)^(3/4)*Tt', which turns d2Tt/dJt2 = Jt^2 * (r^(mu+2))^m into
-T'' = J^2 T^m with m = -(mu+4)/(mu+2).  The rescaling uses fractional
+T'' = J^2 T^m with m = -(mu+4)/(mu+2); since r^(mu+2) = (mu+2)*Tt +
+r0^(mu+2), an unscaled series is checked against that raw equation
+(systems.raw_ef_rhs).  The rescaling uses fractional
 powers of mu+2, so scaled output requires mu > -2; magnitudes |mu+2| are
 used in the quadrature prefactors so the mu < -2 comparator cases stay
 real-valued.
@@ -50,9 +54,9 @@ from .core import (
     real_power,
     resample,
 )
-from .integrate import _compile
+from .integrate import _compile, _indent, _paste
 from .invariants import angular_momentum
-from .systems import _bind, _check_mu, _indent, drag_ef_rhs, ef_rhs
+from .systems import _bind, _check_mu, drag_ef_rhs, ef_rhs, raw_ef_rhs
 
 __all__ = [
     "NonRealLambda",
@@ -280,16 +284,47 @@ def _rms_max(resid: np.ndarray) -> tuple[float, float]:
 
 
 def _slope(rhs):
-    """(J, T, T') -> T'' of an rhs with state (T, T'), through its kernel."""
+    """(J, T, T') -> T'' of an rhs with state (T, T'), through its kernel;
+    slope.column evaluates the same formula over whole columns (_column).
+    """
     kernel = rhs.kernel
-    return lambda J, T, Tp: kernel(J, [T, Tp])[1]
+    slope = lambda J, T, Tp: kernel(J, [T, Tp])[1]  # noqa: E731
+    slope.column = _column(rhs.formula)(**{
+        f"x_{name}": value for name, value in zip(rhs.formula[2],
+                                                  rhs.constants)})
+    return slope
+
+
+@functools.cache
+def _column(formula: tuple):
+    """make(**constants) -> column(J, T, Tp), compiled once per formula.
+
+    formula is an rhs's (args, body, free) with state (T, T').  column
+    takes three lists and returns the slope T'' at each row as a list: the
+    body is pasted into one loop over the rows, its names renamed x_name
+    and its constants bound by those names.
+    """
+    args, body, free = formula
+    return _compile(
+        f"def make({', '.join(f'x_{name}' for name in free)}):\n"
+        "    def column(c0, c1, c2):\n"
+        "        out = []\n"
+        f"        for {', '.join(f'x_{a}' for a in args)} in zip(c0, c1, c2):\n"
+        + _indent(_paste(body.format("d0", "d1"), args, free, prefix="x_",
+                         outs=("d0", "d1")), 12)
+        + "            out.append(d1)\n"
+        "        return out\n"
+        "    return column\n", "<residual column>")
 
 
 def _model(f, J, T, Tp):
     """f(J, T, T') at each row of the columns, on Python floats: an array
-    of the columns' shape, or a float for scalars."""
-    cols = (np.asarray(c).ravel().tolist() for c in (J, T, Tp))
-    out = np.array([f(j, t, tp) for j, t, tp in zip(*cols)])
+    of the columns' shape, or a float for scalars.  A slope from _slope
+    runs its column loop; any other f is called row by row."""
+    cols = [np.asarray(c).ravel().tolist() for c in (J, T, Tp)]
+    column = getattr(f, "column", None)
+    out = np.array(column(*cols) if column else
+                   [f(j, t, tp) for j, t, tp in zip(*cols)])
     return out.reshape(np.shape(J)) if np.ndim(J) else out.item()
 
 
@@ -309,14 +344,21 @@ def _residual_stats(slope, J: np.ndarray, T: np.ndarray,
 def ef_residual(series: EFSeries, n: float, m: float) -> ResidualStats:
     """How well the series satisfies T'' = J^n T^m, by finite differences.
 
-    rms and max_abs are over interior points; slope_max cross-checks the
-    recorded T' against chord slopes.  Acceptance-style thresholds should
-    be read against .scale (the largest |T''| on the series).
+    An unscaled series is in the raw variables of the torque map, so it is
+    checked against the raw equation d2Tt/dJt2 = Jt^n ((mu+2) Tt +
+    r0^(mu+2))^m (systems.raw_ef_rhs) instead.  rms and max_abs are over
+    interior points; slope_max cross-checks the recorded T' against chord
+    slopes.  Acceptance-style thresholds should be read against .scale
+    (the largest |T''| on the series).
     """
     if len(series) < 3:
         raise ValueError("residual needs at least 3 samples")
-    return _residual_stats(_slope(ef_rhs(n, m)), series.J, series.T,
-                           series.Tprime)
+    if series.scaled:
+        rhs = ef_rhs(n, m)
+    else:
+        a = series.mu + 2.0
+        rhs = raw_ef_rhs(n, m, a, _r0_power(series.r0, a))
+    return _residual_stats(_slope(rhs), series.J, series.T, series.Tprime)
 
 
 def j_of_r(r, mu: float, r0: float, n: float, m: float):
@@ -376,23 +418,6 @@ def _positive_branch(mu: float) -> tuple[float, ParticularSolution]:
     return m, sol
 
 
-def _ratio(printed, chain, r: float, y: float) -> float:
-    """printed(r) / chain(r) on numpy scalars, given y = chain(r) on floats
-    (nan where that raised).
-
-    Each float operation rounds as the numpy one does, so a float result
-    that raised nothing is numpy's; elsewhere numpy's inf or nan is taken.
-    """
-    if not math.isnan(y):
-        try:
-            return printed(r) / y
-        except (ZeroDivisionError, OverflowError):
-            pass
-    r = np.float64(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return printed(r) / chain(r)
-
-
 def _cumulative_quadrature(text: str, constants: dict, printed, rg: np.ndarray,
                            tol: float) -> ChainQuadrature:
     """Integral of the chain text from rg[0] to each rg[i], with printed/chain
@@ -403,22 +428,38 @@ def _cumulative_quadrature(text: str, constants: dict, printed, rg: np.ndarray,
     pow to math.pow, which raises OverflowError where real_power returns
     inf; on the branches' domains that ends in a value that is not finite
     either way, so every probe keeps real_power's outcome.  The scalar
-    chain, for the ratios and the panels handed to quad_adaptive, binds
-    pow to real_power.
+    chain, for the panels handed to quad_adaptive, binds pow to
+    real_power.
+
+    printed is a float function of r.  Where it carries its text, as
+    _comparator's does, the loop pastes that at each grid radius; anything
+    else is called there.  Each float operation rounds as the numpy one
+    does, so a ratio that raised nothing is numpy's.  Where one raises, or
+    the chain is nan, the ratio is taken on numpy scalars (inf or nan)
+    once the quadrature is done, so a failed quadrature evaluates none.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     chain = _bind("r", text, "v", {**constants, "pow": real_power})
     rs = rg.tolist()
-    values, err, evals, ys = [0.0], 0.0, 0, [math.nan]
+    values, err, evals, ratios = [0.0], 0.0, 0, [None]
     if rg.size > 1:
-        quad = _simpson(text, ("pow", *constants), _HANDOFF)(
+        formula = getattr(printed, "formula", None)
+        given = printed.constants if formula else (printed,)
+        formula = formula or (("r",), "{0} = fn(r)", ("fn",))
+        quad = _simpson(text, ("pow", *constants), _HANDOFF, formula)(
             f=chain, QuadratureError=QuadratureError,
-            max_depth=_QUAD_MAX_DEPTH, pow=math.pow, **constants)
+            max_depth=_QUAD_MAX_DEPTH, pow=math.pow, **constants,
+            **{f"pr_{name}": value
+               for name, value in zip(formula[2], given)})
         # quad_adaptive and the budget are looked up at each call, so a
         # wrapper installed in quad_adaptive's place gets the handed-off panels
-        values, err, evals, ys = quad(rs, tol, _QUAD_MAX_EVALS, quad_adaptive)
-    ratio = np.array([_ratio(printed, chain, r, y) for r, y in zip(rs, ys)])
+        values, err, evals, ratios = quad(rs, tol, _QUAD_MAX_EVALS,
+                                          quad_adaptive)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.array([x if x is not None else
+                          printed(np.float64(r)) / chain(np.float64(r))
+                          for r, x in zip(rs, ratios)])
     return ChainQuadrature(r=rg, values=np.array(values), printed_ratio=ratio,
                            abs_error_estimate=err, evaluations=evals)
 
@@ -433,7 +474,18 @@ _TAU = """\
 u = r ** p - r0p
 v = coef * (pow(u, q1) if u > 0.0 else real_power(u, q1))
 """
-_PRINTED = "coef * real_power(r ** p - r0p, k)"  # either printed closed form
+# either printed closed form, setting {0}
+_PRINTED = "{0} = coef * real_power(r ** p - r0p, k)"
+
+
+def _comparator(**constants):
+    """The printed closed form as a float function of r with the constants
+    bound; its text is fn.formula = (args, body, free), as an event's, and
+    the constants' values fn.constants."""
+    fn = _bind("r", _PRINTED.format("v"), "v", constants)
+    fn.formula = (("r",), _PRINTED, tuple(constants))
+    fn.constants = tuple(constants.values())
+    return fn
 
 
 def orbit_theta_of_r(mu: float, r0: float, r_grid,
@@ -458,9 +510,8 @@ def orbit_theta_of_r(mu: float, r0: float, r_grid,
     # the constants of sol.Tprime and printed, bound once; the products
     # keep their left-to-right order and so their bits
     lam = sol.Lambda
-    printed = _bind("r", "", _PRINTED, {
-        "coef": q * real_power(lam, -2.0 * q), "p": p, "r0p": r0p,
-        "k": -2.0 * (n + m + 3.0) / (n + 2.0)})
+    printed = _comparator(coef=q * real_power(lam, -2.0 * q), p=p, r0p=r0p,
+                          k=-2.0 * (n + m + 3.0) / (n + 2.0))
     return _cumulative_quadrature(
         _THETA, {"s": s, "q": q, "p": p, "r0p": r0p, "lam": lam,
                  "lam_e": lam * sol.exponent, "e1": sol.exponent - 1.0},
@@ -487,9 +538,9 @@ def time_of_r(mu: float, r0: float, r_grid, tau0: float = 0.0,
     p = mu + 2.0
     r0p = _r0_power(r0, p)
     # constants bound once, in the products' left-to-right order
-    printed = _bind("r", "", _PRINTED, {
-        "coef": q * p * real_power(sol.Lambda, (n + m + 1.0) / (n + 2.0)),
-        "p": p, "r0p": r0p, "k": -(n + m + 3.0) / (n + 2.0)})
+    printed = _comparator(
+        coef=q * p * real_power(sol.Lambda, (n + m + 1.0) / (n + 2.0)), p=p,
+        r0p=r0p, k=-(n + m + 3.0) / (n + 2.0))
     res = _cumulative_quadrature(
         _TAU, {"coef": q * abs(p) * real_power(sol.Lambda, -q), "q1": q - 1.0,
                "p": p, "r0p": r0p}, printed, rg, tol)
@@ -746,8 +797,9 @@ _QUAD_MAX_EVALS = 1_000_000
 # The one adaptive Simpson rule, as Python source.  quad(xs, tol, max_evals,
 # handoff) runs it over each panel [xs[i-1], xs[i]] in order, depth first.
 # A line "@x" evaluates the integrand text at r = x into v (nan where the
-# text raises); "@ends" takes a panel with an end where the integrand is
-# not finite (_HANDOFF or _STRIPS).  A panel's budget and decisions count
+# text raises), and "%x" appends the comparator's ratio there to ratios;
+# "@ends" takes a panel with an end where the integrand is not finite
+# (_HANDOFF or _STRIPS).  A panel's budget and decisions count
 # its own two ends, as a lone panel does, though each xs[i] is evaluated
 # once.
 _QUAD = """\
@@ -789,11 +841,12 @@ _QUAD = """\
                        0)
 
         out = [0.0]
+        ratios = []
         acc = total_err = 0.0
         b = xs[0]
         @b
         fb = v
-        ys = [v]
+        %b
         evals = 1
         for i in range(1, len(xs)):
             a = b
@@ -801,7 +854,7 @@ _QUAD = """\
             b = xs[i]
             @b
             fb = v
-            ys.append(v)
+            %b
             evals += 1
             ev = 2
             err = 0.0
@@ -818,7 +871,7 @@ _QUAD = """\
             acc += value
             out.append(acc)
             total_err += err
-        return out, total_err, evals, ys
+        return out, total_err, evals, ratios
     return quad
 """
 # In a chain quadrature such a panel goes to quad_adaptive.  quad_adaptive
@@ -871,32 +924,55 @@ value = panel(lo, hi, fa, fb) + tail
 """
 
 
-@functools.cache
-def _simpson(text: str, names: tuple[str, ...], ends: str):
-    """make(f, QuadratureError, max_depth, *names) -> quad, compiled once.
+# what the integrand's text turns into nan, and the comparator's ratio
+# into None
+_QUAD_RAISES = ("ZeroDivisionError", "ValueError", "OverflowError")
+_RATIO_RAISES = ("ZeroDivisionError", "OverflowError")
 
-    text reads r and the names and sets v.  quad returns the integrals
-    from xs[0] to each xs[i] as a list, the summed error estimate, the
-    evaluations made and the integrand at each xs[i] (nan where the text
-    raised).  A panel accepts |S_fine - S_coarse| <= 15 * tol * w / (b - a)
+
+@functools.cache
+def _simpson(text: str, names: tuple[str, ...], ends: str, printed=None):
+    """make(**constants) -> quad, compiled once per key.
+
+    make takes f, QuadratureError, max_depth and the names, and with a
+    comparator each of its constants as pr_name.  text reads r and the
+    names and sets v.  quad returns the integrals from xs[0] to each xs[i]
+    as a list, the summed error estimate, the evaluations made and the
+    ratios.  printed is a comparator's formula (args, body, free), as an
+    event's, setting {0} from r: each ratio is its value over v at xs[i],
+    its names renamed pr_name apart from the integrand's, and None where a
+    float operation raises or v is nan.  Without a comparator there are no
+    ratios.  A panel accepts |S_fine - S_coarse| <= 15 * tol * w / (b - a)
     with Richardson correction, so its error is of order tol; a
     subinterval still unconverged after max_depth bisection levels raises
     QuadratureError at once, and a panel that reaches max_evals raises it
     carrying the panel's value.
     """
+    def ratio(x: str) -> str:
+        if not printed:
+            return ""
+        args, body, free = printed
+        return ("if v == v:\n" + _indent(_paste(
+            body.format("pv") + "\npv = pv / v", args, free, (x,), "pr_",
+            _RATIO_RAISES, ("pv",), "None"), 4)
+            + "else:\n    pv = None\nratios.append(pv)\n")
+
     lines = []
     for line in _QUAD.replace("@ends", _indent(ends, 16).strip()).splitlines():
         body = line.lstrip()
         indent = len(line) - len(body)
         if body.startswith("@"):
-            lines.append(_indent(
-                f"r = {body[1:]}\ntry:\n" + _indent(text, 4)
-                + "except (ZeroDivisionError, ValueError, OverflowError):\n"
-                "    v = nan\n", indent))
+            lines.append(_indent(_paste(text, ("r",), feed=(body[1:],),
+                                        guard=_QUAD_RAISES, outs=("v",)),
+                                 indent))
+        elif body.startswith("%"):
+            lines.append(_indent(ratio(body[1:]), indent))
         else:
             lines.append(line + "\n")
-    params = ", ".join(("f", "QuadratureError", "max_depth", *names))
-    return _compile(f"def make({params}):\n" + "".join(lines),
+    params = ["f", "QuadratureError", "max_depth", *names]
+    if printed:
+        params += [f"pr_{name}" for name in printed[2]]
+    return _compile(f"def make({', '.join(params)}):\n" + "".join(lines),
                     "<adaptive Simpson>")
 
 

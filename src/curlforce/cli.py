@@ -507,13 +507,16 @@ def cmd_map_ef(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         else:
             manifest["ef_residual"] = dataclasses.asdict(
                 analysis.ef_residual(series, analysis._N, m))
-            # the mapped m is the row's to rounding: mu = -5/3 gives
-            # m = -7.000000000000001
-            manifest["invariant_drifts"] = {
-                key: _drift(integral(series.J, series.T, series.Tprime), key)
-                for (n, m_row), row in _KNOWN_INTEGRALS.items()
-                if n == analysis._N and abs(m - m_row) < 1e-9
-                for key, _, integral in row if key}
+            if apply_scaling:
+                # the known integrals are of T'' = J^2 T^m, which only a
+                # scaled series solves.  The mapped m is the row's to
+                # rounding: mu = -5/3 gives m = -7.000000000000001
+                manifest["invariant_drifts"] = {
+                    key: _drift(integral(series.J, series.T, series.Tprime),
+                                key)
+                    for (n, m_row), row in _KNOWN_INTEGRALS.items()
+                    if n == analysis._N and abs(m - m_row) < 1e-9
+                    for key, _, integral in row if key}
     manifest["warnings"] = [str(w.message) for w in caught]
     manifest["data"] = _write_table(out, "map_ef", fmt, ["J", "T", "Tprime"],
                                     [series.J, series.T, series.Tprime])

@@ -63,14 +63,30 @@ def real_power(x: float, p: float) -> float:
     return math.nan
 
 
-_vpow = np.vectorize(real_power, otypes=[float])
+def _vpow(x, p: float) -> np.ndarray:
+    """real_power of each element of x (an array or a sequence of numbers),
+    as a float array of x's shape.
+
+    One list loop: a positive base goes straight to math.pow, which has
+    real_power's bits there; if one overflows (math.pow raises where
+    real_power saturates to inf) the loop runs again through real_power.
+    """
+    a = np.asarray(x, dtype=float)
+    u = a.ravel().tolist()
+    pw = math.pow
+    try:
+        out = [pw(v, p) if v > 0.0 else real_power(v, p) for v in u]
+    except OverflowError:
+        out = [real_power(v, p) for v in u]
+    return np.array(out, dtype=float).reshape(a.shape)
 
 
 def _rpow(x, p: float):
     """real_power of a scalar (a float) or of each element of an array.
 
     Scalars skip numpy, whose per-call overhead exceeds real_power's; an
-    array goes element by element, so both give the same bits.
+    array goes through _vpow's list loop on Python floats, so both give
+    the same bits.
     """
     if isinstance(x, (float, int, np.number)):
         return real_power(x, p)

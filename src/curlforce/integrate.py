@@ -15,11 +15,17 @@ The step loop is Python source generated from the method's row for each
 method, state size, event formulas and right-hand-side formula,
 the first time a run needs it, and then cached.  The formula's text is
 pasted at every stage and its constants are bound at each run, so a stage
-calls nothing.  Each event's formula is pasted after every accepted step,
+calls nothing; a stage assigns only the inputs its text names (the time,
+and of the state only what it reads: no polar stage of an isotropic or
+drag field computes theta).  rk45 and dop853 count each stage as they
+evaluate it, since a non-finite one ends the attempt; rk4 counts its four
+once a step.  Each event's formula is pasted after every accepted step,
 with its names renamed apart from the stage's, and the loop calls Python
-only when an event's value changes sign.  State, slope and stage
-components are scalar locals (y0, y1, ...), zero tableau terms are
-dropped and constants are written with repr, so they round-trip exactly.
+only when an event's value changes sign.  _paste writes every pasted text,
+here and in the modules that generate loops of their own.  State, slope
+and stage components are scalar locals (y0, y1, ...), zero tableau terms
+are dropped and constants are written with repr, so they round-trip
+exactly.
 Accepted nodes go to flat lists, dim floats a node, so a step builds no
 list unless it calls an event function.  Every component keeps the
 operations, in order, of elementwise array arithmetic on the whole state:
@@ -380,25 +386,18 @@ def _event_lines(k: int, formula, dim: int) -> tuple[list, list]:
     and the names of its constants in the loop.
 
     formula is (args, body, free) as a stage's, its body setting {0}; an
-    arg left "" is not read, and None is a body calling fn on a list.
-    Every name the body binds, and each of its args and constants, is
-    renamed e{k}_name, so an event's constants never meet the stage's or
-    another event's.
+    arg left "" is not read, and None is a body calling fn on a list.  The
+    body is pasted renamed apart (_paste's prefix e{k}_), so an event's
+    constants never meet the stage's or another event's.
     """
     state = ", ".join(f"s{c}" for c in range(dim))
     args, body, free = formula or (
         ("t_", *(f"s{c}" for c in range(dim))),
         f"{{0}} = float(fn(t_, [{state}]))", ("fn",))
-    text = body.format(f"e{k}")
-    code = compile("def body():\n" + "".join(
-        f"    {line}\n" for line in text.splitlines()), "<event>", "exec")
-    names = {*code.co_consts[0].co_varnames, *args, *free} - {"", f"e{k}"}
-    if names:
-        text = re.sub(r"(?<![\w.])(" + "|".join(sorted(names)) + r")(?!\w)",
-                      rf"e{k}_\1", text)
-    feed = ([f"e{k}_{args[0]} = t_new"] if args[0] else []) + [
-        f"e{k}_{a} = z{c}" for c, a in enumerate(args[1:]) if a]
-    return feed + text.splitlines(), [f"e{k}_{name}" for name in free]
+    text = _paste(body.format(f"e{k}"), args, free,
+                  ("t_new", *(f"z{c}" for c in range(dim))), f"e{k}_",
+                  outs=(f"e{k}",))
+    return text.splitlines(), [f"e{k}_{name}" for name in free]
 
 
 def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
@@ -446,9 +445,8 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
 
     def stage(slope: str, time: str, state: list) -> list:
         # the body evaluated at time and state, one expression a component
-        lines = ["n_evals += 1"] + ([f"{args[0]} = {time}"] if args[0] else [])
-        lines += [f"{a} = {x}" for a, x in zip(args[1:], state)]
-        return lines + text.format(*(f"{slope}{c}" for c in comps)).splitlines()
+        return _paste(text.format(*(f"{slope}{c}" for c in comps)), args,
+                      feed=(time, *state)).splitlines()
 
     def check(*slopes: str) -> str:
         return " and ".join(f"isfinite({k}{c})" for k in slopes for c in comps)
@@ -470,10 +468,12 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
              "if not t_new > t:", f"    return 'step-underflow', t, {done}"]
     if not m.norm:
         # stage coefficients are the half step hh or the whole step h_use;
-        # the weights are written over their common denominator
+        # the weights are written over their common denominator.  Every
+        # stage is evaluated before the finiteness test, so one line
+        # counts a step's len(m.a) evaluations: k2.. and the new slope g
         step = {0.5: "hh", 1.0: "h_use"}
         slopes = ["f", *(f"k{i + 1}_" for i in range(1, len(m.a)))]
-        body.append("hh = 0.5 * h_use")
+        body += ["hh = 0.5 * h_use", f"n_evals += {len(m.a)}"]
         for i in range(1, len(m.a)):
             terms = [(step[a], slopes[j]) for j, a in enumerate(m.a[i]) if a]
             time = "t_new" if m.c[i] == 1.0 else f"t + {m.c[i]!r} * h_use"
@@ -489,7 +489,9 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
                  f"    return 'not-finite', t_new, {done}"]
     else:
         # k1 is f; the last stage evaluates the solution z (FSAL), whose
-        # slope g is the next step's f
+        # slope g is the next step's f.  A non-finite stage ends the
+        # attempt, so each stage is counted as it is evaluated
+        count = ["n_evals += 1"]
         s = len(m.a)
         slopes = ["f", *(f"k{i + 1}_" for i in range(1, s)), "g",
                   *(f"k{i + 1}_" for i in range(s + 1, s + 1 + len(m.extra)))]
@@ -507,10 +509,10 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
             body += lines
             time = f"t + {when!r} * h_use"
             if i < s:
-                body += stage(slopes[i], time, totals(terms))
+                body += count + stage(slopes[i], time, totals(terms))
             else:
                 body += [f"z{c} = {x}" for c, x in enumerate(totals(terms))]
-                body += finish(time)
+                body += count + finish(time)
             body += [f"if not ({check(slopes[i])}):", *reject]
         # the scaled error; u >= w is False when w is nan, so nan
         # propagates as it does through np.maximum
@@ -547,8 +549,8 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
                  "    continue"]
         for i, (when, row) in enumerate(m.extra, s + 1):
             lines, terms = coefficients(row)
-            body += [*lines, *stage(slopes[i], f"t + {when!r} * h_use",
-                                    totals(terms)),
+            body += [*lines, *count, *stage(slopes[i], f"t + {when!r} * h_use",
+                                            totals(terms)),
                      f"if not ({check(slopes[i])}):", *reject]
         body += [f"fac = {grow} * err_prev ** {0.4 / m.order!r}",
                  "err_prev = max(err, 1e-4)",
@@ -586,6 +588,44 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
         "        err_prev = 1e-4\n        while t < t1:\n            "
         + "\n".join(body).replace("\n", "\n            ")
         + f"\n        return 'completed', t, {done}\n    return loop\n")
+
+
+def _indent(text: str, n: int) -> str:
+    return "".join(" " * n + line + "\n" for line in text.splitlines())
+
+
+def _words(names) -> str:
+    """A pattern matching each of names as a whole name, not an attribute."""
+    return r"(?<![\w.])(" + "|".join(sorted(names)) + r")(?!\w)"
+
+
+def _paste(text: str, args=(), free=(), feed=(), prefix: str = "",
+           guard=(), outs=(), otherwise: str = "nan") -> str:
+    """text as lines to paste into generated source.
+
+    text is a formula's body with its outputs outs filled in; it reads the
+    inputs args (an arg "" is not read) and the constants free.  feed
+    holds each input's expression, and a line assigns an input only where
+    the text names it.  With a prefix, every name the text binds, takes as
+    an input or reads as a constant (outs aside) becomes prefix + name,
+    apart from the names around it.  With a guard, a tuple of exception
+    names, the text runs in try, and where one of those is raised each out
+    is set to otherwise.  Every pasted formula and every guard goes
+    through here: the step loop's stages and events, the quadrature's
+    integrand and comparator, the residual columns, and the formulas that
+    guard themselves (systems).
+    """
+    lines = [f"{prefix}{a} = {x}" for a, x in zip(args, feed)
+             if a and re.search(_words([a]), text)]
+    if prefix:
+        code = compile("def body():\n" + _indent(text, 4), "<paste>", "exec")
+        names = {*code.co_consts[0].co_varnames, *args, *free} - {"", *outs}
+        if names:
+            text = re.sub(_words(names), rf"{prefix}\1", text)
+    if guard:
+        text = ("try:\n" + _indent(text, 4) + f"except ({', '.join(guard)}):\n"
+                f"    {' = '.join(outs)} = {otherwise}\n")
+    return "".join(line + "\n" for line in lines) + text
 
 
 @functools.cache
@@ -728,13 +768,13 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     failure = {"max-steps": f"max_steps={settings.max_steps} exceeded at t={t}",
                "not-finite": f"right-hand side not finite near t={t}",
                }.get(termination)
-    t_arr = np.array(ts)
-    y_arr = np.array(ys).reshape(-1, dim)
-    f_arr = np.array(fs).reshape(-1, dim)
+    t_arr = np.array(ts, dtype=float)
+    y_arr = np.array(ys, dtype=float).reshape(-1, dim)
+    f_arr = np.array(fs, dtype=float).reshape(-1, dim)
     dense = None
     if m.dense:
-        dense = _dense_rows(m, t_arr, y_arr, f_arr, np.array(ks).reshape(
-            t_arr.size - 1, -1, dim))
+        dense = _dense_rows(m, t_arr, y_arr, f_arr, np.array(
+            ks, dtype=float).reshape(t_arr.size - 1, -1, dim))
         if cut:
             dense[-1] = cut[0]
     traj = Trajectory(

@@ -24,6 +24,7 @@ State conventions:
     psi_reduced_rhs  y = (psi, dpsi/dtheta),         independent theta
     orbit_polar_rhs  y = (r, dr/dtheta),             independent theta
     ef_rhs           y = (T, T'),                    independent J
+    raw_ef_rhs       y = (T, T'),                    independent J
     drag_ef_rhs      y = (T, T'),                    independent J
     geodesic_rhs     y = (T, J, dT/ds, dJ/ds),       independent s
     third_order_rhs  y = (Y, Y', Y''),               independent z
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, _rpow, real_power
-from .integrate import Event, _compile
+from .integrate import Event, _compile, _indent, _paste
 
 __all__ = [
     "AngleFunction",
@@ -60,6 +61,7 @@ __all__ = [
     "mu_minus3_rhs",
     "orbit_polar_rhs",
     "ef_rhs",
+    "raw_ef_rhs",
     "drag_ef_rhs",
     "geodesic_rhs",
     "third_order_rhs",
@@ -187,10 +189,6 @@ def _angles(text: str, **fns: AngleFunction) -> tuple[str, dict]:
     return text, {name: fn._values for name, fn in fns.items()}
 
 
-def _indent(text: str, n: int) -> str:
-    return "".join(" " * n + line + "\n" for line in text.splitlines())
-
-
 def _bind(params: str, body: str, result: str, constants: dict):
     """def f(params): body; return result, with the constants bound.
 
@@ -203,10 +201,18 @@ def _bind(params: str, body: str, result: str, constants: dict):
                     "<formula>")(*constants.values())
 
 
+# the exceptions a field's formula turns into nan: a power of a tiny r
+# underflowed to 0.0 and was divided by, or math.cos or math.sin met +-inf
+_FIELD_RAISES = ("ZeroDivisionError", "ValueError")
+# math.cos or math.sin met +-inf (k * theta overflowed)
+_ANGLE_RAISES = ("ValueError",)
+
+
 def _power(name: str, p: str) -> str:
     """Text setting name to real_power(r, p) where r > 0: r ** p, inf on
     overflow (for r > 0, r ** p has math.pow's bits)."""
-    return f"try:\n    {name} = r ** {p}\nexcept OverflowError:\n    {name} = inf\n"
+    return _paste(f"{name} = r ** {p}", guard=("OverflowError",), outs=(name,),
+                  otherwise="inf")
 
 
 class _Field:
@@ -233,23 +239,19 @@ class _Field:
         return text, {**self._constants(), **values}
 
     def force(self, r: float, theta: float, rdot: float = 0.0) -> tuple[float, float]:
-        return self._at(self._FORCE, "(f_r, f_t)", (math.nan, math.nan),
-                        r, theta, rdot)
+        return self._at(self._FORCE, ("f_r", "f_t"), r, theta, rdot)
 
     def curl(self, r: float, theta: float) -> float:
-        return self._at(self._CURL, "curl", math.nan, r, theta, 0.0)
+        return self._at(self._CURL, ("curl",), r, theta, 0.0)
 
-    def _at(self, text: str, result: str, nan, r, theta, rdot):
+    def _at(self, text: str, outs: tuple, r, theta, rdot):
         if not (r > 0.0):
             raise DomainError(f"radius must be positive, got {r}")
         body, constants = self._formula(text)
-        fn = _bind("r, theta, rdot", body, result, constants)
-        try:
-            return fn(float(r), float(theta), rdot)
-        # a power of a tiny r underflowed to 0.0, or math.cos or math.sin
-        # met +-inf
-        except (ZeroDivisionError, ValueError):
-            return nan
+        fn = _bind("r, theta, rdot", _paste(body, guard=_FIELD_RAISES,
+                                            outs=outs),
+                   ", ".join(outs), constants)
+        return fn(float(r), float(theta), rdot)
 
 
 @dataclass(frozen=True)
@@ -383,18 +385,16 @@ def polar_rhs(field: ForceField):
     stage nan.
     """
     force, constants = field._formula(field._FORCE)
+    outs = ("{0}", "{1}", "{2}", "{3}")
     return _rhs(("", "r", "theta", "rdot", "thetadot"),
                 "if not (r > 0.0):\n"
                 "    {0} = {1} = {2} = {3} = nan\n"
-                "else:\n"
-                "    try:\n" + _indent(force, 8)
-                + "    except (ZeroDivisionError, ValueError):\n"
-                "        {0} = {1} = {2} = {3} = nan\n"
-                "    else:\n"
-                "        {0} = rdot\n"
-                "        {1} = thetadot\n"
-                "        {2} = r * thetadot * thetadot + f_r\n"
-                "        {3} = (f_t - 2.0 * rdot * thetadot) / r",
+                "else:\n" + _indent(_paste(
+                    force + "{0} = rdot\n"
+                    "{1} = thetadot\n"
+                    "{2} = r * thetadot * thetadot + f_r\n"
+                    "{3} = (f_t - 2.0 * rdot * thetadot) / r",
+                    guard=_FIELD_RAISES, outs=outs), 4),
                 **constants)
 
 
@@ -415,18 +415,16 @@ def psi_reduced_rhs(I: float, U: AngleFunction, V: AngleFunction,
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; use "
                          + " or ".join(map(repr, _VARIANTS)))
-    # a ValueError is k * theta overflowed to +-inf, where math.cos raises
-    body, values = _angles("try:\n"
-                           "    h2 = 2.0 * (I - {V0})\n"
-                           "    if h2 == 0.0:\n"
-                           "        {0} = {1} = nan\n"
-                           "    else:\n"
-                           "        h2p = -2.0 * {V1}\n"
-                           "        {0} = dpsi\n"
-                           "        {1} = -(factor * h2p / h2) * dpsi"
-                           " - (1.0 + {U0} / h2) * psi\n"
-                           "except ValueError:\n"
-                           "    {0} = {1} = nan", U=U, V=V)
+    body, values = _angles(_paste("h2 = 2.0 * (I - {V0})\n"
+                                  "if h2 == 0.0:\n"
+                                  "    {0} = {1} = nan\n"
+                                  "else:\n"
+                                  "    h2p = -2.0 * {V1}\n"
+                                  "    {0} = dpsi\n"
+                                  "    {1} = -(factor * h2p / h2) * dpsi"
+                                  " - (1.0 + {U0} / h2) * psi",
+                                  guard=_ANGLE_RAISES, outs=("{0}", "{1}")),
+                           U=U, V=V)
     return _rhs(("theta", "psi", "dpsi"), body, I=I,
                 factor=_VARIANTS[variant], **values)
 
@@ -461,6 +459,18 @@ def ef_rhs(n: float, m: float):
     """T'' = J^n * T^m with y = (T, T')."""
     return _rhs(("J", "T", "Tp"),
                 "{0} = Tp\n{1} = real_power(J, n) * real_power(T, m)", n=n, m=m)
+
+
+def raw_ef_rhs(n: float, m: float, a: float, b: float):
+    """T'' = J^n * (a*T + b)^m with y = (T, T').
+
+    With a = mu + 2 and b = r0^(mu+2) this is the equation the torque map's
+    raw variables satisfy, since a*Tt + b = r^(mu+2); a = 1, b = 0 is
+    ef_rhs.
+    """
+    return _rhs(("J", "T", "Tp"),
+                "{0} = Tp\n{1} = real_power(J, n) * real_power(a * T + b, m)",
+                n=n, m=m, a=a, b=b)
 
 
 def drag_ef_rhs(lam: float, sigma: float):
@@ -540,11 +550,8 @@ def r_floor_event(threshold: float = 1e-8, name: str = "r-floor") -> Event:
 def h2_singularity_event(I: float, V: AngleFunction,
                          threshold: float = 1e-6) -> Event:
     """Stop a psi-reduction run when h2 = 2*(I - V(theta)) crosses zero."""
-    # a ValueError is math.cos or math.sin at +-inf
-    body, values = _angles("try:\n"
-                           "    {0} = abs(2.0 * (I - {V0})) - threshold\n"
-                           "except ValueError:\n"
-                           "    {0} = nan", V=V)
+    body, values = _angles(_paste("{0} = abs(2.0 * (I - {V0})) - threshold",
+                                  guard=_ANGLE_RAISES, outs=("{0}",)), V=V)
     return _event("h2-singular", ("theta",), body, I=I, threshold=threshold,
                   **values)
 

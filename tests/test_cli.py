@@ -241,6 +241,38 @@ class TestMapEF:
         assert code == 1
 
 
+
+class TestMapEFUnscaled:
+    """An unscaled series is checked against the equation its raw variables
+    satisfy, d2Tt/dJt2 = Jt^2 ((mu+2) Tt + r0^(mu+2))^m, and reports no
+    known-integral drift: those integrals are of T'' = J^2 T^m."""
+
+    _BASE = {"initial_state": {"r": 1.0, "rdot": 0.1, "thetadot": 0.6},
+             "integrator": {"method": "rk4", "h": 1e-3,
+                            "t_span": [0.0, 8.0]}}
+
+    @pytest.mark.parametrize("mu, scaling", [(-2.5, None), (-3.0, None),
+                                             (-1.5, False)])
+    def test_raw_equation_residual(self, tmp_path, mu, scaling):
+        cfg = {**self._BASE, "system": {"family": "isotropic", "mu": mu}}
+        if scaling is not None:
+            cfg["apply_scaling"] = scaling
+        code, out = _run(tmp_path, "map-ef", cfg)
+        assert code == 0
+        man = _manifest(out)
+        assert man["scaled"] is False
+        res = man["ef_residual"]
+        assert res["max_abs"] <= 1e-4 * res["scale"]
+        assert "invariant_drifts" not in man
+
+    def test_scaled_run_keeps_its_drifts(self, tmp_path):
+        cfg = {**self._BASE, "system": {"family": "isotropic", "mu": -1.5},
+               "apply_scaling": True}
+        code, out = _run(tmp_path, "map-ef", cfg)
+        assert code == 0
+        assert _manifest(out)["invariant_drifts"]["ef_integral_m5"] < 1e-6
+
+
 class TestNoether:
     def test_g2_is_noetherian(self, tmp_path):
         cfg = {"n": 2.0, "m": -5.0, "generator": "g2"}

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import dis
 import hashlib
+import inspect
 import math
 import os
 import pickle
@@ -1131,3 +1132,99 @@ class TestMethodTableHygiene:
                        None, *(None,) * events).__code__.co_varnames}
         for names in (assigned, set(args) - {""}, set(constants)):
             assert not names & locals_, (name, names & locals_)
+
+
+class TestPastedLoopHygiene:
+    """The loops integrate._paste writes beyond the step loop: the residual
+    columns and the orbit grid loop with its printed comparator pasted in;
+    and what a stage of the step loop assigns and counts."""
+
+    # the names integrate._compile puts in every generated loop's namespace
+    _NAMESPACE = {"isfinite", "sqrt", "nan", "inf", "cos", "sin", "real_power"}
+
+    @classmethod
+    def _reads_only_the_namespace(cls, fn):
+        namespace = set(fn.__globals__) - {"__builtins__", "make"}
+        assert namespace <= set(vars(builtins)) | cls._NAMESPACE
+        codes = [fn.__code__]
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if hasattr(c, "co_code")]
+            read = {ins.argval for ins in dis.get_instructions(code)
+                    if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME")}
+            assert read <= namespace | set(vars(builtins)), read - namespace
+
+    @pytest.mark.parametrize("rhs", [ef_rhs(2.0, -5.0), drag_ef_rhs(1.0, 5.0)],
+                             ids=["ef", "drag"])
+    def test_row_loop_reads_its_constants_by_name(self, rhs):
+        from curlforce import analysis
+        column = analysis._slope(rhs).column
+        self._reads_only_the_namespace(column)
+        # each constant is bound as make's parameter x_name and read from
+        # the closure; the body's names are renamed apart from the loop's
+        free = rhs.formula[2]
+        make = analysis._column(rhs.formula)
+        assert make.__code__.co_varnames[:make.__code__.co_argcount] == \
+            tuple(f"x_{name}" for name in free)
+        assert set(column.__code__.co_freevars) == {f"x_{n}" for n in free}
+        assert [c.cell_contents for c in column.__closure__] == [
+            dict(zip(free, rhs.constants))[name[2:]]
+            for name in column.__code__.co_freevars]
+        own = set(column.__code__.co_varnames)
+        assert {f"x_{a}" for a in rhs.formula[0]} <= own
+        assert not {a for a in rhs.formula[0]} & own
+
+    @pytest.mark.parametrize("kind", ["theta", "tau"])
+    def test_printed_grid_loop_keeps_names_apart(self, kind, monkeypatch):
+        from curlforce import analysis
+        made = []
+        simpson = analysis._simpson
+
+        def recording(*key):
+            make = simpson(*key)
+
+            def bind(**constants):
+                quad = make(**constants)
+                made.append((key, make, constants, quad))
+                return quad
+            return bind
+
+        monkeypatch.setattr(analysis, "_simpson", recording)
+        quadrature = (analysis.orbit_theta_of_r if kind == "theta"
+                      else analysis.time_of_r)
+        quadrature(0.5, 0.3, [1.2, 1.5, 1.9])
+        ((key, make, constants, quad),) = made
+        self._reads_only_the_namespace(quad)
+        _, names, _, (_, _, free) = key
+        # the comparator's constants are bound by name, as pr_name, apart
+        # from the chain's, which reads coef, p and r0p too
+        assert {f"pr_{name}" for name in free} <= set(constants)
+        assert set(names) & set(free)
+        assert set(inspect.signature(make).parameters) == set(constants)
+        assert "pr_r = b" in make.source
+        assert "pv = pr_coef * real_power(pr_r ** pr_p - pr_r0p, pr_k)" in \
+            make.source
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_stage_assigns_only_what_its_body_reads(self, method):
+        def stage_lines(field):
+            rhs = polar_rhs(field)
+            source = _loop(method, 4, False, rhs.formula).source
+            return re.findall(r"^ *(theta|r|rdot|thetadot) = ", source, re.M)
+
+        for field in (IsotropicField(mu=-1.5),
+                      IsotropicDragField(mu=-1.5, nu=-3.0)):
+            lines = stage_lines(field)
+            assert "theta" not in lines and {"r", "rdot", "thetadot"} <= \
+                set(lines)
+        assert "theta" in stage_lines(_FIELDS["ermakov"])
+
+    def test_rk4_counts_its_evaluations_once_a_step(self):
+        for dim, formula in ((4, polar_rhs(IsotropicField(mu=-1.5)).formula),
+                             (2, ef_rhs(2.0, -5.0).formula), (3, None)):
+            source = _loop("rk4", dim, False, formula).source
+            assert source.count("n_evals += 4") == 1
+            assert "n_evals += 1" not in source
+            adaptive = _loop("rk45", dim, False, formula).source
+            # rk45 counts each of its six new stages as it evaluates it
+            assert adaptive.count("n_evals += 1") == 6
