@@ -10,13 +10,14 @@ power-solution root of the third-order reduction (power_solution_y0), and
 a self-contained adaptive quadrature (quad_adaptive).  A residual evaluates
 its equation's right-hand side: its model is that rhs's formula text,
 pasted into one generated loop over the rows' columns (_slope, _column,
-_model), with the bits its float kernel gives row by row.
+_Column), with the bits its float kernel gives row by row; _model runs
+that loop, or calls a plain function row by row.
 
 The adaptive Simpson rule is written once, as Python source (_simpson)
 around an integrand's text, and compiled once per text.  Each chain
 integrand of the orbit and time quadratures is such a text, so one call
 integrates every panel of an r grid with the text pasted at each
-evaluation, and the printed comparator's text pasted at each grid radius;
+evaluation and the printed comparator called at each grid radius;
 quad_adaptive pastes a call of its integrand.
 
 Scale conventions, with n = 2 throughout: a raw series (Jt, Tt) built from
@@ -283,16 +284,20 @@ def _rms_max(resid: np.ndarray) -> tuple[float, float]:
     return float(np.sqrt(np.mean(resid * resid))), float(np.max(np.abs(resid)))
 
 
-def _slope(rhs):
-    """(J, T, T') -> T'' of an rhs with state (T, T'), through its kernel;
-    slope.column evaluates the same formula over whole columns (_column).
-    """
-    kernel = rhs.kernel
-    slope = lambda J, T, Tp: kernel(J, [T, Tp])[1]  # noqa: E731
-    slope.column = _column(rhs.formula)(**{
+@dataclass(frozen=True)
+class _Column:
+    """A model T''(J, T, T') run as one loop over whole columns: loop takes
+    three lists and returns a list (_column)."""
+
+    loop: Callable[[list, list, list], list]
+
+
+def _slope(rhs) -> _Column:
+    """(J, T, T') -> T'' of an rhs with state (T, T'), as its formula's
+    column loop."""
+    return _Column(_column(rhs.formula)(**{
         f"x_{name}": value for name, value in zip(rhs.formula[2],
-                                                  rhs.constants)})
-    return slope
+                                                  rhs.constants)}))
 
 
 @functools.cache
@@ -319,11 +324,10 @@ def _column(formula: tuple):
 
 def _model(f, J, T, Tp):
     """f(J, T, T') at each row of the columns, on Python floats: an array
-    of the columns' shape, or a float for scalars.  A slope from _slope
-    runs its column loop; any other f is called row by row."""
+    of the columns' shape, or a float for scalars.  A _Column runs its
+    loop; any other f is called row by row."""
     cols = [np.asarray(c).ravel().tolist() for c in (J, T, Tp)]
-    column = getattr(f, "column", None)
-    out = np.array(column(*cols) if column else
+    out = np.array(f.loop(*cols) if isinstance(f, _Column) else
                    [f(j, t, tp) for j, t, tp in zip(*cols)])
     return out.reshape(np.shape(J)) if np.ndim(J) else out.item()
 
@@ -431,12 +435,11 @@ def _cumulative_quadrature(text: str, constants: dict, printed, rg: np.ndarray,
     chain, for the panels handed to quad_adaptive, binds pow to
     real_power.
 
-    printed is a float function of r.  Where it carries its text, as
-    _comparator's does, the loop pastes that at each grid radius; anything
-    else is called there.  Each float operation rounds as the numpy one
-    does, so a ratio that raised nothing is numpy's.  Where one raises, or
-    the chain is nan, the ratio is taken on numpy scalars (inf or nan)
-    once the quadrature is done, so a failed quadrature evaluates none.
+    printed is a float function of r, called at each grid radius inside the
+    loop.  Each float operation rounds as the numpy one does, so a ratio
+    that raised nothing is numpy's.  Where one raises, or the chain is nan,
+    the ratio is taken on numpy scalars (inf or nan) once the quadrature is
+    done, so a failed quadrature evaluates none.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -444,14 +447,10 @@ def _cumulative_quadrature(text: str, constants: dict, printed, rg: np.ndarray,
     rs = rg.tolist()
     values, err, evals, ratios = [0.0], 0.0, 0, [None]
     if rg.size > 1:
-        formula = getattr(printed, "formula", None)
-        given = printed.constants if formula else (printed,)
-        formula = formula or (("r",), "{0} = fn(r)", ("fn",))
-        quad = _simpson(text, ("pow", *constants), _HANDOFF, formula)(
+        quad = _simpson(text, ("pow", *constants), _HANDOFF, True)(
             f=chain, QuadratureError=QuadratureError,
-            max_depth=_QUAD_MAX_DEPTH, pow=math.pow, **constants,
-            **{f"pr_{name}": value
-               for name, value in zip(formula[2], given)})
+            max_depth=_QUAD_MAX_DEPTH, pow=math.pow, printed=printed,
+            **constants)
         # quad_adaptive and the budget are looked up at each call, so a
         # wrapper installed in quad_adaptive's place gets the handed-off panels
         values, err, evals, ratios = quad(rs, tol, _QUAD_MAX_EVALS,
@@ -474,18 +473,7 @@ _TAU = """\
 u = r ** p - r0p
 v = coef * (pow(u, q1) if u > 0.0 else real_power(u, q1))
 """
-# either printed closed form, setting {0}
-_PRINTED = "{0} = coef * real_power(r ** p - r0p, k)"
-
-
-def _comparator(**constants):
-    """The printed closed form as a float function of r with the constants
-    bound; its text is fn.formula = (args, body, free), as an event's, and
-    the constants' values fn.constants."""
-    fn = _bind("r", _PRINTED.format("v"), "v", constants)
-    fn.formula = (("r",), _PRINTED, tuple(constants))
-    fn.constants = tuple(constants.values())
-    return fn
+_PRINTED = "coef * real_power(r ** p - r0p, k)"  # either printed closed form
 
 
 def orbit_theta_of_r(mu: float, r0: float, r_grid,
@@ -510,8 +498,9 @@ def orbit_theta_of_r(mu: float, r0: float, r_grid,
     # the constants of sol.Tprime and printed, bound once; the products
     # keep their left-to-right order and so their bits
     lam = sol.Lambda
-    printed = _comparator(coef=q * real_power(lam, -2.0 * q), p=p, r0p=r0p,
-                          k=-2.0 * (n + m + 3.0) / (n + 2.0))
+    printed = _bind("r", "", _PRINTED, {
+        "coef": q * real_power(lam, -2.0 * q), "p": p, "r0p": r0p,
+        "k": -2.0 * (n + m + 3.0) / (n + 2.0)})
     return _cumulative_quadrature(
         _THETA, {"s": s, "q": q, "p": p, "r0p": r0p, "lam": lam,
                  "lam_e": lam * sol.exponent, "e1": sol.exponent - 1.0},
@@ -538,9 +527,9 @@ def time_of_r(mu: float, r0: float, r_grid, tau0: float = 0.0,
     p = mu + 2.0
     r0p = _r0_power(r0, p)
     # constants bound once, in the products' left-to-right order
-    printed = _comparator(
-        coef=q * p * real_power(sol.Lambda, (n + m + 1.0) / (n + 2.0)), p=p,
-        r0p=r0p, k=-(n + m + 3.0) / (n + 2.0))
+    printed = _bind("r", "", _PRINTED, {
+        "coef": q * p * real_power(sol.Lambda, (n + m + 1.0) / (n + 2.0)),
+        "p": p, "r0p": r0p, "k": -(n + m + 3.0) / (n + 2.0)})
     res = _cumulative_quadrature(
         _TAU, {"coef": q * abs(p) * real_power(sol.Lambda, -q), "q1": q - 1.0,
                "p": p, "r0p": r0p}, printed, rg, tol)
@@ -602,10 +591,11 @@ def scaling_map_residual(traj: Trajectory, alpha: float, beta: float,
     """Residual of the scaled solution T_eps(J) = e^(alpha*eps) T(e^(beta*eps) J).
 
     traj must be a second-order scalar run with state (T, T'); model(J, T, T')
-    returns the expected T''.  The mapped solution is resampled on a uniform
-    grid restricted to the J-window where e^(beta*eps)*J stays inside the
-    original span, differentiated twice by finite differences, and compared
-    against model.  A residual at roundoff scale confirms the map sends
+    returns the expected T'' (or model is a _Column, as _slope gives).  The
+    mapped solution is resampled on a uniform grid restricted to the
+    J-window where e^(beta*eps)*J stays inside the original span,
+    differentiated twice by finite differences, and compared against
+    model.  A residual at roundoff scale confirms the map sends
     solutions to solutions.
     """
     c = math.exp(beta * eps)
@@ -931,30 +921,28 @@ _RATIO_RAISES = ("ZeroDivisionError", "OverflowError")
 
 
 @functools.cache
-def _simpson(text: str, names: tuple[str, ...], ends: str, printed=None):
+def _simpson(text: str, names: tuple[str, ...], ends: str,
+             ratios: bool = False):
     """make(**constants) -> quad, compiled once per key.
 
-    make takes f, QuadratureError, max_depth and the names, and with a
-    comparator each of its constants as pr_name.  text reads r and the
+    make takes f, QuadratureError, max_depth and the names, and with ratios
+    the comparator printed, a float function of r.  text reads r and the
     names and sets v.  quad returns the integrals from xs[0] to each xs[i]
     as a list, the summed error estimate, the evaluations made and the
-    ratios.  printed is a comparator's formula (args, body, free), as an
-    event's, setting {0} from r: each ratio is its value over v at xs[i],
-    its names renamed pr_name apart from the integrand's, and None where a
-    float operation raises or v is nan.  Without a comparator there are no
-    ratios.  A panel accepts |S_fine - S_coarse| <= 15 * tol * w / (b - a)
-    with Richardson correction, so its error is of order tol; a
+    ratios: printed(xs[i]) / v at each xs[i], None where a float operation
+    raises or v is nan (none without ratios).  A panel accepts
+    |S_fine - S_coarse| <= 15 * tol * w / (b - a) with Richardson
+    correction, so its error is of order tol; a
     subinterval still unconverged after max_depth bisection levels raises
     QuadratureError at once, and a panel that reaches max_evals raises it
     carrying the panel's value.
     """
     def ratio(x: str) -> str:
-        if not printed:
+        if not ratios:
             return ""
-        args, body, free = printed
         return ("if v == v:\n" + _indent(_paste(
-            body.format("pv") + "\npv = pv / v", args, free, (x,), "pr_",
-            _RATIO_RAISES, ("pv",), "None"), 4)
+            f"pv = printed({x}) / v", guard=_RATIO_RAISES, outs=("pv",),
+            otherwise="None"), 4)
             + "else:\n    pv = None\nratios.append(pv)\n")
 
     lines = []
@@ -969,9 +957,8 @@ def _simpson(text: str, names: tuple[str, ...], ends: str, printed=None):
             lines.append(_indent(ratio(body[1:]), indent))
         else:
             lines.append(line + "\n")
-    params = ["f", "QuadratureError", "max_depth", *names]
-    if printed:
-        params += [f"pr_{name}" for name in printed[2]]
+    params = ["f", "QuadratureError", "max_depth", *names,
+              *(["printed"] if ratios else [])]
     return _compile(f"def make({', '.join(params)}):\n" + "".join(lines),
                     "<adaptive Simpson>")
 

@@ -507,7 +507,7 @@ def cmd_map_ef(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         else:
             manifest["ef_residual"] = dataclasses.asdict(
                 analysis.ef_residual(series, analysis._N, m))
-            if apply_scaling:
+            if series.scaled:
                 # the known integrals are of T'' = J^2 T^m, which only a
                 # scaled series solves.  The mapped m is the row's to
                 # rounding: mu = -5/3 gives m = -7.000000000000001

@@ -1,6 +1,6 @@
 """Residual columns and vector powers as list loops on Python floats.
 
-analysis._slope(rhs).column pastes the rhs's formula into one loop over the
+analysis._slope(rhs).loop pastes the rhs's formula into one loop over the
 rows, and core._vpow raises each element in one list loop; both must give
 the bits of the per-element path they replace (the rhs kernel row by row,
 np.vectorize(real_power)), on every kind of float.
@@ -43,14 +43,14 @@ class TestResidualColumn:
     def test_column_matches_kernel_rows(self, name):
         rhs = _RHS[name]()
         J, T, Tp = (list(c) for c in zip(*_ROWS))
-        got = analysis._slope(rhs).column(J, T, Tp)
+        got = analysis._slope(rhs).loop(J, T, Tp)
         assert type(got) is list and len(got) == len(_ROWS)
         want = [rhs.kernel(j, [t, tp])[1] for j, t, tp in _ROWS]
         assert _bits(got) == _bits(want)
 
     @pytest.mark.parametrize("name", sorted(_RHS))
     def test_model_matches_the_row_path(self, name):
-        # _model runs the column for a slope from _slope and calls any other
+        # _model runs the loop of a _Column from _slope and calls any other
         # function row by row; both give the columns' shape, or a float
         rhs = _RHS[name]()
         slope = analysis._slope(rhs)
@@ -68,8 +68,8 @@ class TestResidualColumn:
             assert _bits(value) == _bits(plain(*row))
 
     def test_column_is_compiled_once_per_formula(self):
-        a = analysis._slope(ef_rhs(2.0, -5.0)).column
-        b = analysis._slope(ef_rhs(2.0, -7.0)).column
+        a = analysis._slope(ef_rhs(2.0, -5.0)).loop
+        b = analysis._slope(ef_rhs(2.0, -7.0)).loop
         assert a.__code__ is b.__code__
         assert a([1.5], [2.0], [0.0]) != b([1.5], [2.0], [0.0])
 

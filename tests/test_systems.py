@@ -1136,8 +1136,8 @@ class TestMethodTableHygiene:
 
 class TestPastedLoopHygiene:
     """The loops integrate._paste writes beyond the step loop: the residual
-    columns and the orbit grid loop with its printed comparator pasted in;
-    and what a stage of the step loop assigns and counts."""
+    columns and the orbit grid loop with its printed comparator called in
+    it; and what a stage of the step loop assigns and counts."""
 
     # the names integrate._compile puts in every generated loop's namespace
     _NAMESPACE = {"isfinite", "sqrt", "nan", "inf", "cos", "sin", "real_power"}
@@ -1158,7 +1158,7 @@ class TestPastedLoopHygiene:
                              ids=["ef", "drag"])
     def test_row_loop_reads_its_constants_by_name(self, rhs):
         from curlforce import analysis
-        column = analysis._slope(rhs).column
+        column = analysis._slope(rhs).loop
         self._reads_only_the_namespace(column)
         # each constant is bound as make's parameter x_name and read from
         # the closure; the body's names are renamed apart from the loop's
@@ -1195,15 +1195,17 @@ class TestPastedLoopHygiene:
         quadrature(0.5, 0.3, [1.2, 1.5, 1.9])
         ((key, make, constants, quad),) = made
         self._reads_only_the_namespace(quad)
-        _, names, _, (_, _, free) = key
-        # the comparator's constants are bound by name, as pr_name, apart
-        # from the chain's, which reads coef, p and r0p too
-        assert {f"pr_{name}" for name in free} <= set(constants)
-        assert set(names) & set(free)
+        # the comparator is bound by name, apart from the chain's constants
+        # (which read p and r0p, as the comparator does), and reads
+        # its own constants from its closure
+        _, names, _, ratios = key
+        assert ratios and "printed" not in names
         assert set(inspect.signature(make).parameters) == set(constants)
-        assert "pr_r = b" in make.source
-        assert "pv = pr_coef * real_power(pr_r ** pr_p - pr_r0p, pr_k)" in \
-            make.source
+        printed = constants["printed"]
+        self._reads_only_the_namespace(printed)
+        assert {"p", "r0p"} <= set(names) & set(
+            printed.__code__.co_freevars)
+        assert "pv = printed(b) / v" in make.source
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_stage_assigns_only_what_its_body_reads(self, method):
