@@ -612,8 +612,8 @@ def _paste(text: str, args=(), free=(), feed=(), prefix: str = "",
     names, the text runs in try, and where one of those is raised each out
     is set to otherwise.  Every pasted formula and every guard goes
     through here: the step loop's stages and events, the quadrature's
-    integrand and comparator, the residual columns, and the formulas that
-    guard themselves (systems).
+    integrand and comparator call, the residual columns, and the formulas
+    that guard themselves (systems).
     """
     lines = [f"{prefix}{a} = {x}" for a, x in zip(args, feed)
              if a and re.search(_words([a]), text)]
