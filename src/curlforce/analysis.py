@@ -425,37 +425,29 @@ def _positive_branch(mu: float) -> tuple[float, ParticularSolution]:
 def _cumulative_quadrature(text: str, constants: dict, printed, rg: np.ndarray,
                            tol: float) -> ChainQuadrature:
     """Integral of the chain text from rg[0] to each rg[i], with printed/chain
-    at each r.
-
-    text reads r and the constants and sets v; it writes each real_power(u,
-    q) as pow(u, q) if u > 0.0 else real_power(u, q).  The quadrature binds
-    pow to math.pow, which raises OverflowError where real_power returns
-    inf; on the branches' domains that ends in a value that is not finite
-    either way, so every probe keeps real_power's outcome.  The scalar
-    chain, for the panels handed to quad_adaptive, binds pow to
-    real_power.
+    at each r; text reads r and the constants and sets v.
 
     printed is a float function of r, called at each grid radius inside the
     loop.  Each float operation rounds as the numpy one does, so a ratio
     that raised nothing is numpy's.  Where one raises, or the chain is nan,
-    the ratio is taken on numpy scalars (inf or nan) once the quadrature is
-    done, so a failed quadrature evaluates none.
+    the ratio is taken on numpy scalars (inf or nan; a power that overflows
+    is inf, as real_power's) once the quadrature is done, so a failed
+    quadrature evaluates none.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    chain = _bind("r", text, "v", {**constants, "pow": real_power})
+    chain = _bind("r", text, "v", constants)
     rs = rg.tolist()
     values, err, evals, ratios = [0.0], 0.0, 0, [None]
     if rg.size > 1:
-        quad = _simpson(text, ("pow", *constants), _HANDOFF, True)(
+        quad = _simpson(text, tuple(constants), _HANDOFF, True)(
             f=chain, QuadratureError=QuadratureError,
-            max_depth=_QUAD_MAX_DEPTH, pow=math.pow, printed=printed,
-            **constants)
+            max_depth=_QUAD_MAX_DEPTH, printed=printed, **constants)
         # quad_adaptive and the budget are looked up at each call, so a
         # wrapper installed in quad_adaptive's place gets the handed-off panels
         values, err, evals, ratios = quad(rs, tol, _QUAD_MAX_EVALS,
                                           quad_adaptive)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.array([x if x is not None else
                           printed(np.float64(r)) / chain(np.float64(r))
                           for r, x in zip(rs, ratios)])
@@ -463,15 +455,17 @@ def _cumulative_quadrature(text: str, constants: dict, printed, rg: np.ndarray,
                            abs_error_estimate=err, evaluations=evals)
 
 
-# The chain integrands, in r and the names each producer binds
+# The chain integrands, in r and the names each producer binds.  For u > 0,
+# u ** q has real_power(u, q)'s bits, or raises OverflowError where that is
+# inf: the quadrature's guard makes v nan, not finite either
 _THETA = """\
 u = (r ** p - r0p) / lam
-J = pow(u, q) if u > 0.0 else real_power(u, q)
-v = s * J / (r * r * (lam_e * (pow(J, e1) if J > 0.0 else real_power(J, e1))))
+J = u ** q if u > 0.0 else real_power(u, q)
+v = s * J / (r * r * (lam_e * (J ** e1 if J > 0.0 else real_power(J, e1))))
 """
 _TAU = """\
 u = r ** p - r0p
-v = coef * (pow(u, q1) if u > 0.0 else real_power(u, q1))
+v = coef * (u ** q1 if u > 0.0 else real_power(u, q1))
 """
 _PRINTED = "coef * real_power(r ** p - r0p, k)"  # either printed closed form
 

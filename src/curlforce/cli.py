@@ -43,6 +43,13 @@ class ConfigError(Exception):
     """Bad config document; maps to exit code 1."""
 
 
+def _require_unique(names: list, what: str) -> None:
+    """ConfigError naming each of names that occurs more than once."""
+    dupes = sorted({name for name in names if names.count(name) > 1})
+    if dupes:
+        raise ConfigError(f"duplicate {what}(s): {', '.join(dupes)}")
+
+
 # -- config plumbing ---------------------------------------------------------
 
 def _load_config(path: str) -> dict:
@@ -397,6 +404,7 @@ def _figure_curves(c: dict) -> list[tuple[str, float, tuple[float, float]]]:
             if len(ics) > 1:
                 label += f";psi0={ic[0]:g};dpsi0={ic[1]:g}"
             curves.append((label, I, tuple(ic)))
+    _require_unique([label for label, _, _ in curves], "curve label")
     return curves
 
 
@@ -809,12 +817,14 @@ _SWEEP = {
 
 
 def cmd_sweep(c: dict, out: Path, fmt: str, manifest: dict) -> int:
-    """Run each entry in turn, as its own command would run alone."""
+    """Run each entry in turn, as its own command would run alone.
+
+    A run ends in an exit code only through _dispatch's three outcomes.  Any
+    other exception is a programming error, not a run outcome, so it stops
+    the whole sweep: no handler turns it into an exit code.
+    """
     runs = c["runs"]
-    names = [run["name"] for run in runs]
-    dupes = sorted({name for name in names if names.count(name) > 1})
-    if dupes:
-        raise ConfigError(f"duplicate run name(s): {', '.join(dupes)}")
+    _require_unique([run["name"] for run in runs], "run name")
     results = []
     for run in runs:
         run_out = out / run["name"]

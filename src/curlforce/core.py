@@ -65,20 +65,10 @@ def real_power(x: float, p: float) -> float:
 
 def _vpow(x, p: float) -> np.ndarray:
     """real_power of each element of x (an array or a sequence of numbers),
-    as a float array of x's shape.
-
-    One list loop: a positive base goes straight to math.pow, which has
-    real_power's bits there; if one overflows (math.pow raises where
-    real_power saturates to inf) the loop runs again through real_power.
-    """
+    as a float array of x's shape: one list loop on Python floats."""
     a = np.asarray(x, dtype=float)
-    u = a.ravel().tolist()
-    pw = math.pow
-    try:
-        out = [pw(v, p) if v > 0.0 else real_power(v, p) for v in u]
-    except OverflowError:
-        out = [real_power(v, p) for v in u]
-    return np.array(out, dtype=float).reshape(a.shape)
+    return np.array([real_power(v, p) for v in a.ravel().tolist()],
+                    dtype=float).reshape(a.shape)
 
 
 def _rpow(x, p: float):
@@ -136,8 +126,8 @@ class Trajectory:
     events : tuple of (t_event, name) pairs, in time order.
     meta : read-only mapping with settings echo and step statistics.
     dense : None, or (n - 1, 5, d) rows F2..F6 of each step's own
-        interpolant (see _continuous); None interpolates each step by
-        _hermite.
+        interpolant (see _step_at); None interpolates each step by
+        cubic Hermite.
     """
 
     t: np.ndarray
@@ -256,6 +246,14 @@ def _continuous(t0, y0, f0, t1, y1, f1, t, rows):
         f2 + u * (f3 + x * (f4 + u * (f5 + x * f6))))))
 
 
+def _step_at(step: tuple, t, rows):
+    """Step (t0, y0, f0, t1, y1, f1) at t: _continuous on its rows F2..F6
+    (along rows' first axis), or _hermite where rows is None; broadcasts."""
+    if rows is None:
+        return _hermite(*step, t)
+    return _continuous(*step, t, rows)
+
+
 # the terms x^a (1-x)^b of _continuous's F0..F6 (columns) as
 # coefficients of x^1..x^7 (rows); the matrix is upper triangular
 _MONOMIALS = tuple(tuple((-1) ** (j - a) * math.comb(b, j - a)
@@ -291,10 +289,10 @@ def resample(traj: Trajectory, times: Sequence[float]) -> np.ndarray:
     """States at arbitrary times via each step's interpolant.
 
     Each accepted step [t_i, t_{i+1}] carries exact endpoint states and
-    derivatives.  A run without dense rows is interpolated by cubic Hermite,
-    which is O(h^4) accurate and reproduces any cubic exactly; a run with
-    them by its pair's own extension (_continuous).  Queries outside the
-    sampled span raise DomainError.
+    derivatives, and _step_at evaluates it: by cubic Hermite, which is
+    O(h^4) accurate and reproduces any cubic exactly, for a run without
+    dense rows, and by its pair's own extension for a run with them.
+    Queries outside the sampled span raise DomainError.
     """
     tq = np.asarray(times, dtype=float)
     t = traj.t
@@ -306,10 +304,9 @@ def resample(traj: Trajectory, times: Sequence[float]) -> np.ndarray:
         return np.repeat(traj.y, tq.size, axis=0)
     idx = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, t.size - 2)
     step = (t[idx][:, None], traj.y[idx], traj.dy[idx], t[idx + 1][:, None],
-            traj.y[idx + 1], traj.dy[idx + 1], tq[:, None])
-    if traj.dense is None:
-        return _hermite(*step)
-    return _continuous(*step, traj.dense[idx].transpose(1, 0, 2))
+            traj.y[idx + 1], traj.dy[idx + 1])
+    rows = None if traj.dense is None else traj.dense[idx].transpose(1, 0, 2)
+    return _step_at(step, tq[:, None], rows)
 
 
 def bisect_root(g: Callable[[float], float], a: float, b: float, ga: float,
@@ -334,8 +331,8 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
 
     A target equal to a sample maps to that sample's time.  Any other
     target inside the sampled range is a root of the column's interpolant
-    (resample's) on its bracketing step [a, b], found by bisection: all
-    targets bisect together, and each stops once
+    (_step_at, as in resample) on its bracketing step [a, b], found by
+    bisection: all targets bisect together, and each stops once
     b - a <= 1e-13 * max(1, |b|) and returns the midpoint.  Every target
     sees the operations of bisect_root(g, a, b, g(a), 1e-13), so the times
     are the same bits.  A target at most `slack` beyond an end maps to that
@@ -356,14 +353,7 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
     k, c = k[pos], c[pos]
     xd = traj.dy[:, col]
     step = (t[k - 1], x[k - 1], xd[k - 1], t[k], x[k], xd[k])
-    if traj.dense is None:
-        def at(live, mid):
-            return _hermite(*(s[live] for s in step), mid)
-    else:
-        rows = traj.dense[k - 1, :, col].T
-
-        def at(live, mid):
-            return _continuous(*(s[live] for s in step), mid, rows[:, live])
+    rows = None if traj.dense is None else traj.dense[k - 1, :, col].T
     a, b, ga = step[0].copy(), step[3].copy(), step[1] - c
     live = np.arange(pos.size)
     while True:
@@ -372,7 +362,8 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
         if not live.size:
             break
         mid = 0.5 * (a[live] + b[live])
-        gm = at(live, mid) - c[live]
+        gm = _step_at(tuple(s[live] for s in step), mid,
+                      None if rows is None else rows[:, live]) - c[live]
         left = ga[live] * gm <= 0.0
         b[live[left]] = mid[left]
         right = live[~left]

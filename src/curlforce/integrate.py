@@ -8,8 +8,9 @@ proportional-integral step control; rk4 is the fixed-step classical
 method.  Accepted nodes keep both state and right-hand side, so cubic
 Hermite interpolation works on every step.  A dop853 run also evaluates
 three more stages per accepted step and keeps its seventh-order continuous
-extension (Trajectory.dense); core.resample, core.crossing_times and the
-event bisection here evaluate that run's own interpolant.
+extension (Trajectory.dense).  core.resample, core.crossing_times and the
+event bisection here evaluate a step by one rule, core._step_at: the run's
+own interpolant where it has dense rows, cubic Hermite otherwise.
 
 The step loop is Python source generated from the method's row for each
 method, state size, event formulas and right-hand-side formula,
@@ -52,8 +53,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (Trajectory, _continuous, _cut, _hermite, bisect_root,
-                   real_power)
+from .core import Trajectory, _cut, _step_at, bisect_root, real_power
 
 __all__ = [
     "Event",
@@ -351,13 +351,6 @@ class IntegratorSettings:
         object.__setattr__(self, "events", tuple(self.events))
 
 
-def _hermite_at(t0: float, y0: list, f0: list, t1: float, y1: list,
-                f1: list, tm: float) -> list:
-    """_hermite on lists of floats, one component at a time."""
-    return [_hermite(t0, a, b, t1, c, d, tm)
-            for a, b, c, d in zip(y0, f0, y1, f1)]
-
-
 def _dense_columns(m: _Method) -> list:
     """The stages whose slopes some dense row reads, in index order."""
     return [j for j in range(len(m.dense[0])) if any(r[j] for r in m.dense)]
@@ -365,7 +358,8 @@ def _dense_columns(m: _Method) -> list:
 
 def _dense_rows(m: _Method, t: np.ndarray, y: np.ndarray, f: np.ndarray,
                 k: np.ndarray) -> np.ndarray:
-    """(steps, 5, dim) rows F2..F6 of each step's core._continuous.
+    """(steps, 5, dim) rows F2..F6 of each step's own interpolant
+    (core._step_at).
 
     t, y and f are the steps' nodes, k their slopes at _dense_columns(m),
     shaped (steps, columns, dim).  F2 = 2 (y1 - y0) - h (f0 + f1) and F3..F6
@@ -718,33 +712,28 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
         # an event changed sign on [t, t_new]: record the earliest crossing
         # and the sample there; returns the right-hand-side evaluations made
         t = ts[-1]
-        step = (t, ys[-dim:], fs[-dim:], t_new, y_new, f_new)
-        if m.dense:
-            # the step's (t, t_new), (y, y_new) and (f, f_new) as arrays
-            ts2, ys2, fs2 = (np.array(step[i::3]) for i in range(3))
-            rows = _dense_rows(m, ts2, ys2, fs2, np.array(
-                ks[-width:]).reshape(1, -1, dim))[0]
-
-            def at(tm: float) -> list:
-                return _continuous(t, ys2[0], fs2[0], t_new, ys2[1], fs2[1],
-                                   tm, rows).tolist()
-        else:
-            def at(tm: float) -> list:
-                return _hermite_at(*step, tm)
+        # the step's (t, t_new), (y, y_new) and (f, f_new) as arrays; numpy's
+        # elementwise arithmetic rounds as the floats' does
+        ts2, ys2, fs2 = (np.array(pair) for pair in zip(
+            (t, ys[-dim:], fs[-dim:]), (t_new, y_new, f_new)))
+        step = (t, ys2[0], fs2[0], t_new, ys2[1], fs2[1])
+        rows = _dense_rows(m, ts2, ys2, fs2, np.array(
+            ks[-width:]).reshape(1, -1, dim))[0] if m.dense else None
         stop_at = None
         stop_name = None
         for ev, g0, g1 in zip(events, g_old, g_new):
             if (g0 * g1 < 0.0) or (g1 == 0.0 and g0 != 0.0):
                 # bisect the event function along the step's interpolant
-                te = bisect_root(lambda tm: ev.fn(tm, at(tm)),
-                                 t, t_new, g0, _EVENT_RESOLUTION)
+                te = bisect_root(
+                    lambda tm: ev.fn(tm, _step_at(step, tm, rows).tolist()),
+                    t, t_new, g0, _EVENT_RESOLUTION)
                 if stop_at is None or te < stop_at:
                     stop_at, stop_name = te, ev.name
         events_log.append((stop_at, stop_name))
         if not stop_at > t:
             del ks[len(ks) - width:]
             return 0
-        y_stop = at(stop_at)
+        y_stop = _step_at(step, stop_at, rows).tolist()
         if m.dense:
             # the run's last step is the stopped step's first part
             cut.append(_cut(rows, ys2[1] - ys2[0], (t_new - t) * fs2[0],

@@ -456,17 +456,16 @@ def orbit_polar_rhs(I: float):
 
 
 def ef_rhs(n: float, m: float):
-    """T'' = J^n * T^m with y = (T, T')."""
-    return _rhs(("J", "T", "Tp"),
-                "{0} = Tp\n{1} = real_power(J, n) * real_power(T, m)", n=n, m=m)
+    """T'' = J^n * T^m with y = (T, T'): raw_ef_rhs with a = 1, b = 0 (whose
+    1.0 * T + 0.0 is T but for -0.0, where real_power is the same)."""
+    return raw_ef_rhs(n, m, 1.0, 0.0)
 
 
 def raw_ef_rhs(n: float, m: float, a: float, b: float):
     """T'' = J^n * (a*T + b)^m with y = (T, T').
 
     With a = mu + 2 and b = r0^(mu+2) this is the equation the torque map's
-    raw variables satisfy, since a*Tt + b = r^(mu+2); a = 1, b = 0 is
-    ef_rhs.
+    raw variables satisfy, since a*Tt + b = r^(mu+2).
     """
     return _rhs(("J", "T", "Tp"),
                 "{0} = Tp\n{1} = real_power(J, n) * real_power(a * T + b, m)",

@@ -170,6 +170,21 @@ class TestFigure:
         code, _ = _run(tmp_path, "figure", {"which": "fig9"})
         assert code == 1
 
+    @pytest.mark.parametrize("I_values", [[1.1, 1.1000001], [1.1, 1.1]],
+                             ids=["rounds-alike", "repeated"])
+    def test_colliding_curve_labels_rejected(self, tmp_path, capsys,
+                                             I_values):
+        # the table tells curves apart by label alone; %g writes both I=1.1
+        code, out = _run(tmp_path, "figure",
+                         {"which": "fig1", "I_values": I_values,
+                          "theta_span": [0.0, 2.0]})
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "curlforce figure: config error: duplicate curve label(s): "
+            "I=1.1\n")
+        assert not (out / "run_manifest.json").exists()
+        assert not (out / "fig1.csv").exists()
+
     def test_json_rows_match_csv_rows(self, tmp_path):
         # the curve label leads each row; the floats round-trip through %.17g
         cfg = {"which": "fig3", "theta_span": [0.0, 2.0]}
@@ -391,6 +406,23 @@ class TestOrbit:
                "compare_simulation": True}
         code, _ = _run(tmp_path, "orbit", cfg)
         assert code == 1
+
+    @pytest.mark.parametrize("r_grid, inside", [
+        ([0.5, 0.7, 0.9], "[0.50000000000005, 0.5000000000002]"),
+        ([0.999999, 0.9999995], "[0.999999, 0.999999]"),
+    ], ids=["from-half", "near-r0"])
+    def test_overflowing_chain_power_exits_2(self, tmp_path, capsys, r_grid,
+                                             inside):
+        # mu = -2.001 raises u to the power -500.5 in the tau chain, which
+        # overflows on the whole grid: each panel goes to quad_adaptive,
+        # which finds no finite value next to its end
+        code, out = _run(tmp_path, "orbit",
+                         {"mu": -2.001, "r0": 1.0, "r_grid": r_grid})
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "curlforce orbit: numerical failure: integrand not finite "
+            f"inside {inside}\n")
+        assert _manifest(out)["exit_code"] == 2
 
     @pytest.mark.parametrize("cfg", [
         {"mu": -2.5, "r0": "inf", "compare_simulation": True},
@@ -708,6 +740,25 @@ class TestSweep:
         codes = {r["name"]: r["exit_code"] for r in _manifest(out)["results"]}
         assert codes == {"ok": 0, "overflow": 2}
         assert _manifest(out / "overflow")["exit_code"] == 2
+
+    def test_programming_error_stops_the_sweep(self, tmp_path,
+                                               monkeypatch):
+        # an exception outside _dispatch's three outcomes is a bug, not a
+        # run outcome: it propagates out of the sweep, and no run records it
+        def broken(c, out, fmt, manifest):
+            raise TypeError("a bug inside a run")
+
+        commands = dict(curlforce.cli._COMMANDS)
+        commands["special"] = (broken, commands["special"][1])
+        monkeypatch.setattr(curlforce.cli, "_COMMANDS", commands)
+        cfg = {"runs": [
+            {"name": "fig", "command": "figure",
+             "config": {"which": "fig1", "theta_span": [0.0, 1.0]}},
+            {"name": "exp", "command": "special", "config": {"lambda": -1.0}},
+        ]}
+        with pytest.raises(TypeError, match="a bug inside a run"):
+            _run(tmp_path, "sweep", cfg)
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
 
     def test_duplicate_names_rejected(self, tmp_path):
         cfg = {"runs": [

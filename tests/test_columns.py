@@ -74,6 +74,19 @@ class TestResidualColumn:
         assert a([1.5], [2.0], [0.0]) != b([1.5], [2.0], [0.0])
 
 
+class TestEmdenFowlerSlope:
+    # ef_rhs is raw_ef_rhs with a = 1 and b = 0; 1.0 * T + 0.0 turns -0.0
+    # into +0.0, on which real_power takes the same branch
+    @pytest.mark.parametrize("m", [-5.0, -7.0, 3.0])
+    def test_is_the_power_product(self, m):
+        rhs = ef_rhs(2.0, m)
+        want = [real_power(j, 2.0) * real_power(t, m) for j, t, _ in _ROWS]
+        J, T, Tp = (list(c) for c in zip(*_ROWS))
+        assert _bits(analysis._slope(rhs).loop(J, T, Tp)) == _bits(want)
+        assert _bits([rhs.kernel(j, [t, tp])[1]
+                      for j, t, tp in _ROWS]) == _bits(want)
+
+
 # real_power element by element, the vector power _vpow replaced
 _VECTORIZED = np.vectorize(real_power, otypes=[float])
 
