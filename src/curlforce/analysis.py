@@ -48,7 +48,9 @@ from .core import (
     PolarState,
     Trajectory,
     _fd2,
+    _polar_y,
     _rpow,
+    _stencil,
     bisect_root,
     crossing_times,
     longest_monotone_run,
@@ -207,12 +209,11 @@ def _polar_columns(traj: Trajectory, mu: float,
                    what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(r, rdot, r^2 thetadot) of a polar run checked for the torque map."""
     m_from_mu(mu)
-    if traj.y.shape[1] != 4:
-        raise ValueError(f"{what} needs a polar trajectory with 4 state columns")
-    r = traj.y[:, 0]
+    y = _polar_y(traj)
+    r = y[:, 0]
     if np.any(r <= 0.0):
         raise DomainError(f"{what} needs r > 0 throughout the trajectory")
-    return r, traj.y[:, 2], angular_momentum(traj)
+    return r, y[:, 2], angular_momentum(traj)
 
 
 def _monotone_run(what: str, increasing: bool, key: np.ndarray,
@@ -355,8 +356,6 @@ def ef_residual(series: EFSeries, n: float, m: float) -> ResidualStats:
     slopes.  Acceptance-style thresholds should be read against .scale
     (the largest |T''| on the series).
     """
-    if len(series) < 3:
-        raise ValueError("residual needs at least 3 samples")
     if series.scaled:
         rhs = ef_rhs(n, m)
     else:
@@ -411,15 +410,17 @@ def _check_r_grid(r_grid) -> np.ndarray:
     return rg
 
 
-def _positive_branch(mu: float) -> tuple[float, ParticularSolution]:
-    """(m, particular solution) at n = 2 for mu; DomainError unless Lambda > 0."""
+def _positive_branch(mu: float
+                     ) -> tuple[float, ParticularSolution, float, float]:
+    """(m, particular solution, q, p) at n = 2 for mu, with q = (1-m)/(n+2)
+    and p = mu+2; DomainError unless Lambda > 0."""
     m = m_from_mu(mu)
     sol = particular_solution(_N, m)
     if sol.Lambda <= 0.0:
         raise DomainError(
             f"(n, m) = ({_N}, {m}) gives Lambda = {sol.Lambda}; the particular "
             "branch needs a positive coefficient")
-    return m, sol
+    return m, sol, (1.0 - m) / (_N + 2.0), mu + 2.0
 
 
 def _cumulative_quadrature(text: str, constants: dict, printed, rg: np.ndarray,
@@ -483,11 +484,9 @@ def orbit_theta_of_r(mu: float, r0: float, r_grid,
     n = 2 throughout.
     """
     n = _N
-    m, sol = _positive_branch(mu)
+    m, sol, q, p = _positive_branch(mu)
     rg = _check_r_grid(r_grid)
-    s = math.sqrt(abs(mu + 2.0))
-    q = (1.0 - m) / (n + 2.0)
-    p = mu + 2.0
+    s = math.sqrt(abs(p))
     r0p = _r0_power(r0, p)
     # the constants of sol.Tprime and printed, bound once; the products
     # keep their left-to-right order and so their bits
@@ -515,10 +514,8 @@ def time_of_r(mu: float, r0: float, r_grid, tau0: float = 0.0,
     n = 2 throughout.
     """
     n = _N
-    m, sol = _positive_branch(mu)
+    m, sol, q, p = _positive_branch(mu)
     rg = _check_r_grid(r_grid)
-    q = (1.0 - m) / (n + 2.0)
-    p = mu + 2.0
     r0p = _r0_power(r0, p)
     # constants bound once, in the products' left-to-right order
     printed = _bind("r", "", _PRINTED, {
@@ -550,18 +547,17 @@ def seed_polar_from_particular(mu: float, r0: float, J1: float) -> PolarState:
         raise DomainError("seeding needs mu > -2 (fractional powers of mu + 2)")
     if J1 <= 0.0:
         raise DomainError(f"seeding needs J1 > 0, got {J1}")
-    _, sol = _positive_branch(mu)
-    a = mu + 2.0
+    _, sol, _, p = _positive_branch(mu)
     t1 = sol.T(J1)
     tp1 = sol.Tprime(J1)
-    r0p = _r0_power(r0, a)
-    r1 = (t1 + r0p) ** (1.0 / a)
+    r0p = _r0_power(r0, p)
+    r1 = (t1 + r0p) ** (1.0 / p)
     return PolarState(
         t=0.0,
         r=r1,
         theta=0.0,
-        rdot=a ** -0.75 * tp1,
-        thetadot=a ** -0.25 * J1 / (r1 * r1),
+        rdot=p ** -0.75 * tp1,
+        thetadot=p ** -0.25 * J1 / (r1 * r1),
     )
 
 
@@ -650,9 +646,6 @@ def drag_map_residual(traj: Trajectory, mu: float,
 
     j_raw, t_raw, rdot, w = _monotone_run(
         "drag map: J not strictly increasing", True, j_raw, t_raw, rdot, w)
-    if j_raw.size < 3:
-        raise ValueError("residual needs at least 3 samples")
-
     fd2 = _fd2(j_raw, t_raw)
     ji = j_raw[1:-1]
     tpi = rdot[1:-1]
@@ -691,8 +684,7 @@ class AbelReport:
 
 def _fd1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Three-point first derivative on a nonuniform grid (interior points)."""
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
+    h1, h2 = _stencil(x)
     return (-h2 / (h1 * (h1 + h2)) * y[:-2]
             + (h2 - h1) / (h1 * h2) * y[1:-1]
             + h1 / (h2 * (h1 + h2)) * y[2:])
@@ -717,8 +709,6 @@ def abel_reduction_residual(lam: float, traj: Trajectory) -> AbelReport:
     u = J ** ((lam + 1.0) / lam) * Tp
 
     w, u = _monotone_run("abel reduction: w not monotone", False, w, u)
-    if w.size < 3:
-        raise ValueError("residual needs at least 3 samples")
     dudw = _fd1(w, u)
     wi = w[1:-1]
     ui = u[1:-1]

@@ -344,6 +344,7 @@ _SIMULATE = {
 
 def cmd_simulate(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     field = c["system"]
+    _require_unique(c["invariants"], "invariant")
     if "lrr" in c["invariants"] and not isinstance(field, systems.ErmakovField):
         raise ConfigError(
             "the lrr invariant needs an ermakov system (it uses V(theta))")
@@ -476,6 +477,15 @@ _KNOWN_INTEGRALS = {
          "coefficient-1 variant is not constant along solutions")],
 }
 
+
+def _known_integrals(n: float, m: float) -> list:
+    """The _KNOWN_INTEGRALS entries of the row with this n and m within 1e-9
+    of the row's: a mapped m is the row's to rounding (mu = -5/3 gives
+    m = -7.000000000000001); none without such a row."""
+    return [entry for (n_row, m_row), row in _KNOWN_INTEGRALS.items()
+            if n == n_row and abs(m - m_row) < 1e-9 for entry in row]
+
+
 _MAP_EF = {
     "system": (_field, _REQUIRED),
     "initial_state": (_state, _REQUIRED),
@@ -517,14 +527,12 @@ def cmd_map_ef(c: dict, out: Path, fmt: str, manifest: dict) -> None:
                 analysis.ef_residual(series, analysis._N, m))
             if series.scaled:
                 # the known integrals are of T'' = J^2 T^m, which only a
-                # scaled series solves.  The mapped m is the row's to
-                # rounding: mu = -5/3 gives m = -7.000000000000001
+                # scaled series solves
                 manifest["invariant_drifts"] = {
                     key: _drift(integral(series.J, series.T, series.Tprime),
                                 key)
-                    for (n, m_row), row in _KNOWN_INTEGRALS.items()
-                    if n == analysis._N and abs(m - m_row) < 1e-9
-                    for key, _, integral in row if key}
+                    for key, _, integral in _known_integrals(analysis._N, m)
+                    if key}
     manifest["warnings"] = [str(w.message) for w in caught]
     manifest["data"] = _write_table(out, "map_ef", fmt, ["J", "T", "Tprime"],
                                     [series.J, series.T, series.Tprime])
@@ -599,7 +607,9 @@ def cmd_noether(c: dict, out: Path, fmt: str, manifest: dict) -> None:
     run = c["run"]
     settings = _integrator({"rel_tol": run["rel_tol"],
                             "abs_tol": run["abs_tol"]}, run["J_span"])
-    traj = _run(systems.ef_rhs(n, m), np.array(run["initial"]), settings)
+    # L's Euler-Lagrange equation, T'' = scale * J^n * T^m
+    traj = _run(systems.ef_rhs(n, m, scale), np.array(run["initial"]),
+                settings)
     values = analysis._model(evaluator, traj.t, traj.y[:, 0], traj.y[:, 1])
 
     manifest["lagrangian"] = {"n": n, "m": m, "potential_scale": scale}
@@ -619,12 +629,14 @@ def cmd_noether(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         manifest["integral"]["note"] = (
             "generator is not Noetherian for this Lagrangian; the evaluator "
             "is generally not conserved")
-    if (n, m) in _KNOWN_INTEGRALS:
+    # the known integrals are of T'' = J^n T^m, the equation of scale 1
+    known = _known_integrals(n, m) if scale == 1.0 else []
+    if known:
         manifest["integral"]["matches_known_form"] = {
             key: integral if isinstance(integral, str) else max(
                 abs(evaluator(*p) - float(integral(*p)))
                 for p in _KNOWN_FORM_PROBE)
-            for _, key, integral in _KNOWN_INTEGRALS[n, m]}
+            for _, key, integral in known}
 
 
 # the bound keeps np.linspace from allocating a huge grid
@@ -676,7 +688,7 @@ def cmd_orbit(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         raise ConfigError("integrator is read only with compare_simulation")
     theta_rep = analysis.orbit_theta_of_r(mu, r0, rg, tol=tol)
     time_rep = analysis.time_of_r(mu, r0, rg, tol=tol)
-    m, branch = analysis._positive_branch(mu)
+    m, branch, _, _ = analysis._positive_branch(mu)
 
     header = ["r", "theta", "tau"]
     columns = [rg, theta_rep.values, time_rep.values]

@@ -159,13 +159,19 @@ class Trajectory:
                 raise DomainError("dense rows must be (steps, 5, components)")
 
 
-def polar_states(traj: Trajectory) -> list[PolarState]:
-    """View a polar-system trajectory as PolarState records."""
+def _polar_y(traj: Trajectory) -> np.ndarray:
+    """traj.y of a polar run, (r, theta, rdot, thetadot) per row; DomainError
+    unless it has those 4 state columns."""
     if traj.y.shape[1] != 4:
         raise DomainError("polar trajectories carry 4 state components")
+    return traj.y
+
+
+def polar_states(traj: Trajectory) -> list[PolarState]:
+    """View a polar-system trajectory as PolarState records."""
     return [
         PolarState(t=float(t), r=float(r), theta=float(th), rdot=float(rd), thetadot=float(td))
-        for t, (r, th, rd, td) in zip(traj.t, traj.y)
+        for t, (r, th, rd, td) in zip(traj.t, _polar_y(traj))
     ]
 
 
@@ -373,21 +379,28 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
     return times
 
 
+def _stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spacings (h1, h2) = (x[1:-1] - x[:-2], x[2:] - x[1:-1]) of the
+    three-point stencil at each interior point of x.
+
+    ValueError below 3 samples; DomainError unless x is strictly monotone.
+    """
+    if x.size < 3:
+        raise ValueError("residual needs at least 3 samples")
+    d = np.diff(x)
+    if not (np.all(d > 0.0) or np.all(d < 0.0)):
+        raise DomainError("abscissae must be strictly monotone")
+    return d[:-1], d[1:]
+
+
 def _fd2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Three-point second derivative on a nonuniform grid (interior points).
 
     Exact on quadratics for any spacing; O(h) on general smooth data with
     irregular spacing, O(h^2) when the spacing varies smoothly.
     """
-    x = np.asarray(x, dtype=float)
+    h1, h2 = _stencil(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
-    if x.size < 3:
-        raise ValueError("second-derivative stencil needs at least 3 points")
-    d = np.diff(x)
-    if not (np.all(d > 0.0) or np.all(d < 0.0)):
-        raise DomainError("abscissae must be strictly monotone")
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
     return 2.0 * (h2 * y[:-2] - (h1 + h2) * y[1:-1] + h1 * y[2:]) / (h1 * h2 * (h1 + h2))
 
 

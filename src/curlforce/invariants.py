@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import DomainError, PolarState, Trajectory
+from .core import DomainError, PolarState, Trajectory, _polar_y
 from .systems import AngleFunction
 
 __all__ = [
@@ -153,9 +153,8 @@ def _polar(state: PolarState | Trajectory):
     """(r, theta, thetadot) of a PolarState, or their columns along a polar run."""
     if isinstance(state, PolarState):
         return state.r, state.theta, state.thetadot
-    if state.y.shape[1] != 4:
-        raise DomainError("polar trajectories carry 4 state components")
-    return state.y[:, 0], state.y[:, 1], state.y[:, 3]
+    y = _polar_y(state)
+    return y[:, 0], y[:, 1], y[:, 3]
 
 
 def angular_momentum(state: PolarState | Trajectory):

@@ -455,21 +455,24 @@ def orbit_polar_rhs(I: float):
                 I=I)
 
 
-def ef_rhs(n: float, m: float):
-    """T'' = J^n * T^m with y = (T, T'): raw_ef_rhs with a = 1, b = 0 (whose
-    1.0 * T + 0.0 is T but for -0.0, where real_power is the same)."""
-    return raw_ef_rhs(n, m, 1.0, 0.0)
+def ef_rhs(n: float, m: float, c: float = 1.0):
+    """T'' = c * J^n * T^m with y = (T, T'): raw_ef_rhs with a = 1, b = 0
+    (whose 1.0 * T + 0.0 is T but for -0.0, where real_power is the same)."""
+    return raw_ef_rhs(n, m, 1.0, 0.0, c)
 
 
-def raw_ef_rhs(n: float, m: float, a: float, b: float):
-    """T'' = J^n * (a*T + b)^m with y = (T, T').
+def raw_ef_rhs(n: float, m: float, a: float, b: float, c: float = 1.0):
+    """T'' = c * J^n * (a*T + b)^m with y = (T, T').
 
     With a = mu + 2 and b = r0^(mu+2) this is the equation the torque map's
-    raw variables satisfy, since a*Tt + b = r^(mu+2).
+    raw variables satisfy, since a*Tt + b = r^(mu+2).  c is the potential
+    scale of invariants.PowerLagrangian; at c = 1.0 the product has the
+    bits of J^n * (a*T + b)^m.
     """
     return _rhs(("J", "T", "Tp"),
-                "{0} = Tp\n{1} = real_power(J, n) * real_power(a * T + b, m)",
-                n=n, m=m, a=a, b=b)
+                "{0} = Tp\n"
+                "{1} = c * real_power(J, n) * real_power(a * T + b, m)",
+                n=n, m=m, a=a, b=b, c=c)
 
 
 def drag_ef_rhs(lam: float, sigma: float):

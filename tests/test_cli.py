@@ -85,6 +85,17 @@ class TestSimulate:
         assert man["run"]["termination"] == "event"
         assert man["run"]["events"][0]["name"] == "r-floor"
 
+    def test_repeated_invariant_rejected(self, tmp_path, capsys):
+        # the table would carry two columns named L under one drift key
+        cfg = {**_ERMAKOV_CFG,
+               "invariants": ["angular_momentum", "lrr", "angular_momentum"]}
+        code, out = _run(tmp_path, "simulate", cfg)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "curlforce simulate: config error: duplicate invariant(s): "
+            "angular_momentum\n")
+        assert not (out / "run_manifest.json").exists()
+
     def test_lrr_needs_ermakov(self, tmp_path):
         cfg = {
             "system": {"family": "isotropic", "mu": -1.5},

@@ -2,12 +2,15 @@
 
 The known Emden-Fowler integrals are one table that both `map-ef` (drifts
 along a run) and `noether` (differences from the constructed integral)
-read; a step that cannot advance t ends the run as a step underflow; a
-config number must be finite; and `special` reports a non-finite residual
-as a numerical failure.
+read through one lookup; a step that cannot advance t ends the run as a
+step underflow; a config number must be finite; and `special` reports a
+non-finite residual as a numerical failure.  The package root exports
+each module's `__all__`; one check refuses a run without the 4 polar state
+columns, and one stencil check guards both finite differences.
 """
 
 import copy
+import importlib
 import json
 import math
 import time
@@ -16,8 +19,11 @@ import warnings
 import numpy as np
 import pytest
 
-from curlforce import cli, systems
+import curlforce
+from curlforce import analysis, cli, core, invariants, systems
+from curlforce.analysis import _fd1
 from curlforce.cli import main
+from curlforce.core import DomainError, Trajectory, _fd2
 from curlforce.integrate import IntegratorSettings, integrate
 
 from test_cli_mutations import _CONFIGS, _leaves
@@ -73,6 +79,28 @@ class TestKnownIntegrals:
         assert code == 0
         assert man["m"] == pytest.approx(m, abs=1e-12)
         assert set(man["invariant_drifts"]) == _KNOWN[n, m][0]
+
+    def test_noether_finds_a_row_to_rounding(self, tmp_path):
+        # noether reads the table as map-ef does: m within 1e-9 of a row's
+        code, man = _run(tmp_path, "noether",
+                         {"n": 2.0, "m": -7.000000000000001,
+                          "generator": "half"})
+        assert code == 0
+        match = man["integral"]["matches_known_form"]
+        assert set(match) == _KNOWN[2.0, -7.0][1]
+        assert match["coefficient_one_third_max_diff"] < 1e-12
+
+    @pytest.mark.parametrize("scale", [0.0, 2.0])
+    def test_noether_integrates_the_scaled_equation(self, tmp_path, scale):
+        # L with potential scale s has T'' = s J^n T^m as its Euler-Lagrange
+        # equation, along which g2's integral is conserved; the table's
+        # integrals are of s = 1, so none is compared
+        code, man = _run(tmp_path, "noether",
+                         {"n": 2.0, "m": -5.0, "generator": "g2",
+                          "potential_scale": scale})
+        assert code == 0 and man["noetherian"] is True
+        assert man["integral"]["drift"] < 1e-10
+        assert "matches_known_form" not in man["integral"]
 
     def test_other_equations_report_none(self, tmp_path):
         code, man = _run(tmp_path, "noether",
@@ -194,3 +222,52 @@ class TestSpecialResidual:
             warnings.simplefilter("error")
             resid = systems.third_order_residual(y, -y, y, -y, -1.0, -3.0)
         assert not np.isfinite(resid).any()
+
+
+class TestPublicNames:
+    @pytest.mark.parametrize("module", ["core", "integrate", "systems",
+                                        "invariants", "analysis"])
+    def test_root_exports_each_modules_names(self, module):
+        # curlforce.integrate is the function, so the module is looked up
+        module = importlib.import_module(f"curlforce.{module}")
+        for name in module.__all__:
+            assert getattr(curlforce, name) is getattr(module, name)
+            assert name in curlforce.__all__
+
+
+def _two_component_run() -> Trajectory:
+    t = np.linspace(0.0, 1.0, 5)
+    y = np.column_stack([1.0 + t, 0.5 + t])
+    return Trajectory(t=t, y=y, dy=np.ones_like(y))
+
+
+class TestPolarRunCheck:
+    @pytest.mark.parametrize("fn", [
+        lambda traj: analysis.torque_map(traj, -1.5),
+        lambda traj: analysis.drag_map_residual(traj, -4.0, -2.0),
+        core.polar_states,
+        invariants.angular_momentum,
+    ], ids=["torque_map", "drag_map_residual", "polar_states",
+            "angular_momentum"])
+    def test_two_components_are_refused(self, fn):
+        with pytest.raises(DomainError,
+                           match="polar trajectories carry 4 state "
+                                 "components"):
+            fn(_two_component_run())
+
+
+class TestStencil:
+    @pytest.mark.parametrize("fd", [_fd1, _fd2], ids=["fd1", "fd2"])
+    def test_needs_three_samples(self, fd):
+        with pytest.raises(ValueError,
+                           match="residual needs at least 3 samples"):
+            fd(np.array([0.0, 1.0]), np.zeros(2))
+
+    @pytest.mark.parametrize("fd", [_fd1, _fd2], ids=["fd1", "fd2"])
+    def test_needs_monotone_abscissae(self, fd):
+        with pytest.raises(DomainError, match="strictly monotone"):
+            fd(np.array([0.0, 1.0, 0.5]), np.zeros(3))
+
+    def test_decreasing_abscissae_are_accepted(self):
+        x = np.array([2.0, 1.5, 0.7, 0.2])
+        assert np.allclose(_fd1(x, 3.0 * x * x), 6.0 * x[1:-1])
