@@ -231,7 +231,8 @@ def _state(value: Any, where: str) -> np.ndarray:
 
 
 # integrator keys a config may set; an absent key takes IntegratorSettings'
-# default, and an absent t_span the command's default span.  rel_tol and
+# default, and an absent t_span the command's default span.  A command's
+# schema may name its own default method, as simulate's does.  rel_tol and
 # abs_tol belong to rk45 and dop853 and h to rk4; IntegratorSettings refuses
 # the others
 _INTEGRATOR = {
@@ -260,7 +261,26 @@ def _integrator(block: dict, default_span: tuple[float, float],
 
 def _run(rhs: Callable, y0: Sequence[float], settings: IntegratorSettings,
          ends: Sequence[str] = ("completed",)) -> Trajectory:
-    """integrate(); a run not ending by `ends` raises IntegrationError."""
+    """integrate(); a run not ending by `ends` raises IntegrationError.
+
+    A fixed-step run without events ends only by its last step, so one whose
+    step count is certain to exceed max_steps is refused before it steps.
+    The last step is the one that has at most stretch * h left, so the loop
+    takes more than max_steps steps when the span is more than max_steps - 1
+    + stretch of the most a step can advance t: h plus the rounding of t + h.
+    This holds only when every step advances, that is when h is at least an
+    ulp of every t on the span; counts within 1e-9 of the bound are left to
+    the loop.
+    """
+    m = _METHODS[settings.method]
+    if not m.norm and not settings.events:
+        (t0, t1), h = settings.t_span, settings.h
+        reach = max(abs(t0), abs(t1))
+        if (h >= math.ulp(reach) and (t1 - t0) / (h + math.ulp(reach + h))
+                > (settings.max_steps - 1 + m.stretch) * (1.0 + 1e-9)):
+            raise IntegrationError(
+                f"{settings.method} needs more than max_steps="
+                f"{settings.max_steps} steps of h={h} over t_span=({t0}, {t1})")
     traj = integrate(rhs, y0, settings)
     if traj.termination not in ends:
         what = ("ended without its stop event"
@@ -335,7 +355,8 @@ def _event(value: Any, where: str) -> Event:
 _SIMULATE = {
     "system": (_field, _REQUIRED),
     "initial_state": (_state, _REQUIRED),
-    "integrator": (_INTEGRATOR, {}),
+    "integrator": ({**_INTEGRATOR, "method": (_choice(*_METHODS), "dop853")},
+                   {}),
     "invariants": (_list(_choice(*_INVARIANTS)), []),
     "events": (_list(_event), []),
     "label": (_any, None),

@@ -364,15 +364,18 @@ def _dense_rows(m: _Method, t: np.ndarray, y: np.ndarray, f: np.ndarray,
     t, y and f are the steps' nodes, k their slopes at _dense_columns(m),
     shaped (steps, columns, dim).  F2 = 2 (y1 - y0) - h (f0 + f1) and F3..F6
     are h times each of m.dense's sums over the slopes, added in index
-    order.
+    order.  A row of a huge state may overflow to inf or nan, silently: the
+    run reports its own failure.
     """
     h = (t[1:] - t[:-1])[:, None, None]
     d = np.array(m.dense)[:, _dense_columns(m), None]
-    sums = d[:, 0] * k[:, None, 0]
-    for i in range(1, d.shape[1]):
-        sums = sums + d[:, i] * k[:, None, i]
-    return np.concatenate([2.0 * (y[1:] - y[:-1])[:, None]
-                           - h * (f[:-1] + f[1:])[:, None], h * sums], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = d[:, 0] * k[:, None, 0]
+        for i in range(1, d.shape[1]):
+            sums = sums + d[:, i] * k[:, None, i]
+        return np.concatenate([2.0 * (y[1:] - y[:-1])[:, None]
+                               - h * (f[:-1] + f[1:])[:, None], h * sums],
+                              axis=1)
 
 
 def _event_lines(k: int, formula, dim: int) -> tuple[list, list]:
@@ -703,7 +706,8 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     events_log: list[tuple[float, str]] = []
 
     m = _METHODS[settings.method]
-    width = len(_dense_columns(m)) * dim if m.dense else 0
+    columns = len(_dense_columns(m)) if m.dense else 0
+    width = columns * dim
     ks: list = []
     cut: list = []
 
@@ -763,7 +767,7 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     dense = None
     if m.dense:
         dense = _dense_rows(m, t_arr, y_arr, f_arr, np.array(
-            ks, dtype=float).reshape(t_arr.size - 1, -1, dim))
+            ks, dtype=float).reshape(t_arr.size - 1, columns, dim))
         if cut:
             dense[-1] = cut[0]
     traj = Trajectory(

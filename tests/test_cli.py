@@ -699,6 +699,24 @@ class TestNumericalFailureExits2:
         assert man["run"]["termination"] == "step-underflow"
         assert man["error"].startswith("run stopped early (step-underflow)")
 
+    def test_early_stop_named_over_invariant_rk45(self, tmp_path, capsys):
+        # the run above with rk45 named: simulate's default is dop853
+        cfg = {"system": {"family": "ermakov", "w": 0.0,
+                          "V": {"family": "cos"}},
+               "initial_state": {"r": 1e308, "rdot": 0.1, "thetadot": 0.5},
+               "integrator": {"method": "rk45", "t_span": [0.0, 100.0],
+                              "rel_tol": 1e-10, "abs_tol": 1e-12},
+               "invariants": ["lrr", "angular_momentum"]}
+        code, out = _run(tmp_path, "simulate", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("curlforce simulate: numerical failure: "
+                              "run stopped early (step-underflow)")
+        man = _manifest(out)
+        assert man["run"]["termination"] == "step-underflow"
+        assert man["run"]["integrator"]["method"] == "rk45"
+
 
 def _readme_sweep():
     """The README's sample sweep config."""

@@ -4,6 +4,7 @@ DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) is stepped by the
 same generated loop as rk45 and rk4.  Its runs keep the rows of the pair's
 seventh-order continuous extension, and resample, crossing_times and the
 event bisection evaluate that extension instead of cubic Hermite.
+`simulate` steps with it when its integrator block names no method.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,8 @@ from curlforce.integrate import (
     _METHODS,
     Event,
     IntegratorSettings,
+    _dense_columns,
+    _dense_rows,
     _loop,
     integrate,
 )
@@ -241,3 +245,118 @@ class TestCommands:
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.split() == ["dop853", "False"]
+
+
+# the README simulate config
+_README_SIMULATE = {
+    "system": {"family": "ermakov", "w": 0.0, "V": {"family": "cos"}},
+    "initial_state": {"r": 1.0, "rdot": 0.1, "thetadot": 0.5},
+    "integrator": {"t_span": [0.0, 100.0], "rel_tol": 1e-10,
+                   "abs_tol": 1e-12},
+    "invariants": ["lrr", "angular_momentum"],
+}
+
+
+def _simulate(tmp_path, cfg, fmt="csv"):
+    """(exit code, output directory) of one simulate run."""
+    path = tmp_path / "simulate.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / f"out-{fmt}"
+    code = main(["simulate", "--config", str(path), "--out", str(out),
+                 "--format", fmt])
+    return code, out
+
+
+def _with_integrator(**keys) -> dict:
+    cfg = json.loads(json.dumps(_README_SIMULATE))
+    cfg["integrator"].update(keys)
+    return cfg
+
+
+class TestSimulateDefault:
+    def test_no_method_steps_dop853(self, tmp_path):
+        code, out = _simulate(tmp_path, _README_SIMULATE)
+        assert code == 0
+        man = json.loads((out / "run_manifest.json").read_text())
+        meta = man["run"]["integrator"]
+        assert meta["method"] == "dop853"
+        assert (meta["rel_tol"], meta["abs_tol"]) == (1e-10, 1e-12)
+        # one table row per node, and the eighth-order pair keeps the lrr
+        # invariant to well within A2's 1e-8
+        rows = (out / "simulate.csv").read_text().splitlines()[1:]
+        assert len(rows) == man["run"]["samples"] == meta["accepted"] + 1
+        assert man["invariant_drifts"]["lrr"]["drift"] < 1e-10
+
+    # sha256 of the tables the README simulate config wrote while rk45 was
+    # simulate's default
+    RK45_TABLES = {
+        "csv": "b9938ddf90204553606e3ca37e2bca99"
+               "61310117dc045827c259b593e71347e1",
+        "json": "b0d2a64d3d9f33990d90e9123d876812"
+                "ca4d036ab4fe05f26cb7eb5c6ee68133",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(RK45_TABLES))
+    def test_rk45_named_keeps_its_table(self, tmp_path, fmt):
+        code, out = _simulate(tmp_path, _with_integrator(method="rk45"), fmt)
+        assert code == 0
+        table = (out / f"simulate.{fmt}").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == self.RK45_TABLES[fmt]
+
+    def test_rk4_named_steps_rk4(self, tmp_path):
+        cfg = _with_integrator(method="rk4", h=0.01, t_span=[0.0, 1.0])
+        del cfg["integrator"]["rel_tol"], cfg["integrator"]["abs_tol"]
+        code, out = _simulate(tmp_path, cfg)
+        assert code == 0
+        man = json.loads((out / "run_manifest.json").read_text())
+        assert man["run"]["integrator"]["method"] == "rk4"
+
+
+class TestFaultsOfEmptyAndHugeRuns:
+    def test_run_accepting_no_step(self):
+        # a span of one denormal: the first step cannot advance t, so no
+        # step is accepted and the run has no dense rows
+        traj = integrate(systems.polar_rhs(systems.IsotropicField(-1.5)),
+                         [1.0, 0.0, 0.1, 0.6],
+                         IntegratorSettings(method="dop853",
+                                            t_span=(0.0, 5e-324)))
+        assert traj.termination == "step-underflow"
+        assert traj.t.tolist() == [0.0]
+        assert traj.dense.shape == (0, 5, 4)
+        assert traj.meta["accepted"] == 0
+
+    def test_simulate_accepting_no_step(self, tmp_path, capsys):
+        code, out = _simulate(tmp_path, {
+            "system": {"family": "isotropic", "mu": -1.5},
+            "initial_state": {"r": 1.0, "rdot": 0.1, "thetadot": 0.6},
+            "integrator": {"method": "dop853", "t_span": [0.0, 5e-324]}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("curlforce simulate: numerical failure: "
+                              "run stopped early (step-underflow)")
+        man = json.loads((out / "run_manifest.json").read_text())
+        assert man["run"]["samples"] == 1
+
+    def test_huge_state_prints_one_line(self, tmp_path, capsys):
+        # the dense rows of a state near the largest float overflow; the
+        # suite's filter turns a numpy warning into an error, and the run
+        # must report only its own failure
+        cfg = _with_integrator(method="dop853")
+        cfg["initial_state"] = {"r": 1e308, "rdot": 0.1, "thetadot": 0.5}
+        del cfg["invariants"]
+        code, out = _simulate(tmp_path, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("curlforce simulate: numerical failure: ")
+
+    def test_overflowing_rows_are_inf_or_nan(self):
+        t = np.array([0.0, 1.0])
+        y = np.array([[1e308], [-1e308]])
+        k = np.full((1, len(_dense_columns(_DOP853)), 1), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _dense_rows(_DOP853, t, y, -y, k)
+        assert rows.shape == (1, 5, 1)
+        assert not np.isfinite(rows).any()

@@ -3,7 +3,8 @@
 The known Emden-Fowler integrals are one table that both `map-ef` (drifts
 along a run) and `noether` (differences from the constructed integral)
 read through one lookup; a step that cannot advance t ends the run as a
-step underflow; a config number must be finite; and `special` reports a
+step underflow, and an rk4 run certain to exceed max_steps is refused
+before it steps; a config number must be finite; and `special` reports a
 non-finite residual as a numerical failure.  The package root exports
 each module's `__all__`; one check refuses a run without the 4 polar state
 columns, and one stencil check guards both finite differences.
@@ -24,7 +25,8 @@ from curlforce import analysis, cli, core, invariants, systems
 from curlforce.analysis import _fd1
 from curlforce.cli import main
 from curlforce.core import DomainError, Trajectory, _fd2
-from curlforce.integrate import IntegratorSettings, integrate
+from curlforce.integrate import (IntegrationError, IntegratorSettings,
+                                 integrate)
 
 from test_cli_mutations import _CONFIGS, _leaves
 
@@ -146,6 +148,74 @@ class TestStepUnderflow:
         assert traj.termination == "step-underflow"
         assert traj.t.tolist() == [1e10]
         assert traj.meta["accepted"] == 0
+
+
+# the rk45-named spans above take simulate's default method, dop853; these
+# name rk45, so its loop meets them too
+_STUCK_RK45 = {f"{name}-named": {**integrator, "method": "rk45"}
+               for name, integrator in _STUCK.items()
+               if name.startswith("rk45-")}
+
+
+@pytest.mark.parametrize("integrator", list(_STUCK_RK45.values()),
+                         ids=_STUCK_RK45)
+def test_rk45_simulate_stops_at_once(tmp_path, capsys, integrator):
+    TestStepUnderflow().test_simulate_stops_at_once(tmp_path, capsys,
+                                                    integrator)
+
+
+# the README map-ef run with 8e6 steps of h = 1e-5, more than max_steps
+_LONG_RK4 = {"system": _README_SYSTEM,
+             "initial_state": {"r": 1.0, "rdot": 0.1, "thetadot": 0.6},
+             "integrator": {"method": "rk4", "h": 1e-5, "t_span": [0.0, 80.0],
+                            "max_steps": 1_000_000}}
+
+
+class TestRk4StepCount:
+    def test_over_long_run_is_refused_before_it_steps(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code, man = _run(tmp_path, "map-ef", _LONG_RK4)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = _one_line(capsys, "map-ef")
+        assert "rk4 needs more than max_steps=1000000 steps of h=1e-05" in err
+        assert "run" not in man and man["error"] in err
+
+    # (t_span, h, max_steps, refused).  10.4 steps of h = 0.1 is the
+    # boundary, left to the loop; so is an h below an ulp of t, which the
+    # loop ends as a step underflow
+    @pytest.mark.parametrize("t_span, h, max_steps, refused", [
+        ((0.0, 1.0), 0.1, 10, False), ((0.0, 1.0), 0.1, 9, True),
+        ((0.0, 1.04), 0.1, 10, False), ((0.0, 1.05), 0.1, 10, True),
+        ((1e3, 1e3 + 2.0), 1e-2, 199, True),
+        ((1e3, 1e3 + 2.0), 1e-2, 200, False), ((-5.0, 5.0), 0.3, 33, False),
+        ((1e10, 1e10 + 1.0), 1e-7, 10, False),
+    ])
+    def test_refusal_agrees_with_the_loop(self, t_span, h, max_steps,
+                                          refused):
+        # a refused run is one the loop ends at max_steps
+        settings = IntegratorSettings(method="rk4", h=h, t_span=t_span,
+                                      max_steps=max_steps)
+        rhs = systems.polar_rhs(systems.IsotropicField(-1.5))
+        y0 = [1.0, 0.0, 0.1, 0.6]
+        try:
+            cli._run(rhs, y0, settings)
+            message = ""
+        except IntegrationError as exc:
+            message = str(exc)
+        assert ("needs more than" in message) == refused
+        if refused:
+            with pytest.raises(IntegrationError, match="max_steps="):
+                integrate(rhs, y0, settings)
+
+    def test_events_leave_the_count_to_the_loop(self):
+        # an event may end the run before its last step
+        settings = IntegratorSettings(
+            method="rk4", h=1e-3, t_span=(0.0, 100.0), max_steps=5_000,
+            events=(systems.r_floor_event(1.05, "r-target"),))
+        rhs = systems.polar_rhs(systems.IsotropicField(0.0))
+        traj = cli._run(rhs, [1.0, 0.0, 0.1, 0.6], settings, ("event",))
+        assert traj.termination == "event"
 
 
 class TestInfiniteNumbers:
