@@ -17,8 +17,10 @@ The adaptive Simpson rule is written once, as Python source (_simpson)
 around an integrand's text, and compiled once per text.  Each chain
 integrand of the orbit and time quadratures is such a text, so one call
 integrates every panel of an r grid with the text pasted at each
-evaluation and the printed comparator called at each grid radius;
-quad_adaptive pastes a call of its integrand.
+evaluation and the printed comparator called at each grid radius; the
+grid loop itself takes each panel's first bisection level, so a panel
+that level accepts calls no recursion.  quad_adaptive pastes a call of
+its integrand.
 
 Scale conventions, with n = 2 throughout: a raw series (Jt, Tt) built from
 a trajectory via Tt = (r^(mu+2) - r0^(mu+2))/(mu+2), Jt = r^2*thetadot,
@@ -59,7 +61,7 @@ from .core import (
 )
 from .integrate import _compile, _indent, _paste
 from .invariants import angular_momentum
-from .systems import _bind, _check_mu, drag_ef_rhs, ef_rhs, raw_ef_rhs
+from .systems import _bind, _check_mu, _power, drag_ef_rhs, ef_rhs, raw_ef_rhs
 
 __all__ = [
     "NonRealLambda",
@@ -456,19 +458,17 @@ def _cumulative_quadrature(text: str, constants: dict, printed, rg: np.ndarray,
                            abs_error_estimate=err, evaluations=evals)
 
 
-# The chain integrands, in r and the names each producer binds.  For u > 0,
-# u ** q has real_power(u, q)'s bits, or raises OverflowError where that is
-# inf: the quadrature's guard makes v nan, not finite either
-_THETA = """\
-u = (r ** p - r0p) / lam
-J = u ** q if u > 0.0 else real_power(u, q)
-v = s * J / (r * r * (lam_e * (J ** e1 if J > 0.0 else real_power(J, e1))))
-"""
-_TAU = """\
-u = r ** p - r0p
-v = coef * (u ** q1 if u > 0.0 else real_power(u, q1))
-"""
-_PRINTED = "coef * real_power(r ** p - r0p, k)"  # either printed closed form
+# The chain integrands, in r and the names each producer binds, with each
+# power pasted by systems._power: where one overflows (real_power would
+# give inf) the quadrature's guard makes v nan, not finite either
+_THETA = ("u = (r ** p - r0p) / lam\n" + _power("J", "u", "q", None)
+          + _power("J_e1", "J", "e1", None)
+          + "v = s * J / (r * r * (lam_e * J_e1))\n")
+_TAU = ("u = r ** p - r0p\n" + _power("u_q1", "u", "q1", None)
+        + "v = coef * u_q1\n")
+# either printed closed form, coef * real_power(r ** p - r0p, k), as the
+# body and result that _bind takes
+_PRINTED = ("u = r ** p - r0p\n" + _power("w", "u", "k"), "coef * w")
 
 
 def orbit_theta_of_r(mu: float, r0: float, r_grid,
@@ -491,7 +491,7 @@ def orbit_theta_of_r(mu: float, r0: float, r_grid,
     # the constants of sol.Tprime and printed, bound once; the products
     # keep their left-to-right order and so their bits
     lam = sol.Lambda
-    printed = _bind("r", "", _PRINTED, {
+    printed = _bind("r", *_PRINTED, {
         "coef": q * real_power(lam, -2.0 * q), "p": p, "r0p": r0p,
         "k": -2.0 * (n + m + 3.0) / (n + 2.0)})
     return _cumulative_quadrature(
@@ -518,7 +518,7 @@ def time_of_r(mu: float, r0: float, r_grid, tau0: float = 0.0,
     rg = _check_r_grid(r_grid)
     r0p = _r0_power(r0, p)
     # constants bound once, in the products' left-to-right order
-    printed = _bind("r", "", _PRINTED, {
+    printed = _bind("r", *_PRINTED, {
         "coef": q * p * real_power(sol.Lambda, (n + m + 1.0) / (n + 2.0)),
         "p": p, "r0p": r0p, "k": -(n + m + 3.0) / (n + 2.0)})
     res = _cumulative_quadrature(
@@ -772,51 +772,23 @@ _QUAD_MAX_EVALS = 1_000_000
 # handoff) runs it over each panel [xs[i-1], xs[i]] in order, depth first.
 # A line "@x" evaluates the integrand text at r = x into v (nan where the
 # text raises), and "%x" appends the comparator's ratio there to ratios;
-# "@ends" takes a panel with an end where the integrand is not finite
-# (_HANDOFF or _STRIPS).  A panel's budget and decisions count
-# its own two ends, as a lone panel does, though each xs[i] is evaluated
-# once.
+# "@level" is one bisection level (_LEVEL), and "@ends" takes a panel with
+# an end where the integrand is not finite (_HANDOFF or _STRIPS).  The grid
+# loop works out a panel's midpoint and its first level itself, and calls
+# rec only for the halves of a panel that level does not accept.  A panel's
+# budget and decisions count its own two ends, as a lone panel does, though
+# each xs[i] is evaluated once.
 _QUAD = """\
     def quad(xs, tol, max_evals, handoff):
         def rec(a, fa, m, fm, b, fb, whole, depth):
             nonlocal ev, err
-            lm = 0.5 * (a + m)
-            rm = 0.5 * (m + b)
-            @lm
-            flm = v
-            @rm
-            frm = v
-            ev += 2
-            if not (isfinite(flm) and isfinite(frm)):
-                bad = rm if isfinite(flm) else lm
-                raise QuadratureError(f"integrand not finite at x = {bad}")
-            left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-            right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-            s2 = left + right
-            delta = s2 - whole
-            if (abs(delta) <= 15.0 * tol_density * (b - a)
-                    or ev >= max_evals):
-                err += abs(delta) / 15.0
-                return s2 + delta / 15.0
-            if depth >= max_depth:
-                raise QuadratureError(f"no convergence after {max_depth} "
-                                      f"bisection levels on [{a}, {b}]")
-            return (rec(a, fa, lm, flm, m, fm, left, depth + 1)
-                    + rec(m, fm, rm, frm, b, fb, right, depth + 1))
-
-        def panel(a, b, fa, fb):
-            nonlocal ev
-            m = 0.5 * (a + b)
-            @m
-            ev += 1
-            if not (isfinite(fa) and isfinite(fb) and isfinite(v)):
-                raise QuadratureError(f"integrand not finite inside [{a}, {b}]")
-            return rec(a, fa, m, v, b, fb, (b - a) / 6.0 * (fa + 4.0 * v + fb),
-                       0)
+            @level
+            return value
 
         out = [0.0]
         ratios = []
         acc = total_err = 0.0
+        depth = 0
         b = xs[0]
         @b
         fb = v
@@ -834,7 +806,15 @@ _QUAD = """\
             err = 0.0
             tol_density = tol / (b - a)
             if isfinite(fa) and isfinite(fb):
-                value = panel(a, b, fa, fb)
+                m = 0.5 * (a + b)
+                @m
+                fm = v
+                ev += 1
+                if not isfinite(fm):
+                    raise QuadratureError(f"integrand not finite inside "
+                                          f"[{a}, {b}]")
+                whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+                @level
             else:
                 @ends
             if ev >= max_evals:
@@ -848,11 +828,41 @@ _QUAD = """\
         return out, total_err, evals, ratios
     return quad
 """
+# One level on [a, b] with midpoint m at bisection depth depth, given
+# f there (fa, fm, fb) and the coarse Simpson sum whole: the two halves'
+# sums, then value, their Richardson-corrected sum where the level test
+# accepts it, or else the sum of rec on each half.
+_LEVEL = """\
+lm = 0.5 * (a + m)
+rm = 0.5 * (m + b)
+@lm
+flm = v
+@rm
+frm = v
+ev += 2
+if not (isfinite(flm) and isfinite(frm)):
+    bad = rm if isfinite(flm) else lm
+    raise QuadratureError(f"integrand not finite at x = {bad}")
+left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+s2 = left + right
+delta = s2 - whole
+if abs(delta) <= 15.0 * tol_density * (b - a) or ev >= max_evals:
+    err += abs(delta) / 15.0
+    value = s2 + delta / 15.0
+elif depth >= max_depth:
+    raise QuadratureError(f"no convergence after {max_depth} "
+                          f"bisection levels on [{a}, {b}]")
+else:
+    value = (rec(a, fa, lm, flm, m, fm, left, depth + 1)
+             + rec(m, fm, rm, frm, b, fb, right, depth + 1))
+"""
 # In a chain quadrature such a panel goes to quad_adaptive.  quad_adaptive
 # itself moves that end in by eps = 1e-12 * (b - a) and adds twice the
 # integral over the quarter strip next to it, which is exact for
 # inverse-square-root singularities; each strip and the panel between them
-# evaluate both their ends, as a fresh panel does.
+# evaluate both their ends, as a fresh panel does, and then go through
+# panel, which evaluates their midpoint and calls rec.
 _HANDOFF = """\
 res = handoff(f, a, b, tol)
 acc += res.value
@@ -862,6 +872,15 @@ evals += res.evaluations
 continue
 """
 _STRIPS = """\
+def panel(a, b, fa, fb):
+    nonlocal ev
+    m = 0.5 * (a + b)
+    @m
+    ev += 1
+    if not (isfinite(fa) and isfinite(fb) and isfinite(v)):
+        raise QuadratureError(f"integrand not finite inside [{a}, {b}]")
+    return rec(a, fa, m, v, b, fb, (b - a) / 6.0 * (fa + 4.0 * v + fb), 0)
+
 eps = 1e-12 * (b - a)
 lo = a
 hi = b
@@ -929,18 +948,25 @@ def _simpson(text: str, names: tuple[str, ...], ends: str,
             otherwise="None"), 4)
             + "else:\n    pv = None\nratios.append(pv)\n")
 
+    fragments = {"@level": _LEVEL, "@ends": ends}
     lines = []
-    for line in _QUAD.replace("@ends", _indent(ends, 16).strip()).splitlines():
-        body = line.lstrip()
-        indent = len(line) - len(body)
-        if body.startswith("@"):
-            lines.append(_indent(_paste(text, ("r",), feed=(body[1:],),
-                                        guard=_QUAD_RAISES, outs=("v",)),
-                                 indent))
-        elif body.startswith("%"):
-            lines.append(_indent(ratio(body[1:]), indent))
-        else:
-            lines.append(line + "\n")
+
+    def expand(source: str, indent: int) -> None:
+        for line in source.splitlines():
+            body = line.lstrip()
+            at = indent + len(line) - len(body)
+            if body in fragments:
+                expand(fragments[body], at)
+            elif body.startswith("@"):
+                lines.append(_indent(_paste(text, ("r",), feed=(body[1:],),
+                                            guard=_QUAD_RAISES, outs=("v",)),
+                                     at))
+            elif body.startswith("%"):
+                lines.append(_indent(ratio(body[1:]), at))
+            else:
+                lines.append(" " * indent + line + "\n")
+
+    expand(_QUAD, 0)
     params = ["f", "QuadratureError", "max_depth", *names,
               *(["printed"] if ratios else [])]
     return _compile(f"def make({', '.join(params)}):\n" + "".join(lines),

@@ -932,19 +932,23 @@ def _make_out(out: Path) -> bool:
     return True
 
 
+# built once, at import: parse_args keeps no state between calls, so each
+# main call parses with the same parser
+_PARSER = argparse.ArgumentParser(
+    prog="curlforce",
+    description=("Numerical experiments for planar motion under "
+                 "noncentral curl forces"))
+_PARSER.add_argument("command", choices=list(_COMMANDS))
+_PARSER.add_argument("--config", required=True,
+                     help="path to a JSON config document")
+_PARSER.add_argument("--out", required=True,
+                     help="output directory (created if absent)")
+_PARSER.add_argument("--format", choices=["csv", "json"], default="csv",
+                     dest="fmt", help="data file format (default csv)")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="curlforce",
-        description=("Numerical experiments for planar motion under "
-                     "noncentral curl forces"))
-    parser.add_argument("command", choices=list(_COMMANDS))
-    parser.add_argument("--config", required=True,
-                        help="path to a JSON config document")
-    parser.add_argument("--out", required=True,
-                        help="output directory (created if absent)")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv",
-                        dest="fmt", help="data file format (default csv)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = _load_config(args.config)

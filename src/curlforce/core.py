@@ -360,22 +360,26 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
     xd = traj.dy[:, col]
     step = (t[k - 1], x[k - 1], xd[k - 1], t[k], x[k], xd[k])
     rows = None if traj.dense is None else traj.dense[k - 1, :, col].T
-    a, b, ga = step[0].copy(), step[3].copy(), step[1] - c
+    # the live targets' brackets and data, compacted whenever one stops
+    a, b, ga = step[0], step[3], step[1] - c
+    done_a, done_b = a.copy(), b.copy()
     live = np.arange(pos.size)
-    while True:
-        al, bl = a[live], b[live]
-        live = live[(bl - al) > 1e-13 * np.maximum(1.0, np.abs(bl))]
-        if not live.size:
-            break
-        mid = 0.5 * (a[live] + b[live])
-        gm = _step_at(tuple(s[live] for s in step), mid,
-                      None if rows is None else rows[:, live]) - c[live]
-        left = ga[live] * gm <= 0.0
-        b[live[left]] = mid[left]
-        right = live[~left]
-        a[right] = mid[~left]
-        ga[right] = gm[~left]
-    times[pos] = 0.5 * (a + b)
+    while live.size:
+        keep = (b - a) > 1e-13 * np.maximum(1.0, np.abs(b))
+        if not keep.all():
+            stop = live[~keep]
+            done_a[stop], done_b[stop] = a[~keep], b[~keep]
+            live, a, b, ga, c = (v[keep] for v in (live, a, b, ga, c))
+            step = tuple(s[keep] for s in step)
+            rows = None if rows is None else rows[:, keep]
+            if not live.size:
+                break
+        mid = 0.5 * (a + b)
+        gm = _step_at(step, mid, rows) - c
+        left = ga * gm <= 0.0
+        a, b, ga = (np.where(left, a, mid), np.where(left, mid, b),
+                    np.where(left, ga, gm))
+    times[pos] = 0.5 * (done_a + done_b)
     return times
 
 

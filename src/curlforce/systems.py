@@ -208,11 +208,24 @@ _FIELD_RAISES = ("ZeroDivisionError", "ValueError")
 _ANGLE_RAISES = ("ValueError",)
 
 
-def _power(name: str, p: str) -> str:
-    """Text setting name to real_power(r, p) where r > 0: r ** p, inf on
-    overflow (for r > 0, r ** p has math.pow's bits)."""
-    return _paste(f"{name} = r ** {p}", guard=("OverflowError",), outs=(name,),
-                  otherwise="inf")
+def _power(name: str, x: str, p: str, overflow: str | None = "inf",
+           positive: bool = False) -> str:
+    """Text setting name to real_power(x, p), the one real power of every
+    pasted formula; x and p are names or parenthesised text.
+
+    Where x > 0.0 the text is x ** p, which has math.pow's bits there, and
+    elsewhere real_power(x, p), which never raises; positive says the
+    formula has tested x > 0.0 already (a field's r), and leaves the test
+    and real_power out.  Where x ** p overflows, name is set to overflow,
+    inf as real_power gives; with overflow None the OverflowError reaches
+    the caller's own guard (the quadratures' integrands make it nan).
+    """
+    text = f"{name} = {x} ** {p}"
+    text += "\n" if positive else f" if {x} > 0.0 else real_power({x}, {p})\n"
+    if overflow is None:
+        return text
+    return _paste(text, guard=("OverflowError",), outs=(name,),
+                  otherwise=overflow)
 
 
 class _Field:
@@ -262,9 +275,10 @@ class ErmakovField(_Field):
     U: AngleFunction = AngleFunction.zero()
     V: AngleFunction = AngleFunction.zero()
 
-    _FORCE = _power("r3", "3.0") + (
+    _FORCE = _power("r3", "r", "3.0", positive=True) + (
         "f_r = -w2 * r + {U0} / r3\nf_t = -{V1} / r3\n")
-    _CURL = "curl = (2.0 * {V1} - {U1}) / real_power(r, 4.0)\n"
+    _CURL = (_power("r4", "r", "4.0", positive=True)
+             + "curl = (2.0 * {V1} - {U1}) / r4\n")
 
     def _constants(self):
         return {"w2": real_power(self.w, 2.0)}
@@ -281,11 +295,14 @@ class GorringeLeachField(_Field):
     U: AngleFunction = AngleFunction.zero()
     V: AngleFunction = AngleFunction.zero()
 
-    _FORCE = _power("r32", "1.5") + _power("r2", "2.0") + (
-        "f_r = -(({U2} + {U0}) / r2 + 2.0 * {V1} / r32)\n"
-        "f_t = -{V0} / r32\n")
-    _CURL = ("curl = (({U3} + {U1}) / real_power(r, 3.0)\n"
-             "        + (0.5 * {V0} + 2.0 * {V2}) / real_power(r, 2.5))\n")
+    _FORCE = (_power("r32", "r", "1.5", positive=True)
+              + _power("r2", "r", "2.0", positive=True)
+              + "f_r = -(({U2} + {U0}) / r2 + 2.0 * {V1} / r32)\n"
+              "f_t = -{V0} / r32\n")
+    _CURL = (_power("r3", "r", "3.0", positive=True)
+             + _power("r52", "r", "2.5", positive=True)
+             + "curl = (({U3} + {U1}) / r3\n"
+               "        + (0.5 * {V0} + 2.0 * {V2}) / r52)\n")
 
 
 def _check_mu(mu: float) -> None:
@@ -304,8 +321,9 @@ class IsotropicField(_Field):
         _check_mu(self.mu)
         object.__setattr__(self, "mu", float(self.mu))
 
-    _FORCE = "f_r = 0.0\n" + _power("f_t", "mu")
-    _CURL = "curl = (mu + 1.0) * real_power(r, mu - 1.0)\n"
+    _FORCE = "f_r = 0.0\n" + _power("f_t", "r", "mu", positive=True)
+    _CURL = (_power("r_mu1", "r", "(mu - 1.0)", positive=True)
+             + "curl = (mu + 1.0) * r_mu1\n")
 
     def _constants(self):
         return {"mu": self.mu}
@@ -325,7 +343,8 @@ class IsotropicDragField(IsotropicField):
         super().__post_init__()
         object.__setattr__(self, "nu", float(self.nu))
 
-    _FORCE = _power("r_nu", "nu") + "f_r = r_nu * rdot\n" + _power("f_t", "mu")
+    _FORCE = (_power("r_nu", "r", "nu", positive=True) + "f_r = r_nu * rdot\n"
+              + _power("f_t", "r", "mu", positive=True))
 
     def _constants(self):
         return {"mu": self.mu, "nu": self.nu}
@@ -470,16 +489,17 @@ def raw_ef_rhs(n: float, m: float, a: float, b: float, c: float = 1.0):
     bits of J^n * (a*T + b)^m.
     """
     return _rhs(("J", "T", "Tp"),
-                "{0} = Tp\n"
-                "{1} = c * real_power(J, n) * real_power(a * T + b, m)",
+                "{0} = Tp\n" + _power("J_n", "J", "n") + "aTb = a * T + b\n"
+                + _power("aTb_m", "aTb", "m") + "{1} = c * J_n * aTb_m",
                 n=n, m=m, a=a, b=b, c=c)
 
 
 def drag_ef_rhs(lam: float, sigma: float):
     """T'' = T^lambda * T' + J^2 * T^sigma with y = (T, T')."""
     return _rhs(("J", "T", "Tp"),
-                "{0} = Tp\n"
-                "{1} = real_power(T, lam) * Tp + J * J * real_power(T, sigma)",
+                "{0} = Tp\n" + _power("T_lam", "T", "lam")
+                + _power("T_sigma", "T", "sigma")
+                + "{1} = T_lam * Tp + J * J * T_sigma",
                 lam=lam, sigma=sigma)
 
 
@@ -498,8 +518,9 @@ def geodesic_rhs(lam: float, sigma: float):
     """
     return _rhs(("", "T", "J", "Td", "Jd"),
                 "jd2 = Jd * Jd\n{0} = Td\n{1} = Jd\n"
-                "{2} = J * J * real_power(T, sigma) * jd2\n"
-                "{3} = -real_power(T, lam) * jd2",
+                + _power("T_sigma", "T", "sigma") + _power("T_lam", "T", "lam")
+                + "{2} = J * J * T_sigma * jd2\n"
+                "{3} = -T_lam * jd2",
                 lam=lam, sigma=sigma)
 
 
@@ -509,8 +530,9 @@ def third_order_rhs(lam: float, sigma: float):
                 "if yp == 0.0:\n"
                 "    {0} = {1} = {2} = nan\n"
                 "else:\n"
-                "    num = ((ypp + real_power(yp, p_lam)) * ypp\n"
-                "           + yy * yy * real_power(yp, p_sigma))\n"
+                + _indent(_power("yp_lam", "yp", "p_lam")
+                          + _power("yp_sigma", "yp", "p_sigma"), 4)
+                + "    num = (ypp + yp_lam) * ypp + yy * yy * yp_sigma\n"
                 "    {0} = yp\n    {1} = ypp\n    {2} = num / yp",
                 p_lam=2.0 + lam, p_sigma=sigma + 3.0)
 
