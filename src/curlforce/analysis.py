@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -948,25 +949,23 @@ def _simpson(text: str, names: tuple[str, ...], ends: str,
             otherwise="None"), 4)
             + "else:\n    pv = None\nratios.append(pv)\n")
 
-    fragments = {"@level": _LEVEL, "@ends": ends}
+    # each "@level" and "@ends" line gets its text at that line's indent
+    fragments = {"level": _LEVEL, "ends": ends}
+    source = re.sub(r"^( *)@(level|ends)\n",
+                    lambda f: _indent(fragments[f[2]], len(f[1])), _QUAD,
+                    flags=re.M)
     lines = []
-
-    def expand(source: str, indent: int) -> None:
-        for line in source.splitlines():
-            body = line.lstrip()
-            at = indent + len(line) - len(body)
-            if body in fragments:
-                expand(fragments[body], at)
-            elif body.startswith("@"):
-                lines.append(_indent(_paste(text, ("r",), feed=(body[1:],),
-                                            guard=_QUAD_RAISES, outs=("v",)),
-                                     at))
-            elif body.startswith("%"):
-                lines.append(_indent(ratio(body[1:]), at))
-            else:
-                lines.append(" " * indent + line + "\n")
-
-    expand(_QUAD, 0)
+    for line in source.splitlines():
+        body = line.lstrip()
+        indent = len(line) - len(body)
+        if body.startswith("@"):
+            lines.append(_indent(_paste(text, ("r",), feed=(body[1:],),
+                                        guard=_QUAD_RAISES, outs=("v",)),
+                                 indent))
+        elif body.startswith("%"):
+            lines.append(_indent(ratio(body[1:]), indent))
+        else:
+            lines.append(line + "\n")
     params = ["f", "QuadratureError", "max_depth", *names,
               *(["printed"] if ratios else [])]
     return _compile(f"def make({', '.join(params)}):\n" + "".join(lines),

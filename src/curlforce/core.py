@@ -362,7 +362,7 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
     rows = None if traj.dense is None else traj.dense[k - 1, :, col].T
     # the live targets' brackets and data, compacted whenever one stops
     a, b, ga = step[0], step[3], step[1] - c
-    done_a, done_b = a.copy(), b.copy()
+    done_a, done_b = np.empty_like(a), np.empty_like(b)
     live = np.arange(pos.size)
     while live.size:
         keep = (b - a) > 1e-13 * np.maximum(1.0, np.abs(b))
@@ -372,8 +372,6 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
             live, a, b, ga, c = (v[keep] for v in (live, a, b, ga, c))
             step = tuple(s[keep] for s in step)
             rows = None if rows is None else rows[:, keep]
-            if not live.size:
-                break
         mid = 0.5 * (a + b)
         gm = _step_at(step, mid, rows) - c
         left = ga * gm <= 0.0
