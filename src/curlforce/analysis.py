@@ -691,6 +691,12 @@ def _fd1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             + h1 / (h2 * (h1 + h2)) * y[2:])
 
 
+def _scaling_sigma(lam: float) -> float:
+    """sigma = 1 + 4*lambda, where T'' = T^lambda T' + J^2 T^sigma has the
+    scaling symmetry (lambda*J, -T)."""
+    return 1.0 + 4.0 * lam
+
+
 def abel_reduction_residual(lam: float, traj: Trajectory) -> AbelReport:
     """Residual of (lam*u + w) du/dw = (1 + lam(1 + w^lam)) u + lam w^(1+4*lam).
 
@@ -715,7 +721,7 @@ def abel_reduction_residual(lam: float, traj: Trajectory) -> AbelReport:
     ui = u[1:-1]
     t1 = (lam * ui + wi) * dudw
     t2 = (1.0 + lam * (1.0 + _rpow(wi, lam))) * ui
-    t3 = lam * _rpow(wi, 1.0 + 4.0 * lam)
+    t3 = lam * _rpow(wi, _scaling_sigma(lam))
     resid = t1 - t2 - t3
     scale = max(float(np.max(np.abs(t1))), float(np.max(np.abs(t2))),
                 float(np.max(np.abs(t3))), 1e-30)
@@ -740,7 +746,7 @@ def power_solution_y0(lam: float) -> float:
     def g(y: float) -> float:
         return (real_power(lam, -2.0) * real_power(lam * y, 4.0 + 4.0 * lam)
                 - real_power(lam * y, 1.0 + lam) * real_power(1.0 + lam, 3.0 * lam)
-                - real_power(1.0 + lam, 1.0 + 4.0 * lam))
+                - real_power(1.0 + lam, _scaling_sigma(lam)))
 
     ys = np.geomspace(1e-6, 1e6, 481)
     vals = np.array([g(float(y)) for y in ys])

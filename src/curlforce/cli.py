@@ -621,9 +621,8 @@ def cmd_noether(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         raise FloatingPointError("the Noether residual is not finite on the grid")
     noetherian = max_resid <= invariants._NOETHER_TOL
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", invariants.NonNoetherianWarning)
-        evaluator = invariants.noether_integral(L, G)
+    # the grid above decides Noetherian-ness; the evaluator does not redo it
+    evaluator = invariants._integral(L, G)
 
     run = c["run"]
     settings = _integrator({"rel_tol": run["rel_tol"],
@@ -769,14 +768,15 @@ def cmd_special(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         raise ConfigError("lambda = 0 is excluded (exponents divide by lambda)")
     if c["Y0"] is not None and lam != -1.0:
         raise ConfigError("Y0 is read only when lambda = -1")
-    sigma = c["sigma"] if c["sigma"] is not None else 1.0 + 4.0 * lam
+    scaling = analysis._scaling_sigma(lam)
+    sigma = c["sigma"] if c["sigma"] is not None else scaling
     eps = c["eps"]
     run = c["run"]
     settings = _integrator({"method": "rk4", "h": run["h"]}, run["J_span"])
 
     manifest["lambda"] = lam
     manifest["sigma"] = sigma
-    manifest["sigma_matches_scaling_family"] = (sigma == 1.0 + 4.0 * lam)
+    manifest["sigma_matches_scaling_family"] = (sigma == scaling)
 
     if lam == -1.0:
         y0 = 1.0 if c["Y0"] is None else c["Y0"]
@@ -797,8 +797,7 @@ def cmd_special(c: dict, out: Path, fmt: str, manifest: dict) -> None:
         yp = y0 * p * z ** (p - 1.0)
         ypp = y0 * p * (p - 1.0) * z ** (p - 2.0)
         yppp = y0 * p * (p - 1.0) * (p - 2.0) * z ** (p - 3.0)
-        resid = systems.third_order_residual(y, yp, ypp, yppp, lam,
-                                             1.0 + 4.0 * lam)
+        resid = systems.third_order_residual(y, yp, ypp, yppp, lam, scaling)
         key, block = "power_solution", {"Y0": y0, "exponent": p, "note": (
             "Y = Y0*z^(lambda/(1+lambda)) solves the sigma = 1+4*lambda case")}
     if not np.isfinite(resid).all():

@@ -360,24 +360,19 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
     xd = traj.dy[:, col]
     step = (t[k - 1], x[k - 1], xd[k - 1], t[k], x[k], xd[k])
     rows = None if traj.dense is None else traj.dense[k - 1, :, col].T
-    # the live targets' brackets and data, compacted whenever one stops
+    # a stopped target keeps its bracket; only the live ones move
     a, b, ga = step[0], step[3], step[1] - c
-    done_a, done_b = np.empty_like(a), np.empty_like(b)
-    live = np.arange(pos.size)
-    while live.size:
-        keep = (b - a) > 1e-13 * np.maximum(1.0, np.abs(b))
-        if not keep.all():
-            stop = live[~keep]
-            done_a[stop], done_b[stop] = a[~keep], b[~keep]
-            live, a, b, ga, c = (v[keep] for v in (live, a, b, ga, c))
-            step = tuple(s[keep] for s in step)
-            rows = None if rows is None else rows[:, keep]
+    while True:
+        live = (b - a) > 1e-13 * np.maximum(1.0, np.abs(b))
+        if not live.any():
+            break
         mid = 0.5 * (a + b)
         gm = _step_at(step, mid, rows) - c
         left = ga * gm <= 0.0
-        a, b, ga = (np.where(left, a, mid), np.where(left, mid, b),
-                    np.where(left, ga, gm))
-    times[pos] = 0.5 * (done_a + done_b)
+        right = live & ~left
+        a, b, ga = (np.where(right, mid, a), np.where(live & left, mid, b),
+                    np.where(right, gm, ga))
+    times[pos] = 0.5 * (a + b)
     return times
 
 

@@ -266,7 +266,12 @@ def noether_integral(L: PowerLagrangian, G: GeneratorSpec,
             "generator fails the Noether condition for this Lagrangian; "
             "the constructed quantity will not be conserved",
             NonNoetherianWarning, stacklevel=2)
+    return _integral(L, G)
 
+
+def _integral(L: PowerLagrangian, G: GeneratorSpec,
+              ) -> Callable[[float, float, float], float]:
+    """noether_integral's evaluator, built without its Noether check."""
     def evaluator(J, T, Tprime):
         xi = G.xi_of(J)
         return (G.gauge_of(T) - xi * L.value(J, T, Tprime)

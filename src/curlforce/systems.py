@@ -12,7 +12,8 @@ AngleFunction writes each order of each family once, as expression text
 the psi body and the h2 event paste that text, so they call no angle
 function.  math.cos and math.sin raise ValueError at +-inf: the
 right-hand sides turn that into a rejected stage (NaN), and the h2 event,
-__call__, force and curl into nan, as numpy gives for arrays.
+force and curl into nan; __call__ evaluates the text with numpy, which
+gives nan there.
 
 The *_rhs builders return closures suitable for integrate.integrate: each
 formula is written once, as text on Python floats.  integrate pastes it
@@ -39,7 +40,6 @@ is the event function.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,21 +159,13 @@ class AngleFunction:
     def __call__(self, theta, order: int = 0):
         if order not in (0, 1, 2, 3):
             raise ValueError("derivative order must be 0, 1, 2 or 3")
-        # scalar callers skip numpy entirely: the text binds math's cos and
-        # sin for them, numpy's for everyone else
-        scalar = isinstance(theta, (float, int))
-        lib = math if scalar else np
         text = _ANGLE[self.family][1][int(order)].format(f="values")
         fn = _bind("theta", "", text, {"values": self._values,
-                                       "cos": lib.cos, "sin": lib.sin})
-        if scalar:
-            try:
-                return fn(float(theta))
-            except ValueError:
-                # math.cos and math.sin raise at +-inf, where numpy gives nan
-                return math.nan
+                                       "cos": np.cos, "sin": np.sin})
         th = np.asarray(theta, dtype=float)
-        out = fn(th)
+        # +-inf and nan give nan (or the family's value), without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = fn(th)
         if np.ndim(theta) == 0:
             return float(out)
         return out if isinstance(out, np.ndarray) else np.full_like(th, out)

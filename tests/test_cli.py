@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import curlforce
+from curlforce import invariants
 from curlforce.cli import main
 
 
@@ -354,6 +356,31 @@ class TestNoether:
         cfg = {"n": 2.0, "m": -1.0, "generator": "g2"}
         code, _ = _run(tmp_path, "noether", cfg)
         assert code == 1
+
+    def test_one_noether_decision_per_run(self, tmp_path, monkeypatch):
+        # the run evaluates the Noether condition once, on its config grid,
+        # and has no NonNoetherianWarning to filter
+        grids = []
+        residual = invariants.noether_residual
+
+        def spy(L, G, grid):
+            grids.append(list(grid))
+            return residual(L, G, grids[-1])
+
+        monkeypatch.setattr(invariants, "noether_residual", spy)
+        cfg = {"n": 2.0, "m": -5.0, "generator": "g1",
+               "grid": {"J": [0.5, 1.5], "T": [0.7, 1.2], "Tprime": [0.1]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = _run(tmp_path, "noether", cfg)
+        assert code == 0
+        assert _manifest(out)["noetherian"] is False
+        assert grids == [[(J, T, 0.1) for J in (0.5, 1.5) for T in (0.7, 1.2)]]
+        # noether_integral keeps its own check and its warning
+        with pytest.warns(invariants.NonNoetherianWarning):
+            invariants.noether_integral(invariants.PowerLagrangian(2.0, -5.0),
+                                        invariants.generator_g1())
+        assert len(grids) == 2
 
 
 class TestOrbit:

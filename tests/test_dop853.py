@@ -22,7 +22,13 @@ import pytest
 import curlforce
 from curlforce import systems
 from curlforce.cli import main
-from curlforce.core import Trajectory, crossing_times, resample
+from curlforce.core import (
+    Trajectory,
+    _continuous,
+    bisect_root,
+    crossing_times,
+    resample,
+)
 from curlforce.integrate import (
     _METHODS,
     Event,
@@ -170,6 +176,40 @@ class TestDenseOutput:
         targets = np.linspace(0.05, 2.95, 30)
         times = crossing_times(traj, 0, targets)
         assert np.max(np.abs(times - targets)) < 1e-12
+
+    def test_crossing_times_are_per_target_bisect_root_bits(self):
+        # x' = 1.5 + cos(t) + cos(3 t) / 4 on a dop853 run: each target
+        # bisected on its own, with bisect_root on its step's seventh-order
+        # interpolant, gives the batched times' bits, and the targets' brackets
+        # stop at different iterations (the steps' lengths and |t| differ)
+        traj = integrate(lambda t, y: np.array([1.5 + y[1] + 0.25 * y[3],
+                                                -y[2], y[1], -3.0 * y[4],
+                                                3.0 * y[3]]),
+                         [0.0, 1.0, 0.0, 1.0, 0.0],
+                         IntegratorSettings(method="dop853",
+                                            t_span=(0.0, 40.0)))
+        t, x, xd = traj.t, traj.y[:, 0], traj.dy[:, 0]
+        targets = np.concatenate([np.linspace(x[0], x[-1], 97), x[[0, 5, -1]]])
+        expect, iterations = [], []
+        for c in targets:
+            k = int(np.searchsorted(x, c, side="right"))
+            if x[k - 1] == c:
+                expect.append(t[k - 1])
+                continue
+            step = (t[k - 1], x[k - 1], xd[k - 1], t[k], x[k], xd[k])
+            rows = traj.dense[k - 1, :, 0]
+            calls = []
+
+            def g(s):
+                calls.append(s)
+                return _continuous(*step, s, rows) - c
+
+            expect.append(bisect_root(g, t[k - 1], t[k], x[k - 1] - c, 1e-13))
+            iterations.append(len(calls))
+        got = crossing_times(traj, 0, targets)
+        assert got.tobytes() == np.array(expect, dtype=float).tobytes()
+        assert len(set(iterations)) > 1
+        assert len(iterations) < targets.size
 
     @pytest.mark.parametrize("variant", sorted(systems._VARIANTS))
     @pytest.mark.parametrize("I", [1.1, 1.2, 2.0, -1.1, -1.2, -2.0])

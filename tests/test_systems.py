@@ -10,6 +10,7 @@ import pickle
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,41 @@ class TestAngleFunction:
                 assert math.isnan(fn(x, order))
             else:
                 assert _bytes([got]) == _bytes([fn(x, order)])
+
+    @pytest.mark.parametrize("name", sorted(_SYMBOLIC))
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_nonfinite_angles_warn_nowhere(self, name, order):
+        # one numpy path for every argument: +-inf and nan, and ints whose
+        # powers overflow, give the value the text has on Python floats
+        # (nan where math.cos or math.sin raises) as float, numpy scalar,
+        # 0-d array and array, and no numpy warning on any of them
+        fn, _ = _SYMBOLIC[name]
+        text, values = _angles(f"{{U{order}}}", U=fn)
+        stage = _compile("def make(U):\n    def f(theta):\n"
+                         f"        return {text}\n    return f\n",
+                         "<angle>")(values["U"])
+
+        def expect(x):
+            try:
+                return stage(float(x))
+            except ValueError:
+                return math.nan
+
+        def same(got, want):
+            assert (math.isnan(got) and math.isnan(want)) or got == want
+
+        special = [math.inf, -math.inf, math.nan]
+        ints = [10 ** 200, -10 ** 200, 3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in special + ints:
+                for arg in (x, np.float64(x), np.array(float(x))):
+                    got = fn(arg, order)
+                    assert type(got) is float
+                    same(got, expect(x))
+            grid = np.array(special + [float(x) for x in ints])
+            for got, x in zip(fn(grid, order), special + ints):
+                same(float(got), expect(x))
 
 
 # one instance of every force-field family

@@ -15,17 +15,18 @@ console script does:
   perfbench/workloads.py, probes included;
 - every README sample config ("// <command>: ..." blocks, the sweep
   included);
-- the extra configs that CI's "Installed console script" step writes
-  (.github/workflows/tests.yml);
+- the extra configs in tools/configs, which CI's "Installed console
+  script" step also runs;
 - six orbit configs whose chain powers overflow (OVERFLOWING).
 
 Each run is made once per table format, csv and json.  A run's outcome is
 its exit code, its stdout and stderr, and the sha256 of every file it
 writes.  Every run whose outcome differs between the trees is printed, and
 the exit status is 1 if any does, 0 otherwise.  Only the working tree's
-perfbench/, README and CI file are read, so both trees run the same
-configs.  Every run uses PYTHONHASHSEED=0; CI's check that a second hash
-seed writes the same bytes is not repeated here.
+perfbench/, README and tools/configs are read, so both trees run the same
+configs.  Each tree's configs are written once, before any run starts.
+Every run uses PYTHONHASHSEED=0; CI's check that a second hash seed writes
+the same bytes is not repeated here.
 """
 
 from __future__ import annotations
@@ -80,10 +81,9 @@ def identity_set() -> list[tuple[str, str, dict]]:
                         (ROOT / "README.md").read_text(), re.M | re.S)
     runs += [(f"readme-{i}-{command}", command, json.loads(body))
              for i, (command, body) in enumerate(readme)]
-    ci = re.findall(r"""^\s*echo '(\{.*\})' > "\$dir/([\w.-]+)\.json"$""",
-                    (ROOT / ".github/workflows/tests.yml").read_text(), re.M)
-    runs += [(f"ci-{name}", name.split(".")[0], json.loads(body))
-             for body, name in ci]
+    runs += [(f"ci-{path.stem}", path.stem.split(".")[0],
+              json.loads(path.read_text()))
+             for path in sorted((ROOT / "tools" / "configs").glob("*.json"))]
     runs += [(f"overflow-{i}", command, config)
              for i, (command, config) in enumerate(OVERFLOWING)]
     return runs
@@ -100,11 +100,11 @@ def archive(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def outcome(src: Path, work: Path, name: str, command: str, config: dict,
+def outcome(src: Path, work: Path, name: str, command: str,
             fmt: str) -> dict:
-    """Run one config in a fresh interpreter below work; its outcome."""
+    """Run config name, which run_tree wrote below work, in a fresh
+    interpreter; its outcome."""
     cfg = work / "configs" / f"{name}.json"
-    cfg.write_text(json.dumps(config))
     out = Path("out") / f"{name}-{fmt}"
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0",
            "PYTHONDONTWRITEBYTECODE": "1"}
@@ -124,10 +124,13 @@ def outcome(src: Path, work: Path, name: str, command: str, config: dict,
 def run_tree(src: Path, work: Path, runs) -> dict:
     (work / "configs").mkdir(parents=True)
     (work / "out").mkdir()
+    # each config is written once, before any run reads it
+    for name, _, config in runs:
+        (work / "configs" / f"{name}.json").write_text(json.dumps(config))
     with concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
         futures = {(name, fmt): pool.submit(outcome, src, work, name, command,
-                                            config, fmt)
-                   for name, command, config in runs for fmt in FORMATS}
+                                            fmt)
+                   for name, command, _ in runs for fmt in FORMATS}
         return {key: f.result() for key, f in futures.items()}
 
 
