@@ -697,6 +697,18 @@ def _scaling_sigma(lam: float) -> float:
     return 1.0 + 4.0 * lam
 
 
+def _on_scaling_family(lam: float, sigma: float) -> bool:
+    """Whether sigma is 1 + 4*lambda within the inputs' rounding: with
+    s = _scaling_sigma(lam), |sigma - s| <= ulp(sigma)/2 + 2 ulp(lambda) +
+    ulp(s)/2, each input's half ulp (lambda's four times) and s's own.  So
+    the doubles nearest 1/3 and 7/3 match, though s is an ulp below 7/3's.
+    An s that overflows matches only itself; a nan matches nothing.
+    """
+    s = _scaling_sigma(lam)
+    return sigma == s or (math.isfinite(s) and abs(sigma - s) <= (
+        0.5 * math.ulp(sigma) + 2.0 * math.ulp(lam) + 0.5 * math.ulp(s)))
+
+
 def abel_reduction_residual(lam: float, traj: Trajectory) -> AbelReport:
     """Residual of (lam*u + w) du/dw = (1 + lam(1 + w^lam)) u + lam w^(1+4*lam).
 

@@ -776,7 +776,8 @@ def cmd_special(c: dict, out: Path, fmt: str, manifest: dict) -> None:
 
     manifest["lambda"] = lam
     manifest["sigma"] = sigma
-    manifest["sigma_matches_scaling_family"] = (sigma == scaling)
+    manifest["sigma_matches_scaling_family"] = analysis._on_scaling_family(
+        lam, sigma)
 
     if lam == -1.0:
         y0 = 1.0 if c["Y0"] is None else c["Y0"]

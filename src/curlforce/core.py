@@ -260,35 +260,33 @@ def _step_at(step: tuple, t, rows):
     return _continuous(*step, t, rows)
 
 
-# the terms x^a (1-x)^b of _continuous's F0..F6 (columns) as
-# coefficients of x^1..x^7 (rows); the matrix is upper triangular
+# the terms x^a (1-x)^b of _continuous's F2..F6 (columns) as
+# coefficients of x^3..x^7 (rows); the matrix is upper triangular
 _MONOMIALS = tuple(tuple((-1) ** (j - a) * math.comb(b, j - a)
                          if 0 <= j - a <= b else 0
-                         for a, b in ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2),
-                                      (3, 3), (4, 3)))
-                   for j in range(1, 8))
+                         for a, b in ((2, 1), (2, 2), (3, 2), (3, 3), (4, 3)))
+                   for j in range(3, 8))
 
 
-def _cut(rows: np.ndarray, d0: np.ndarray, hf0: np.ndarray,
-         s: float) -> list:
+def _cut(rows: np.ndarray, s: float) -> list:
     """Rows F2..F6 of a step's interpolant restricted to its first fraction
-    s, given its rows and F0 = d0, F1 = hf0 - d0.
+    s, given its rows F2..F6.
 
-    Its coefficients of x^j are the step's times s^j; back substitution
-    returns them to the F form.  Elementwise arithmetic only, in index
-    order, so the rows do not depend on a linear-algebra library.
+    Its coefficients of x^3..x^7 are the step's times s^j and alone fix
+    F2..F6 (F0 and F1 reach only x and x^2, and follow from the cut step's
+    ends); back substitution returns them to the F form.  Elementwise
+    arithmetic only, in index order, so no linear-algebra library enters.
     """
-    f = [d0, hf0 - d0, *rows]
-    coef, power = [], 1.0
+    coef, power = [], s * s
     for row in _MONOMIALS:
         power *= s
-        coef.append(power * sum(m * f[k] for k, m in enumerate(row) if m))
-    out = [None] * 7
-    for k in reversed(range(7)):
+        coef.append(power * sum(m * f for m, f in zip(row, rows) if m))
+    out = [None] * 5
+    for k in reversed(range(5)):
         out[k] = (coef[k] - sum(_MONOMIALS[k][j] * out[j]
-                                for j in range(k + 1, 7)
+                                for j in range(k + 1, 5)
                                 if _MONOMIALS[k][j])) / _MONOMIALS[k][k]
-    return out[2:]
+    return out
 
 
 def resample(traj: Trajectory, times: Sequence[float]) -> np.ndarray:

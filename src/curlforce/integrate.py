@@ -21,12 +21,12 @@ and of the state only what it reads: no polar stage of an isotropic or
 drag field computes theta).  rk45 and dop853 count each stage as they
 evaluate it, since a non-finite one ends the attempt; rk4 counts its four
 once a step.  Each event's formula is pasted after every accepted step,
-with its names renamed apart from the stage's, and the loop calls Python
-only when an event's value changes sign.  _paste writes every pasted text,
-here and in the modules that generate loops of their own.  State, slope
-and stage components are scalar locals (y0, y1, ...), zero tableau terms
-are dropped and constants are written with repr, so they round-trip
-exactly.
+with its names renamed apart from the stage's; at a sign change the loop
+calls nothing but returns, and integrate bisects the crossing after it.
+_paste writes every pasted text, here and in the modules that generate
+loops of their own.  State, slope and stage components are scalar locals
+(y0, y1, ...), zero tableau terms are dropped and constants are written
+with repr, so they round-trip exactly.
 Accepted nodes go to flat lists, dim floats a node, so a step builds no
 list unless it calls an event function.  Every component keeps the
 operations, in order, of elementwise array arithmetic on the whole state:
@@ -408,9 +408,9 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
     calling kernel.  events holds each event's formula, as _event_lines
     takes it (a false value: no events); the loop pastes each after every
     accepted step.  make(*free, *each event's free) binds the constants
-    and returns loop(stop_on_step, gp, ts, ys, fs, t, y, f, t1, h,
-    rel_tol, abs_tol, max_steps, h_min), with a last argument ks for a
-    method with dense rows.
+    and returns loop(gp, ts, ys, fs, t, y, f, t1, h, rel_tol, abs_tol,
+    max_steps, h_min), with a last argument ks for a method with dense
+    rows.
 
     The loop steps from the node (t, y, f), appends each accepted node to
     the flat lists ts, ys and fs (ys and fs hold dim floats a node), and
@@ -418,11 +418,11 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
     "max-steps" and "not-finite" are failures at that t, and a step that
     cannot advance t (or, adaptive, is below h_min) ends it as
     "step-underflow".  A method with dense rows also appends each accepted
-    step's slopes that _dense_rows reads to ks, before its events' test.
-    gp holds the events' values at t.  Only when an event's value changes
-    sign, or reaches zero from a nonzero value, over an accepted step does
-    the loop call stop_on_step(t_new, y_new, f_new, gp, g), which records
-    the stop and returns the evaluations it made; the run then ends there.
+    step's slopes that _dense_rows reads to ks.  gp holds the events'
+    values at t.  When an event's value changes sign, or reaches zero from
+    a nonzero value, over an accepted step, the loop keeps that step's
+    node, sets gp to the events' values at the step's start and then at
+    its end, and returns "event" at the step's end.
     """
     comps = range(dim)
     events = events or ()
@@ -557,7 +557,7 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
         # the slopes the dense rows read, for integrate's _dense_rows
         kept = [f"{slopes[j]}{c}" for j in _dense_columns(m) for c in comps]
         body.append(f"ks += ({', '.join(kept)},)")
-    head = ""
+    head, stop = "", []
     if events:
         old = ", ".join(f"ep{k}" for k in range(len(events)))
         new = ", ".join(f"e{k}" for k in range(len(events)))
@@ -567,19 +567,18 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
             free = (*free, *names)
         crossed = " or ".join(f"ep{k} * e{k} < 0.0 or (e{k} == 0.0 and ep{k}"
                               " != 0.0)" for k in range(len(events)))
-        body += [f"if {crossed}:",
-                 f"    n_evals += stop_on_step(t_new, [{vec('z{}')}], "
-                 f"[{vec('g{}')}], [{old}], [{new}])",
-                 f"    return 'event', t_new, {done}", f"{old} = {new}"]
+        # the crossed step's node is kept, as any accepted node
+        stop = [f"if {crossed}:", f"    gp[:] = [{old}, {new}]",
+                f"    return 'event', t, {done}", f"{old} = {new}"]
         head = f"        [{old}] = gp\n"
     body += ["t = t_new", f"{vec('y{}')} = {vec('z{}')}",
              f"{vec('f{}')} = {vec('g{}')}",
              "ts.append(t)", f"ys += ({vec('y{}')},)",
-             f"fs += ({vec('f{}')},)"]
+             f"fs += ({vec('f{}')},)", *stop]
     return (
         f"def make({', '.join(free)}):\n"
-        "    def loop(stop_on_step, gp, ts, ys, fs, t, y, f, t1, h, rel_tol,\n"
-        f"             abs_tol, max_steps, h_min{', ks' if m.dense else ''}):\n"
+        "    def loop(gp, ts, ys, fs, t, y, f, t1, h, rel_tol, abs_tol,\n"
+        f"             max_steps, h_min{', ks' if m.dense else ''}):\n"
         f"        [{vec('y{}')}] = y\n        [{vec('f{}')}] = f\n" + head +
         "        n_accept = n_reject = n_evals = attempts = 0\n"
         "        err_prev = 1e-4\n        while t < t1:\n            "
@@ -703,50 +702,8 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     dim = len(y)
     ts, ys, fs = [t0], list(y), list(f)
     events = settings.events
-    events_log: list[tuple[float, str]] = []
-
     m = _METHODS[settings.method]
-    columns = len(_dense_columns(m)) if m.dense else 0
-    width = columns * dim
     ks: list = []
-    cut: list = []
-
-    def stop_on_step(t_new: float, y_new: list, f_new: list, g_old: list,
-                     g_new: list) -> int:
-        # an event changed sign on [t, t_new]: record the earliest crossing
-        # and the sample there; returns the right-hand-side evaluations made
-        t = ts[-1]
-        # the step's (t, t_new), (y, y_new) and (f, f_new) as arrays; numpy's
-        # elementwise arithmetic rounds as the floats' does
-        ts2, ys2, fs2 = (np.array(pair) for pair in zip(
-            (t, ys[-dim:], fs[-dim:]), (t_new, y_new, f_new)))
-        step = (t, ys2[0], fs2[0], t_new, ys2[1], fs2[1])
-        rows = _dense_rows(m, ts2, ys2, fs2, np.array(
-            ks[-width:]).reshape(1, -1, dim))[0] if m.dense else None
-        stop_at = None
-        stop_name = None
-        for ev, g0, g1 in zip(events, g_old, g_new):
-            if (g0 * g1 < 0.0) or (g1 == 0.0 and g0 != 0.0):
-                # bisect the event function along the step's interpolant
-                te = bisect_root(
-                    lambda tm: ev.fn(tm, _step_at(step, tm, rows).tolist()),
-                    t, t_new, g0, _EVENT_RESOLUTION)
-                if stop_at is None or te < stop_at:
-                    stop_at, stop_name = te, ev.name
-        events_log.append((stop_at, stop_name))
-        if not stop_at > t:
-            del ks[len(ks) - width:]
-            return 0
-        y_stop = _step_at(step, stop_at, rows).tolist()
-        if m.dense:
-            # the run's last step is the stopped step's first part
-            cut.append(_cut(rows, ys2[1] - ys2[0], (t_new - t) * fs2[0],
-                            (stop_at - t) / (t_new - t)))
-        ts.append(stop_at)
-        ys.extend(y_stop)
-        fs.extend(kernel(stop_at, y_stop))
-        return 1
-
     h = span / 100.0 if m.norm else settings.h
     formula = getattr(rhs, "formula", None)
     texts = tuple(getattr(ev.fn, "formula", None) for ev in events)
@@ -754,9 +711,9 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     for ev, text in zip(events, texts):
         constants += ev.fn.constants if text else (ev.fn,)
     loop = _loop(settings.method, dim, texts, formula)(*constants)
+    gp = [float(ev.fn(t0, y)) for ev in events]
     termination, t, n_accept, n_reject, n_evals = loop(
-        stop_on_step, [float(ev.fn(t0, y)) for ev in events], ts, ys, fs,
-        t0, y, f, t1, h, settings.rel_tol, settings.abs_tol,
+        gp, ts, ys, fs, t0, y, f, t1, h, settings.rel_tol, settings.abs_tol,
         settings.max_steps, _UNDERFLOW * span, *([ks] if m.dense else []))
     failure = {"max-steps": f"max_steps={settings.max_steps} exceeded at t={t}",
                "not-finite": f"right-hand side not finite near t={t}",
@@ -767,13 +724,39 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     dense = None
     if m.dense:
         dense = _dense_rows(m, t_arr, y_arr, f_arr, np.array(
-            ks, dtype=float).reshape(t_arr.size - 1, columns, dim))
-        if cut:
-            dense[-1] = cut[0]
+            ks, dtype=float).reshape(t_arr.size - 1, len(_dense_columns(m)),
+                                     dim))
+    stops = ()
+    if termination == "event":
+        # bisect each sign change over the last step on its interpolant;
+        # the earliest crossing (the first event's, on a tie) is the stop
+        t, t_new = ts[-2], ts[-1]
+        step = (t, y_arr[-2], f_arr[-2], t_new, y_arr[-1], f_arr[-1])
+        rows = None if dense is None else dense[-1]
+        crossings = [
+            (bisect_root(
+                lambda tm: ev.fn(tm, _step_at(step, tm, rows).tolist()),
+                t, t_new, g0, _EVENT_RESOLUTION), ev.name)
+            for ev, g0, g1 in zip(events, gp, gp[len(events):])
+            if g0 * g1 < 0.0 or (g1 == 0.0 and g0 != 0.0)]
+        stop_at, name = min(crossings, key=lambda crossing: crossing[0])
+        stops = ((stop_at, name),)
+        if stop_at > t:
+            # the stop replaces the step's end; the run keeps its first part
+            y_arr[-1] = _step_at(step, stop_at, rows)
+            f_arr[-1] = kernel(stop_at, y_arr[-1].tolist())
+            n_evals += 1
+            t_arr[-1] = stop_at
+            if rows is not None:
+                dense[-1] = _cut(rows, (stop_at - t) / (t_new - t))
+        else:
+            # the crossing is the step's start: the run ends there
+            t_arr, y_arr, f_arr = t_arr[:-1], y_arr[:-1], f_arr[:-1]
+            dense = None if dense is None else dense[:-1]
     traj = Trajectory(
         t=t_arr, y=y_arr, dy=f_arr,
         termination="aborted" if failure else termination,
-        events=tuple(events_log),
+        events=stops,
         meta={"method": settings.method,
               **{k: getattr(settings, k) for k in m.reads},
               "t_span": (t0, t1),

@@ -523,6 +523,27 @@ class TestSpecial:
         assert man["sigma_matches_scaling_family"] is False
         assert man["scaling_map"]["rms"] > 1e-2 * man["scaling_map"]["scale"]
 
+    @pytest.mark.parametrize("lam, sigma, matches", [
+        (1.0 / 3.0, 7.0 / 3.0, True),   # 1 + 4 lambda rounds an ulp below
+        (1.0, 4.0, False),
+        (1.0, 5.0 + 1e-9, False),
+    ])
+    def test_sigma_on_the_family_within_rounding(self, tmp_path, lam, sigma,
+                                                 matches):
+        code, out = _run(tmp_path, "special", {"lambda": lam, "sigma": sigma})
+        assert code == 0
+        man = _manifest(out)
+        assert man["sigma_matches_scaling_family"] is matches
+        if matches:
+            scaling = man["scaling_map"]
+            assert scaling["rms"] < 1e-6 * scaling["scale"]
+
+    def test_sigma_off_an_overflowing_family(self, tmp_path):
+        # 1 + 4 lambda overflows to inf, whose ulp would admit any sigma
+        code, out = _run(tmp_path, "special", {"lambda": 1e308, "sigma": 5.0})
+        assert code == 2
+        assert _manifest(out)["sigma_matches_scaling_family"] is False
+
 
 class TestEdgeRepros:
     def test_radius_edge_comparison_meets_a9(self, tmp_path):

@@ -9,6 +9,8 @@ from curlforce.core import (
     EFSeries,
     PolarState,
     Trajectory,
+    _continuous,
+    _cut,
     _fd2,
     _hermite,
     bisect_root,
@@ -128,6 +130,26 @@ class TestResample:
         traj = _traj([0.0, 1.0, 2.0], [np.array([0.0, 1.0, 2.0])])
         with pytest.raises(DomainError):
             resample(traj, [2.5])
+
+
+class TestCutStep:
+    @settings(max_examples=200, derandomize=True)
+    @given(rows=st.tuples(*[st.floats(-10.0, 10.0)] * 5),
+           ends=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+           h=st.floats(1e-3, 10.0), s=st.floats(1e-3, 1.0))
+    def test_cut_step_is_the_step_restricted(self, rows, ends, h, s):
+        # the step [0, h] cut at s h, ending on the full step's state there:
+        # its interpolant on the cut rows is the full step's on [0, s h], to
+        # rounding (_continuous reads no f1, so both pass 0.0)
+        y0, f0, y1 = ends
+        rows = np.array(rows)
+        full = (0.0, y0, f0, h, y1, 0.0)
+        cut = (0.0, y0, f0, s * h, _continuous(*full, s * h, rows), 0.0)
+        t = np.linspace(0.0, s * h, 9)
+        err = np.abs(_continuous(*cut, t, _cut(rows, s))
+                     - _continuous(*full, t, rows))
+        scale = abs(y0) + abs(h * f0) + abs(y1) + np.abs(rows).sum()
+        assert err.max() <= 8.0 * np.finfo(float).eps * scale
 
 
 def _per_target_crossings(traj, col, targets):

@@ -115,7 +115,7 @@ class TestTableau:
             for i in range(n):
                 ts, ys, fs = [t], list(y), list(f)
                 t1 = (i + 1) * 2.0 * math.pi / n
-                out = loop(None, [], ts, ys, fs, t, y, f, t1, t1 - t, 1e3,
+                out = loop([], ts, ys, fs, t, y, f, t1, t1 - t, 1e3,
                            1e3, 1, 0.0, [])
                 assert out[0] == "completed" and out[2] == 1
                 t, y, f = ts[-1], ys[-2:], fs[-2:]
@@ -167,6 +167,28 @@ class TestDenseOutput:
             err = np.abs(resample(traj, tq) - np.column_stack(
                 [np.cos(tq), -np.sin(tq)]))
             assert err.max() < 1e-10
+
+    def test_crossing_at_the_steps_start_drops_the_step(self):
+        # y' = 1/(c - t)^2 near its pole: the steps shrink below the event's
+        # bisection tolerance, so the crossing rounds to the crossed step's
+        # start; that step's node and dense row are dropped, and no stop
+        # is evaluated (each accepted step costs 15 evaluations, each
+        # rejected one 12)
+        c = 1e6 + 1.0
+        t0 = c - 2e-5
+        ev = Event("y", lambda t, y: y[0] - 78475.99703514607)
+        traj = integrate(lambda t, y: np.array([1.0 / (c - t) ** 2]),
+                         [1.0 / (c - t0)], IntegratorSettings(
+                             method="dop853", t_span=(t0, c + 1.0),
+                             events=(ev,)))
+        assert traj.termination == "event"
+        assert traj.t[-1] == 1000000.9999872982
+        assert traj.events == ((traj.t[-1], "y"),)
+        assert traj.dense.shape == (traj.t.size - 1, 5, 1)
+        meta = traj.meta
+        assert meta["accepted"] == traj.t.size
+        assert meta["rhs_evals"] == (1 + 15 * meta["accepted"]
+                                     + 12 * meta["rejected"])
 
     def test_crossing_times_on_the_pairs_interpolant(self):
         # theta = t on a circle run: each crossing time is its target

@@ -147,6 +147,23 @@ class TestEvents:
         assert traj.termination == "event"
         assert abs(traj.t[-1] - math.log(2.0)) < 1e-7
 
+    def test_crossing_at_the_steps_start_ends_there(self):
+        # steps of one ulp of t: the event's bisection tolerance exceeds the
+        # step, so its crossing rounds to the crossed step's start, t0 + 2h;
+        # the run ends on that node and makes no stop evaluation
+        t0 = 1e10
+        h = math.ulp(t0)
+        ev = Event("late", lambda t, y: (t - t0) - 2.5 * h)
+        traj = integrate(lambda t, y: np.array([1.0]), [0.0],
+                         IntegratorSettings(method="rk4", h=h,
+                                            t_span=(t0, t0 + 8 * h),
+                                            events=(ev,)))
+        assert traj.termination == "event"
+        assert traj.t.tolist() == [t0, t0 + h, t0 + 2 * h]
+        assert traj.events == ((t0 + 2 * h, "late"),)
+        assert traj.meta["accepted"] == 3
+        assert traj.meta["rhs_evals"] == 13
+
 
 class TestFailureModes:
     def test_max_steps_exceeded(self):
@@ -314,7 +331,7 @@ class TestGeneratedLoop:
         print(loop.source)
         assert "zip(" not in loop.source
         body = loop.source.split("):\n", 1)[1]   # after the signature
-        assert ("on_step(" in body) == events
+        assert ("return 'event'" in body) == events
         assert loop is _loop(method, dim, (None,) * events)
         ev = (Event("never", lambda t, y: 1.0),) if events else ()
         step = {"h": 0.01} if method == "rk4" else {}

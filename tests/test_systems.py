@@ -1069,7 +1069,7 @@ class TestGeneratorHygiene:
             assert all(re.fullmatch(r"e0_\w+|e0|ep0", n) for n in added), added
             assert set(loop.co_names) - set(base.co_names) <= \
                 self._FORMULA_GLOBALS
-            assert make_loop.source.count("stop_on_step(") == 1
+            assert make_loop.source.count("return 'event'") == 1
 
     @pytest.mark.parametrize("name", sorted(_BUILDERS))
     def test_fused_loop_calls_no_kernel(self, name):
