@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import __version__, analysis, invariants, systems
+from . import __version__, analysis, core, invariants, systems
 from .core import Trajectory, crossing_times, drift_metric, resample
 from .integrate import (_METHODS, Event, IntegrationError, IntegratorSettings,
                         integrate)
@@ -292,18 +292,14 @@ def _run(rhs: Callable, y0: Sequence[float], settings: IntegratorSettings,
 
 # -- artifact emission -------------------------------------------------------
 
-# rows per written block: a table write holds one block's values and text,
-# whatever the table's length
-_BLOCK_ROWS = 2048
-
-
 def _write_table(out: Path, stem: str, fmt: str, header: Sequence[str],
                  columns: Sequence[np.ndarray],
                  labels: Sequence[str] | None = None) -> str:
     """Write a data table; labels, when given, prepend a string curve column.
 
     Cells are %.17g in CSV, the shortest repr (NaN, Infinity, -Infinity if
-    not finite) in JSON; rows reach the file _BLOCK_ROWS at a time.
+    not finite) in JSON; rows reach the file core._BLOCK_ROWS at a time,
+    so a write holds one block's values and text.
     """
     as_json = fmt == "json"
     # %.17g prints what format(x, ".17g") does, and %s of a float prints its
@@ -325,8 +321,8 @@ def _write_table(out: Path, stem: str, fmt: str, header: Sequence[str],
     rows = len(columns[0])
     with open(out / name, "w") as f:
         f.write(head)
-        for start in range(0, rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, rows)
+        for start in range(0, rows, core._BLOCK_ROWS):
+            stop = min(start + core._BLOCK_ROWS, rows)
             block = np.column_stack([c[start:stop] for c in columns])
             if as_json and not np.isfinite(block).all():
                 values, block = block, block.astype(object)

@@ -63,12 +63,24 @@ def real_power(x: float, p: float) -> float:
     return math.nan
 
 
+# rows per block wherever a whole run's values pass through Python floats:
+# the step loop's node lists, the residual columns, _vpow and the table
+# writer each hold one block of floats (or text) at a time, whatever the
+# run's length
+_BLOCK_ROWS = 2048
+
+
 def _vpow(x, p: float) -> np.ndarray:
     """real_power of each element of x (an array or a sequence of numbers),
-    as a float array of x's shape: one list loop on Python floats."""
+    as a float array of x's shape: a list loop on Python floats, one block
+    of _BLOCK_ROWS elements at a time."""
     a = np.asarray(x, dtype=float)
-    return np.array([real_power(v, p) for v in a.ravel().tolist()],
-                    dtype=float).reshape(a.shape)
+    flat = a.ravel()
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        out[start:stop] = [real_power(v, p) for v in flat[start:stop].tolist()]
+    return out.reshape(a.shape)
 
 
 def _rpow(x, p: float):

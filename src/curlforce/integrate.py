@@ -27,11 +27,13 @@ _paste writes every pasted text, here and in the modules that generate
 loops of their own.  State, slope and stage components are scalar locals
 (y0, y1, ...), zero tableau terms are dropped and constants are written
 with repr, so they round-trip exactly.
-Accepted nodes go to flat lists, dim floats a node, so a step builds no
-list unless it calls an event function.  Every component keeps the
-operations, in order, of elementwise array arithmetic on the whole state:
-stage sums add their terms in index order, as do RK4's
-h6 * (f + 2 k2 + 2 k3 + k4) and the error norm.  To read a loop (method,
+Accepted nodes go to short flat lists, dim floats a node, so a step
+builds no list unless it calls an event function; every core._BLOCK_ROWS
+nodes the loop has integrate move the lists into float64 storage and
+clear them.  Every component keeps the operations, in order, of
+elementwise array arithmetic on the whole state: stage sums add their
+terms in index order, as do RK4's h6 * (f + 2 k2 + 2 k3 + k4) and the
+error norm.  To read a loop (method,
 state size, events, formula):
 
     from curlforce.integrate import _loop
@@ -48,11 +50,13 @@ from __future__ import annotations
 import functools
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import core
 from .core import Trajectory, _cut, _step_at, bisect_root, real_power
 
 __all__ = [
@@ -409,8 +413,8 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
     takes it (a false value: no events); the loop pastes each after every
     accepted step.  make(*free, *each event's free) binds the constants
     and returns loop(gp, ts, ys, fs, t, y, f, t1, h, rel_tol, abs_tol,
-    max_steps, h_min), with a last argument ks for a method with dense
-    rows.
+    max_steps, h_min, flush=None, block=inf), with an argument ks after
+    h_min for a method with dense rows.
 
     The loop steps from the node (t, y, f), appends each accepted node to
     the flat lists ts, ys and fs (ys and fs hold dim floats a node), and
@@ -418,11 +422,14 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
     "max-steps" and "not-finite" are failures at that t, and a step that
     cannot advance t (or, adaptive, is below h_min) ends it as
     "step-underflow".  A method with dense rows also appends each accepted
-    step's slopes that _dense_rows reads to ks.  gp holds the events'
-    values at t.  When an event's value changes sign, or reaches zero from
-    a nonzero value, over an accepted step, the loop keeps that step's
-    node, sets gp to the events' values at the step's start and then at
-    its end, and returns "event" at the step's end.
+    step's slopes that _dense_rows reads to ks.  Whenever ts holds block
+    nodes the loop calls flush(), which moves the lists' contents to
+    storage of its own and clears them in place; the default block never
+    calls it.  gp holds the events' values at t.  When an event's value
+    changes sign, or reaches zero from a nonzero value, over an accepted
+    step, the loop keeps that step's node, sets gp to the events' values
+    at the step's start and then at its end, and returns "event" at the
+    step's end.
     """
     comps = range(dim)
     events = events or ()
@@ -574,11 +581,13 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
     body += ["t = t_new", f"{vec('y{}')} = {vec('z{}')}",
              f"{vec('f{}')} = {vec('g{}')}",
              "ts.append(t)", f"ys += ({vec('y{}')},)",
-             f"fs += ({vec('f{}')},)", *stop]
+             f"fs += ({vec('f{}')},)", "if len(ts) >= block:",
+             "    flush()", *stop]
     return (
         f"def make({', '.join(free)}):\n"
         "    def loop(gp, ts, ys, fs, t, y, f, t1, h, rel_tol, abs_tol,\n"
-        f"             max_steps, h_min{', ks' if m.dense else ''}):\n"
+        f"             max_steps, h_min{', ks' if m.dense else ''}, "
+        "flush=None, block=inf):\n"
         f"        [{vec('y{}')}] = y\n        [{vec('f{}')}] = f\n" + head +
         "        n_accept = n_reject = n_evals = attempts = 0\n"
         "        err_prev = 1e-4\n        while t < t1:\n            "
@@ -656,6 +665,16 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     rows.
     Exceeding max_steps raises IntegrationError with the partial trajectory
     attached, as does a non-finite right-hand side at an accepted point.
+    meta["accepted"] counts the steps the controller accepted: one fewer
+    than the nodes, except where an event's crossing rounds to the crossed
+    step's start, so that the run drops that step's node but still counts
+    the step, and accepted equals the node count.
+
+    The nodes pass through Python floats one block at a time: the step
+    loop moves its node lists into float64 storage every core._BLOCK_ROWS
+    nodes, and the Trajectory's t, y and dy (and the slopes its dense rows
+    are computed from) are views of that storage, so a long run holds its
+    arrays and one block of floats.
 
     rhs is any callable rhs(t, y) -> array-like taking an ndarray y.  The
     states here have two to four components, where numpy's per-call cost
@@ -692,18 +711,26 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
 
     kernel = getattr(rhs, "kernel", None)
     if kernel is None:
-        asarray, array = np.asarray, np.array
+        asarray, toarray = np.asarray, np.array
 
         def kernel(tc: float, yc: list) -> list:
-            return asarray(rhs(tc, array(yc)), dtype=float).tolist()
+            return asarray(rhs(tc, toarray(yc)), dtype=float).tolist()
 
     y = y_arr.tolist()
     f = f_arr.tolist()
     dim = len(y)
-    ts, ys, fs = [t0], list(y), list(f)
     events = settings.events
     m = _METHODS[settings.method]
-    ks: list = []
+    # the short lists the loop appends nodes, node slopes and (dense rows)
+    # step slopes to, and the float64 storage flush moves them to
+    lists = ([t0], list(y), list(f), *([[]] if m.dense else []))
+    store = [array("d") for _ in lists]
+
+    def flush() -> None:
+        for kept, block in zip(store, lists):
+            kept.fromlist(block)
+            block.clear()
+
     h = span / 100.0 if m.norm else settings.h
     formula = getattr(rhs, "formula", None)
     texts = tuple(getattr(ev.fn, "formula", None) for ev in events)
@@ -713,38 +740,47 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     loop = _loop(settings.method, dim, texts, formula)(*constants)
     gp = [float(ev.fn(t0, y)) for ev in events]
     termination, t, n_accept, n_reject, n_evals = loop(
-        gp, ts, ys, fs, t0, y, f, t1, h, settings.rel_tol, settings.abs_tol,
-        settings.max_steps, _UNDERFLOW * span, *([ks] if m.dense else []))
+        gp, *lists[:3], t0, y, f, t1, h, settings.rel_tol, settings.abs_tol,
+        settings.max_steps, _UNDERFLOW * span, *lists[3:], flush=flush,
+        block=core._BLOCK_ROWS)
     failure = {"max-steps": f"max_steps={settings.max_steps} exceeded at t={t}",
                "not-finite": f"right-hand side not finite near t={t}",
                }.get(termination)
-    t_arr = np.array(ts, dtype=float)
-    y_arr = np.array(ys, dtype=float).reshape(-1, dim)
-    f_arr = np.array(fs, dtype=float).reshape(-1, dim)
+    flush()
+    # views of the storage, no copy
+    t_arr, y_arr, f_arr, *ks = (np.frombuffer(kept) for kept in store)
+    y_arr, f_arr = y_arr.reshape(-1, dim), f_arr.reshape(-1, dim)
     dense = None
     if m.dense:
-        dense = _dense_rows(m, t_arr, y_arr, f_arr, np.array(
-            ks, dtype=float).reshape(t_arr.size - 1, len(_dense_columns(m)),
-                                     dim))
+        dense = _dense_rows(m, t_arr, y_arr, f_arr, ks[0].reshape(
+            t_arr.size - 1, len(_dense_columns(m)), dim))
     stops = ()
     if termination == "event":
-        # bisect each sign change over the last step on its interpolant;
-        # the earliest crossing (the first event's, on a tie) is the stop
-        t, t_new = ts[-2], ts[-1]
-        step = (t, y_arr[-2], f_arr[-2], t_new, y_arr[-1], f_arr[-1])
+        # bisect each sign change over the last step on its interpolant,
+        # evaluated a component at a time on Python floats; the earliest
+        # crossing (the first event's, on a tie) is the stop
+        t, t_new = t_arr[-2:].tolist()
         rows = None if dense is None else dense[-1]
+        comps = [((t, a, fa, t_new, b, fb), r) for a, fa, b, fb, r in zip(
+            y_arr[-2].tolist(), f_arr[-2].tolist(), y_arr[-1].tolist(),
+            f_arr[-1].tolist(),
+            [None] * dim if rows is None else rows.T.tolist())]
+
+        def state(tm: float) -> list:
+            return [_step_at(step, tm, r) for step, r in comps]
+
         crossings = [
-            (bisect_root(
-                lambda tm: ev.fn(tm, _step_at(step, tm, rows).tolist()),
-                t, t_new, g0, _EVENT_RESOLUTION), ev.name)
+            (bisect_root(lambda tm: ev.fn(tm, state(tm)), t, t_new, g0,
+                         _EVENT_RESOLUTION), ev.name)
             for ev, g0, g1 in zip(events, gp, gp[len(events):])
             if g0 * g1 < 0.0 or (g1 == 0.0 and g0 != 0.0)]
         stop_at, name = min(crossings, key=lambda crossing: crossing[0])
         stops = ((stop_at, name),)
         if stop_at > t:
             # the stop replaces the step's end; the run keeps its first part
-            y_arr[-1] = _step_at(step, stop_at, rows)
-            f_arr[-1] = kernel(stop_at, y_arr[-1].tolist())
+            y_stop = state(stop_at)
+            y_arr[-1] = y_stop
+            f_arr[-1] = kernel(stop_at, y_stop)
             n_evals += 1
             t_arr[-1] = stop_at
             if rows is not None:
