@@ -45,12 +45,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import core
 from .core import (
     DomainError,
     EFSeries,
     PolarState,
     Trajectory,
+    _blocks,
     _fd2,
     _polar_y,
     _rpow,
@@ -331,14 +331,13 @@ def _model(f, J, T, Tp):
     """f(J, T, T') at each row of the columns, on Python floats: an array
     of the columns' shape, or a float for scalars.  A _Column runs its
     loop; any other f is called row by row.  The rows pass through Python
-    floats one block of core._BLOCK_ROWS at a time."""
+    floats a block (core._blocks) at a time."""
     cols = [np.asarray(c).ravel() for c in (J, T, Tp)]
     out = np.empty(cols[0].size)
-    for start in range(0, out.size, core._BLOCK_ROWS):
-        part = [c[start:start + core._BLOCK_ROWS].tolist() for c in cols]
-        out[start:start + core._BLOCK_ROWS] = (
-            f.loop(*part) if isinstance(f, _Column) else
-            [f(j, t, tp) for j, t, tp in zip(*part)])
+    for part in _blocks(out.size):
+        rows = [c[part].tolist() for c in cols]
+        out[part] = (f.loop(*rows) if isinstance(f, _Column) else
+                     [f(j, t, tp) for j, t, tp in zip(*rows)])
     return out.reshape(np.shape(J)) if np.ndim(J) else out.item()
 
 

@@ -30,8 +30,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import __version__, analysis, core, invariants, systems
-from .core import Trajectory, crossing_times, drift_metric, resample
+from . import __version__, analysis, invariants, systems
+from .core import (Trajectory, _blocks, crossing_times, drift_metric,
+                   resample)
 from .integrate import (_METHODS, Event, IntegrationError, IntegratorSettings,
                         integrate)
 from .systems import AngleFunction
@@ -298,8 +299,8 @@ def _write_table(out: Path, stem: str, fmt: str, header: Sequence[str],
     """Write a data table; labels, when given, prepend a string curve column.
 
     Cells are %.17g in CSV, the shortest repr (NaN, Infinity, -Infinity if
-    not finite) in JSON; rows reach the file core._BLOCK_ROWS at a time,
-    so a write holds one block's values and text.
+    not finite) in JSON; rows reach the file a block (core._blocks) at a
+    time, so a write holds one block's values and text.
     """
     as_json = fmt == "json"
     # %.17g prints what format(x, ".17g") does, and %s of a float prints its
@@ -318,12 +319,10 @@ def _write_table(out: Path, stem: str, fmt: str, header: Sequence[str],
         name, sep, tail = f"{stem}.csv", "", ""
         head = ",".join(header) + "\n"
         row = ",".join(cells) + "\n"
-    rows = len(columns[0])
     with open(out / name, "w") as f:
         f.write(head)
-        for start in range(0, rows, core._BLOCK_ROWS):
-            stop = min(start + core._BLOCK_ROWS, rows)
-            block = np.column_stack([c[start:stop] for c in columns])
+        for part in _blocks(len(columns[0])):
+            block = np.column_stack([c[part] for c in columns])
             if as_json and not np.isfinite(block).all():
                 values, block = block, block.astype(object)
                 block[np.isnan(values)] = "NaN"
@@ -331,11 +330,11 @@ def _write_table(out: Path, stem: str, fmt: str, header: Sequence[str],
                 block[values == -math.inf] = "-Infinity"
             if labels is not None:
                 block = np.column_stack([np.array(
-                    [spelled[lab] for lab in labels[start:stop]],
+                    [spelled[lab] for lab in labels[part]],
                     dtype=object), block])
-            if start:
+            if part.start:
                 f.write(sep)
-            f.write(sep.join([row] * (stop - start))
+            f.write(sep.join([row] * len(block))
                     % tuple(block.ravel().tolist()))
         f.write(tail)
     return name

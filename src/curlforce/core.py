@@ -70,16 +70,20 @@ def real_power(x: float, p: float) -> float:
 _BLOCK_ROWS = 2048
 
 
+def _blocks(n: int) -> list[slice]:
+    """The slices of n rows, _BLOCK_ROWS at a time."""
+    return [slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS)]
+
+
 def _vpow(x, p: float) -> np.ndarray:
     """real_power of each element of x (an array or a sequence of numbers),
-    as a float array of x's shape: a list loop on Python floats, one block
-    of _BLOCK_ROWS elements at a time."""
+    as a float array of x's shape: a list loop on Python floats, a block
+    (_blocks) at a time."""
     a = np.asarray(x, dtype=float)
     flat = a.ravel()
     out = np.empty(flat.size)
-    for start in range(0, flat.size, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        out[start:stop] = [real_power(v, p) for v in flat[start:stop].tolist()]
+    for part in _blocks(flat.size):
+        out[part] = [real_power(v, p) for v in flat[part].tolist()]
     return out.reshape(a.shape)
 
 
