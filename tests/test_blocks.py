@@ -56,10 +56,10 @@ def _fields(run):
             traj.y.shape)
 
 
-def _same_in_blocks(monkeypatch, run):
+def _same_in_blocks(monkeypatch, run, blocks=_BLOCKS):
     """run's fields with each small block equal those with one block."""
     whole = _fields(run)
-    for block in _BLOCKS:
+    for block in blocks:
         monkeypatch.setattr(core, "_BLOCK_ROWS", block)
         assert _fields(run) == whole, block
     monkeypatch.undo()
@@ -129,14 +129,15 @@ def test_rk4_crossing_at_a_steps_start(monkeypatch):
 def test_dop853_crossing_at_a_steps_start(monkeypatch):
     # the pole of y' = 1/(c - t)^2 shrinks the steps below the event's
     # bisection tolerance (tests/test_dop853.py): the crossed step and its
-    # dense row are dropped
+    # dense row are dropped.  A block of 1 flushes after every step, so the
+    # crossed step is the first after a flush; the long run is made twice
     c = 1e6 + 1.0
     t0 = c - 2e-5
     ev = Event("y", lambda t, y: y[0] - 78475.99703514607)
     fields = _same_in_blocks(monkeypatch, lambda: integrate(
         lambda t, y: np.array([1.0 / (c - t) ** 2]), [1.0 / (c - t0)],
         IntegratorSettings(method="dop853", t_span=(t0, c + 1.0),
-                           events=(ev,))))
+                           events=(ev,))), blocks=[1])
     assert fields[1] == "event"
     assert fields[3]["accepted"] == len(fields[4]) // 8
 
