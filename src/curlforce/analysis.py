@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -50,9 +49,14 @@ from .core import (
     EFSeries,
     PolarState,
     Trajectory,
+    _bind,
     _blocks,
+    _compile,
     _fd2,
+    _indent,
+    _paste,
     _polar_y,
+    _power,
     _rpow,
     _stencil,
     bisect_root,
@@ -61,9 +65,8 @@ from .core import (
     real_power,
     resample,
 )
-from .integrate import _compile, _indent, _paste
 from .invariants import angular_momentum
-from .systems import _bind, _check_mu, _power, drag_ef_rhs, ef_rhs, raw_ef_rhs
+from .systems import _check_mu, drag_ef_rhs, ef_rhs, raw_ef_rhs
 
 __all__ = [
     "NonRealLambda",
@@ -228,9 +231,9 @@ def _monotone_run(what: str, increasing: bool, key: np.ndarray,
     strictly decreases.  With `increasing` a cut run is returned in
     increasing order; `what` leads the warning.
     """
-    d = np.diff(key)
     out = [key, *arrays]
-    if not (np.all(d > 0.0) or (not increasing and np.all(d < 0.0))):
+    if not (np.all(key[1:] > key[:-1])
+            or (not increasing and np.all(key[1:] < key[:-1]))):
         run = longest_monotone_run(key)
         warnings.warn(
             f"{what}; keeping the longest monotone run of "
@@ -411,7 +414,7 @@ def _check_r_grid(r_grid) -> np.ndarray:
     rg = np.asarray(r_grid, dtype=float)
     if rg.ndim != 1 or rg.size < 1:
         raise ValueError("r_grid must be a one-dimensional sequence")
-    if rg.size > 1 and not np.all(np.diff(rg) > 0.0):
+    if not np.all(rg[1:] > rg[:-1]):
         raise ValueError("r_grid must be strictly increasing")
     if np.any(rg <= 0.0):
         raise DomainError("r_grid must be positive")
@@ -465,7 +468,7 @@ def _cumulative_quadrature(text: str, constants: dict, printed, rg: np.ndarray,
 
 
 # The chain integrands, in r and the names each producer binds, with each
-# power pasted by systems._power: where one overflows (real_power would
+# power pasted by core._power: where one overflows (real_power would
 # give inf) the quadrature's guard makes v nan, not finite either
 _THETA = ("u = (r ** p - r0p) / lam\n" + _power("J", "u", "q", None)
           + _power("J_e1", "J", "e1", None)
@@ -794,14 +797,15 @@ _QUAD_MAX_EVALS = 1_000_000
 
 # The one adaptive Simpson rule, as Python source.  quad(xs, tol, max_evals,
 # handoff) runs it over each panel [xs[i-1], xs[i]] in order, depth first.
-# A line "@x" evaluates the integrand text at r = x into v (nan where the
-# text raises), and "%x" appends the comparator's ratio there to ratios;
-# "@level" is one bisection level (_LEVEL), and "@ends" takes a panel with
-# an end where the integrand is not finite (_HANDOFF or _STRIPS).  The grid
-# loop works out a panel's midpoint and its first level itself, and calls
-# rec only for the halves of a panel that level does not accept.  A panel's
-# budget and decisions count its own two ends, as a lone panel does, though
-# each xs[i] is evaluated once.
+# _simpson expands its marker lines in one pass, each at its line's indent:
+# "@x" evaluates the integrand text at r = x into v (nan where the text
+# raises), "%x" appends the comparator's ratio there to ratios, and "@level"
+# (one bisection level, _LEVEL) and "@ends" (a panel with an end where the
+# integrand is not finite: _HANDOFF or _STRIPS) are texts whose own marker
+# lines expand in the same pass.  The grid loop works out a panel's midpoint
+# and its first level itself, and calls rec only for the halves of a panel
+# that level does not accept.  A panel's budget and decisions count its own
+# two ends, as a lone panel does, though each xs[i] is evaluated once.
 _QUAD = """\
     def quad(xs, tol, max_evals, handoff):
         def rec(a, fa, m, fm, b, fb, whole, depth):
@@ -972,26 +976,26 @@ def _simpson(text: str, names: tuple[str, ...], ends: str,
             otherwise="None"), 4)
             + "else:\n    pv = None\nratios.append(pv)\n")
 
-    # each "@level" and "@ends" line gets its text at that line's indent
-    fragments = {"level": _LEVEL, "ends": ends}
-    source = re.sub(r"^( *)@(level|ends)\n",
-                    lambda f: _indent(fragments[f[2]], len(f[1])), _QUAD,
-                    flags=re.M)
-    lines = []
-    for line in source.splitlines():
-        body = line.lstrip()
-        indent = len(line) - len(body)
-        if body.startswith("@"):
-            lines.append(_indent(_paste(text, ("r",), feed=(body[1:],),
-                                        guard=_QUAD_RAISES, outs=("v",)),
-                                 indent))
-        elif body.startswith("%"):
-            lines.append(_indent(ratio(body[1:]), indent))
-        else:
-            lines.append(line + "\n")
+    fragments = {"@level": _LEVEL, "@ends": ends}
+
+    def expand(source: str, at: int):
+        for line in source.splitlines():
+            body = line.lstrip()
+            indent = at + len(line) - len(body)
+            if body in fragments:
+                yield from expand(fragments[body], indent)
+            elif body.startswith("@"):
+                yield _indent(_paste(text, ("r",), feed=(body[1:],),
+                                     guard=_QUAD_RAISES, outs=("v",)), indent)
+            elif body.startswith("%"):
+                yield _indent(ratio(body[1:]), indent)
+            else:
+                yield " " * at + line + "\n"
+
     params = ["f", "QuadratureError", "max_depth", *names,
               *(["printed"] if ratios else [])]
-    return _compile(f"def make({', '.join(params)}):\n" + "".join(lines),
+    return _compile(f"def make({', '.join(params)}):\n"
+                    + "".join(expand(_QUAD, 0)),
                     "<adaptive Simpson>")
 
 

@@ -5,12 +5,15 @@ with the right-hand-side values at those nodes, which is exactly the data
 cubic Hermite interpolation needs, and, for a run of a pair with its own
 continuous extension, that extension's rows per step.  Everything
 downstream (resampling, invariant drift reports, Emden-Fowler series)
-builds on these types.
+builds on these types.  Every formula written as text is pasted, powered,
+bound and compiled here (_paste, _power, _bind, _compile).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -99,6 +102,88 @@ def _rpow(x, p: float):
     return _vpow(x, p)
 
 
+def _indent(text: str, n: int) -> str:
+    return "".join(" " * n + line + "\n" for line in text.splitlines())
+
+
+def _words(names) -> str:
+    """A pattern matching each of names as a whole name, not an attribute."""
+    return r"(?<![\w.])(" + "|".join(sorted(names)) + r")(?!\w)"
+
+
+def _paste(text: str, args=(), free=(), feed=(), prefix: str = "",
+           guard=(), outs=(), otherwise: str = "nan") -> str:
+    """text as lines to paste into generated source.
+
+    text is a formula's body with its outputs outs filled in; it reads the
+    inputs args (an arg "" is not read) and the constants free.  feed
+    holds each input's expression, and a line assigns an input only where
+    the text names it.  With a prefix, every name the text binds, takes as
+    an input or reads as a constant (outs aside) becomes prefix + name,
+    apart from the names around it.  With a guard, a tuple of exception
+    names, the text runs in try, and where one of those is raised each out
+    is set to otherwise.  Every pasted formula and every guard goes
+    through here: the step loop's stages and events, the quadrature's
+    integrand and comparator call, the residual columns, and the formulas
+    that guard themselves (systems).
+    """
+    lines = [f"{prefix}{a} = {x}" for a, x in zip(args, feed)
+             if a and re.search(_words([a]), text)]
+    if prefix:
+        code = compile("def body():\n" + _indent(text, 4), "<paste>", "exec")
+        names = {*code.co_consts[0].co_varnames, *args, *free} - {"", *outs}
+        if names:
+            text = re.sub(_words(names), rf"{prefix}\1", text)
+    if guard:
+        text = ("try:\n" + _indent(text, 4) + f"except ({', '.join(guard)}):\n"
+                f"    {' = '.join(outs)} = {otherwise}\n")
+    return "".join(line + "\n" for line in lines) + text
+
+
+@functools.cache
+def _compile(source: str, name: str):
+    """The function make that source defines, compiled once per text."""
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan,
+                 "inf": math.inf, "cos": math.cos, "sin": math.sin,
+                 "real_power": real_power}
+    exec(compile(source, name, "exec"), namespace)
+    make = namespace["make"]
+    make.source = source
+    return make
+
+
+def _bind(params: str, body: str, result: str, constants: dict):
+    """def f(params): body; return result, with the constants bound.
+
+    The text is compiled once (_compile); binding is a call.  No
+    constant may be named f, the function's own name.
+    """
+    return _compile(f"def make({', '.join(constants)}):\n"
+                    f"    def f({params}):\n" + _indent(body, 8)
+                    + f"        return {result}\n    return f\n",
+                    "<formula>")(*constants.values())
+
+
+def _power(name: str, x: str, p: str, overflow: str | None = "inf",
+           positive: bool = False) -> str:
+    """Text setting name to real_power(x, p), the one real power of every
+    pasted formula; x and p are names or parenthesised text.
+
+    Where x > 0.0 the text is x ** p, which has math.pow's bits there, and
+    elsewhere real_power(x, p), which never raises; positive says the
+    formula has tested x > 0.0 already (a field's r), and leaves the test
+    and real_power out.  Where x ** p overflows, name is set to overflow,
+    inf as real_power gives; with overflow None the OverflowError reaches
+    the caller's own guard (the quadratures' integrands make it nan).
+    """
+    text = f"{name} = {x} ** {p}"
+    text += "\n" if positive else f" if {x} > 0.0 else real_power({x}, {p})\n"
+    if overflow is None:
+        return text
+    return _paste(text, guard=("OverflowError",), outs=(name,),
+                  otherwise=overflow)
+
+
 @dataclass(frozen=True)
 class PolarState:
     """Plane-polar kinematic state (r, theta, rdot, thetadot) at time t.
@@ -165,7 +250,7 @@ class Trajectory:
             raise DomainError("state and derivative arrays must match")
         if self.t.size == 0:
             raise DomainError("trajectory must hold at least one sample")
-        if self.t.size > 1 and not np.all(np.diff(self.t) > 0.0):
+        if not np.all(self.t[1:] > self.t[:-1]):
             raise DomainError("trajectory times must increase strictly")
         if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.y))):
             raise DomainError("trajectory samples must be finite")
@@ -212,7 +297,7 @@ class EFSeries:
         object.__setattr__(self, "Tprime", _readonly(self.Tprime))
         if not (self.J.shape == self.T.shape == self.Tprime.shape) or self.J.ndim != 1:
             raise DomainError("EF series arrays must be 1-d and congruent")
-        if self.J.size > 1 and not np.all(np.diff(self.J) > 0.0):
+        if not np.all(self.J[1:] > self.J[:-1]):
             raise DomainError("EF series requires strictly increasing J")
         for a in (self.J, self.T, self.Tprime):
             if not np.all(np.isfinite(a)):
@@ -359,7 +444,7 @@ def crossing_times(traj: Trajectory, col: int, targets: Sequence[float],
     end's time; one further out, or nan, raises DomainError.
     """
     x = traj.y[:, col]
-    if not np.all(np.diff(x) > 0.0):
+    if not np.all(x[1:] > x[:-1]):
         raise DomainError(f"state column {col} must increase strictly")
     t = traj.t
     targets = np.asarray(targets, dtype=float).ravel()

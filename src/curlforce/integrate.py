@@ -23,10 +23,10 @@ evaluate it, since a non-finite one ends the attempt; rk4 counts its four
 once a step.  Each event's formula is pasted after every accepted step,
 with its names renamed apart from the stage's; at a sign change the loop
 calls nothing but returns, and integrate bisects the crossing after it.
-_paste writes every pasted text, here and in the modules that generate
-loops of their own.  State, slope and stage components are scalar locals
-(y0, y1, ...), zero tableau terms are dropped and constants are written
-with repr, so they round-trip exactly.
+core._paste writes every pasted text and core._compile compiles it, here
+and in the modules that generate loops of their own.  State, slope and
+stage components are scalar locals (y0, y1, ...), zero tableau terms are
+dropped and constants are written with repr, so they round-trip exactly.
 Accepted nodes go to short flat lists, dim floats a node, so a step
 builds no list unless it calls an event function; every core._BLOCK_ROWS
 nodes the loop has integrate move the lists into float64 storage and
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -57,7 +56,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import core
-from .core import Trajectory, _cut, _step_at, bisect_root, real_power
+from .core import Trajectory, _compile, _cut, _paste, _step_at, bisect_root
 
 __all__ = [
     "Event",
@@ -593,56 +592,6 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
         "        err_prev = 1e-4\n        while t < t1:\n            "
         + "\n".join(body).replace("\n", "\n            ")
         + f"\n        return 'completed', t, {done}\n    return loop\n")
-
-
-def _indent(text: str, n: int) -> str:
-    return "".join(" " * n + line + "\n" for line in text.splitlines())
-
-
-def _words(names) -> str:
-    """A pattern matching each of names as a whole name, not an attribute."""
-    return r"(?<![\w.])(" + "|".join(sorted(names)) + r")(?!\w)"
-
-
-def _paste(text: str, args=(), free=(), feed=(), prefix: str = "",
-           guard=(), outs=(), otherwise: str = "nan") -> str:
-    """text as lines to paste into generated source.
-
-    text is a formula's body with its outputs outs filled in; it reads the
-    inputs args (an arg "" is not read) and the constants free.  feed
-    holds each input's expression, and a line assigns an input only where
-    the text names it.  With a prefix, every name the text binds, takes as
-    an input or reads as a constant (outs aside) becomes prefix + name,
-    apart from the names around it.  With a guard, a tuple of exception
-    names, the text runs in try, and where one of those is raised each out
-    is set to otherwise.  Every pasted formula and every guard goes
-    through here: the step loop's stages and events, the quadrature's
-    integrand and comparator call, the residual columns, and the formulas
-    that guard themselves (systems).
-    """
-    lines = [f"{prefix}{a} = {x}" for a, x in zip(args, feed)
-             if a and re.search(_words([a]), text)]
-    if prefix:
-        code = compile("def body():\n" + _indent(text, 4), "<paste>", "exec")
-        names = {*code.co_consts[0].co_varnames, *args, *free} - {"", *outs}
-        if names:
-            text = re.sub(_words(names), rf"{prefix}\1", text)
-    if guard:
-        text = ("try:\n" + _indent(text, 4) + f"except ({', '.join(guard)}):\n"
-                f"    {' = '.join(outs)} = {otherwise}\n")
-    return "".join(line + "\n" for line in lines) + text
-
-
-@functools.cache
-def _compile(source: str, name: str):
-    """The function make that source defines, compiled once per text."""
-    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan,
-                 "inf": math.inf, "cos": math.cos, "sin": math.sin,
-                 "real_power": real_power}
-    exec(compile(source, name, "exec"), namespace)
-    make = namespace["make"]
-    make.source = source
-    return make
 
 
 @functools.cache

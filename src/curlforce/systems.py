@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, _rpow, real_power
-from .integrate import Event, _compile, _indent, _paste
+from .core import DomainError, _bind, _indent, _paste, _power, _rpow, real_power
+from .integrate import Event
 
 __all__ = [
     "AngleFunction",
@@ -181,43 +181,11 @@ def _angles(text: str, **fns: AngleFunction) -> tuple[str, dict]:
     return text, {name: fn._values for name, fn in fns.items()}
 
 
-def _bind(params: str, body: str, result: str, constants: dict):
-    """def f(params): body; return result, with the constants bound.
-
-    The text is compiled once (integrate._compile); binding is a call.  No
-    constant may be named f, the function's own name.
-    """
-    return _compile(f"def make({', '.join(constants)}):\n"
-                    f"    def f({params}):\n" + _indent(body, 8)
-                    + f"        return {result}\n    return f\n",
-                    "<formula>")(*constants.values())
-
-
 # the exceptions a field's formula turns into nan: a power of a tiny r
 # underflowed to 0.0 and was divided by, or math.cos or math.sin met +-inf
 _FIELD_RAISES = ("ZeroDivisionError", "ValueError")
 # math.cos or math.sin met +-inf (k * theta overflowed)
 _ANGLE_RAISES = ("ValueError",)
-
-
-def _power(name: str, x: str, p: str, overflow: str | None = "inf",
-           positive: bool = False) -> str:
-    """Text setting name to real_power(x, p), the one real power of every
-    pasted formula; x and p are names or parenthesised text.
-
-    Where x > 0.0 the text is x ** p, which has math.pow's bits there, and
-    elsewhere real_power(x, p), which never raises; positive says the
-    formula has tested x > 0.0 already (a field's r), and leaves the test
-    and real_power out.  Where x ** p overflows, name is set to overflow,
-    inf as real_power gives; with overflow None the OverflowError reaches
-    the caller's own guard (the quadratures' integrands make it nan).
-    """
-    text = f"{name} = {x} ** {p}"
-    text += "\n" if positive else f" if {x} > 0.0 else real_power({x}, {p})\n"
-    if overflow is None:
-        return text
-    return _paste(text, guard=("OverflowError",), outs=(name,),
-                  otherwise=overflow)
 
 
 class _Field:
@@ -550,9 +518,9 @@ def _event(name: str, args: tuple, body: str, **constants) -> Event:
     step (fn.formula, fn.constants); the same text compiled is fn(t, y),
     which bisection and everyone else call with a list of floats.
     """
-    reads = "".join(f"{a} = y[{c}]\n" for c, a in enumerate(args[1:]) if a)
-    fn = _bind(f"{args[0] or '_'}, y", reads + body.format("g"), "g",
-               constants)
+    feed = [f"y[{c}]" for c in range(len(args) - 1)]
+    fn = _bind(f"{args[0] or '_'}, y", _paste(body.format("g"), args[1:],
+                                              feed=feed), "g", constants)
     fn.formula = (args, body, tuple(constants))
     fn.constants = tuple(constants.values())
     return Event(name, fn)
