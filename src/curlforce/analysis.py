@@ -323,8 +323,7 @@ def _column(formula: tuple):
         "    def column(c0, c1, c2):\n"
         "        out = []\n"
         f"        for {', '.join(f'x_{a}' for a in args)} in zip(c0, c1, c2):\n"
-        + _indent(_paste(body.format("d0", "d1"), args, free, prefix="x_",
-                         outs=("d0", "d1")), 12)
+        + _indent(_paste(body, args, free, prefix="x_", outs=("d0", "d1")), 12)
         + "            out.append(d1)\n"
         "        return out\n"
         "    return column\n", "<residual column>")

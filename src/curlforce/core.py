@@ -6,7 +6,7 @@ cubic Hermite interpolation needs, and, for a run of a pair with its own
 continuous extension, that extension's rows per step.  Everything
 downstream (resampling, invariant drift reports, Emden-Fowler series)
 builds on these types.  Every formula written as text is pasted, powered,
-bound and compiled here (_paste, _power, _bind, _compile).
+bound and compiled here (_rename, _paste, _power, _bind, _compile).
 """
 
 from __future__ import annotations
@@ -106,38 +106,52 @@ def _indent(text: str, n: int) -> str:
     return "".join(" " * n + line + "\n" for line in text.splitlines())
 
 
-def _words(names) -> str:
+@functools.cache
+def _words(names: frozenset) -> re.Pattern:
     """A pattern matching each of names as a whole name, not an attribute."""
-    return r"(?<![\w.])(" + "|".join(sorted(names)) + r")(?!\w)"
+    return re.compile(r"(?<![\w.])(" + "|".join(sorted(names)) + r")(?!\w)")
+
+
+def _rename(text: str, names: Mapping[str, str]) -> str:
+    """text with each whole name in names set to its value, in one pass."""
+    return _renamed(text, tuple(names.items())) if names else text
+
+
+@functools.cache
+def _renamed(text: str, pairs: tuple) -> str:
+    """_rename, cached as _compile is: formula texts are few."""
+    names = dict(pairs)
+    return _words(frozenset(names)).sub(lambda m: names[m[1]], text)
 
 
 def _paste(text: str, args=(), free=(), feed=(), prefix: str = "",
            guard=(), outs=(), otherwise: str = "nan") -> str:
     """text as lines to paste into generated source.
 
-    text is a formula's body with its outputs outs filled in; it reads the
-    inputs args (an arg "" is not read) and the constants free.  feed
-    holds each input's expression, and a line assigns an input only where
-    the text names it.  With a prefix, every name the text binds, takes as
-    an input or reads as a constant (outs aside) becomes prefix + name,
-    apart from the names around it.  With a guard, a tuple of exception
-    names, the text runs in try, and where one of those is raised each out
-    is set to otherwise.  Every pasted formula and every guard goes
-    through here: the step loop's stages and events, the quadrature's
-    integrand and comparator call, the residual columns, and the formulas
-    that guard themselves (systems).
+    text is a formula's body, plain Python that sets its outputs outs; it
+    reads the inputs args (an arg "" is not read) and the constants free.
+    outs is the names the text sets, or a mapping from each to the name it
+    takes where it is pasted.  feed holds each input's expression, and a
+    line assigns an input only where the text names it.  With a prefix,
+    every other name the text binds, takes as an input or reads as a
+    constant becomes prefix + name, apart from the names around it.  With
+    a guard, a tuple of exception names, the text runs in try, and where
+    one of those is raised each out is set to otherwise.  Every pasted
+    formula and every guard goes through here: the step loop's stages and
+    events, the quadrature's integrand and comparator call, the residual
+    columns, and the formulas that guard themselves (systems).
     """
     lines = [f"{prefix}{a} = {x}" for a, x in zip(args, feed)
-             if a and re.search(_words([a]), text)]
+             if a and _words(frozenset([a])).search(text)]
+    names = dict(outs) if isinstance(outs, dict) else {}
     if prefix:
         code = compile("def body():\n" + _indent(text, 4), "<paste>", "exec")
-        names = {*code.co_consts[0].co_varnames, *args, *free} - {"", *outs}
-        if names:
-            text = re.sub(_words(names), rf"{prefix}\1", text)
+        names |= {a: prefix + a for a in {*code.co_consts[0].co_varnames,
+                                          *args, *free} - {"", *outs}}
     if guard:
         text = ("try:\n" + _indent(text, 4) + f"except ({', '.join(guard)}):\n"
                 f"    {' = '.join(outs)} = {otherwise}\n")
-    return "".join(line + "\n" for line in lines) + text
+    return "".join(line + "\n" for line in lines) + _rename(text, names)
 
 
 @functools.cache

@@ -385,18 +385,17 @@ def _event_lines(k: int, formula, dim: int) -> tuple[list, list]:
     """Event k's value at the new node (t_new, z0..) as lines setting e{k},
     and the names of its constants in the loop.
 
-    formula is (args, body, free) as a stage's, its body setting {0}; an
-    arg left "" is not read, and None is a body calling fn on a list.  The
-    body is pasted renamed apart (_paste's prefix e{k}_), so an event's
-    constants never meet the stage's or another event's.
+    formula is (args, body, free) as a stage's, its body setting d0; an
+    arg left "" is not read, and None is a body calling fn on a list.  d0
+    becomes e{k} and the body's other names e{k}_name (_paste's prefix),
+    so an event's constants never meet the stage's or another event's.
     """
     state = ", ".join(f"s{c}" for c in range(dim))
     args, body, free = formula or (
         ("t_", *(f"s{c}" for c in range(dim))),
-        f"{{0}} = float(fn(t_, [{state}]))", ("fn",))
-    text = _paste(body.format(f"e{k}"), args, free,
-                  ("t_new", *(f"z{c}" for c in range(dim))), f"e{k}_",
-                  outs=(f"e{k}",))
+        f"d0 = float(fn(t_, [{state}]))", ("fn",))
+    text = _paste(body, args, free, ("t_new", *(f"z{c}" for c in range(dim))),
+                  f"e{k}_", outs={"d0": f"e{k}"})
     return text.splitlines(), [f"e{k}_{name}" for name in free]
 
 
@@ -406,14 +405,15 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
 
     stage is (args, body, free): body is the text of one right-hand-side
     evaluation.  It reads the stage time args[0] (none if empty) and state
-    args[1:], and assigns the slopes {0}..{dim-1}; the loop pastes it at
-    every stage.  free names the constants the body reads.  None is a body
-    calling kernel.  events holds each event's formula, as _event_lines
-    takes it (a false value: no events); the loop pastes each after every
-    accepted step.  make(*free, *each event's free) binds the constants
-    and returns loop(gp, ts, ys, fs, t, y, f, t1, h, rel_tol, abs_tol,
-    max_steps, h_min, flush=None, block=inf), with an argument ks after
-    h_min for a method with dense rows.
+    args[1:], and assigns the slopes d0..d{dim-1}; the loop pastes it at
+    every stage, each d{c} renamed to that stage's slope.  free names the
+    constants the body reads.  None is a body calling kernel.  events
+    holds each event's formula, as _event_lines takes it (a false value:
+    no events); the loop pastes each after every accepted step.
+    make(*free, *each event's free) binds the constants and returns
+    loop(gp, ts, ys, fs, t, y, f, t1, h, rel_tol, abs_tol, max_steps,
+    h_min, flush=None, block=inf), with an argument ks after h_min for a
+    method with dense rows.
 
     The loop steps from the node (t, y, f), appends each accepted node to
     the flat lists ts, ys and fs (ys and fs hold dim floats a node), and
@@ -433,13 +433,12 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
     comps = range(dim)
     events = events or ()
 
-    def vec(fmt: str) -> str:
-        return ", ".join(fmt.format(c) for c in comps)
+    def vec(name: str) -> str:
+        return ", ".join(f"{name}{c}" for c in comps)
 
     args, text, free = stage or (
         ("t_", *(f"s{c}" for c in comps)),
-        f"[{', '.join(f'{{{c}}}' for c in comps)}] = kernel(t_, [{vec('s{}')}])",
-        ("kernel",))
+        f"[{vec('d')}] = kernel(t_, [{vec('s')}])", ("kernel",))
 
     def totals(terms: list) -> list:
         # y_c plus each (coefficient, slope) term, in index order
@@ -448,8 +447,8 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
 
     def stage(slope: str, time: str, state: list) -> list:
         # the body evaluated at time and state, one expression a component
-        return _paste(text.format(*(f"{slope}{c}" for c in comps)), args,
-                      feed=(time, *state)).splitlines()
+        return _paste(text, args, feed=(time, *state),
+                      outs={f"d{c}": f"{slope}{c}" for c in comps}).splitlines()
 
     def check(*slopes: str) -> str:
         return " and ".join(f"isfinite({k}{c})" for k in slopes for c in comps)
@@ -577,17 +576,17 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
         stop = [f"if {crossed}:", f"    gp[:] = [{old}, {new}]",
                 f"    return 'event', t, {done}", f"{old} = {new}"]
         head = f"        [{old}] = gp\n"
-    body += ["t = t_new", f"{vec('y{}')} = {vec('z{}')}",
-             f"{vec('f{}')} = {vec('g{}')}",
-             "ts.append(t)", f"ys += ({vec('y{}')},)",
-             f"fs += ({vec('f{}')},)", "if len(ts) >= block:",
+    body += ["t = t_new", f"{vec('y')} = {vec('z')}",
+             f"{vec('f')} = {vec('g')}",
+             "ts.append(t)", f"ys += ({vec('y')},)",
+             f"fs += ({vec('f')},)", "if len(ts) >= block:",
              "    flush()", *stop]
     return (
         f"def make({', '.join(free)}):\n"
         "    def loop(gp, ts, ys, fs, t, y, f, t1, h, rel_tol, abs_tol,\n"
         f"             max_steps, h_min{', ks' if m.dense else ''}, "
         "flush=None, block=inf):\n"
-        f"        [{vec('y{}')}] = y\n        [{vec('f{}')}] = f\n" + head +
+        f"        [{vec('y')}] = y\n        [{vec('f')}] = f\n" + head +
         "        n_accept = n_reject = n_evals = attempts = 0\n"
         "        err_prev = 1e-4\n        while t < t1:\n            "
         + "\n".join(body).replace("\n", "\n            ")
@@ -641,7 +640,7 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
 
     Event functions receive the state as a list of floats, as kernels do.
     An event function may expose its text in the same way, fn.formula =
-    (args, body, free) with a body that sets {0} (an arg left "" is not
+    (args, body, free) with a body that sets d0 (an arg left "" is not
     read), and fn.constants; the loop then pastes the body after every
     accepted step, and calls fn only to bisect a sign change along the
     step's interpolant.  Any other event function is called at every

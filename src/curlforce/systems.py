@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, _bind, _indent, _paste, _power, _rpow, real_power
+from .core import (DomainError, _bind, _indent, _paste, _power, _rename, _rpow,
+                   real_power)
 from .integrate import Event
 
 __all__ = [
@@ -78,28 +79,29 @@ def _sinusoid(signs, *waves: str) -> tuple:
     def values(c, k, p):
         amps = [c * real_power(k, n) for n in range(4)]
         return tuple(a if s > 0 else -a for a, s in zip(amps, signs)) + (k,)
-    return values, tuple(f"({{f}}[{n}] * {w}({{f}}[4] * theta))"
+    return values, tuple(f"(values[{n}] * {w}(values[4] * theta))"
                          for n, w in enumerate(waves))
 
 
 # family -> (values(c, k, coeffs), the texts of its value and first three
 # derivatives).  values gives the tuple of floats a function reads,
 # computed once when it is built; each text is an expression in theta that
-# reads the tuple as {f}, an atom or parenthesised, so that it pastes
-# anywhere.  A text without theta gives a float, which __call__ broadcasts
-# over an array.
+# reads the tuple by the name values, an atom or parenthesised, so that it
+# pastes anywhere.  A text without theta gives a float, which __call__
+# broadcasts over an array.
 _ANGLE = {
     "zero": (lambda c, k, p: (), ("0.0",) * 4),
-    "constant": (lambda c, k, p: (c,), ("{f}[0]", "0.0", "0.0", "0.0")),
+    "constant": (lambda c, k, p: (c,), ("values[0]", "0.0", "0.0", "0.0")),
     "linear_theta": (lambda c, k, p: (c,),
-                     ("({f}[0] * theta)", "{f}[0]", "0.0", "0.0")),
+                     ("(values[0] * theta)", "values[0]", "0.0", "0.0")),
     "cos": _sinusoid((1, -1, -1, 1), "cos", "sin", "cos", "sin"),
     "sin": _sinusoid((1, 1, -1, -1), "sin", "cos", "sin", "cos"),
     "poly": (lambda c, k, p: p, (
-        "({f}[0] + theta * ({f}[1] + theta * ({f}[2] + theta * {f}[3])))",
-        "({f}[1] + theta * (2.0 * {f}[2] + theta * (3.0 * {f}[3])))",
-        "(2.0 * {f}[2] + 6.0 * {f}[3] * theta)",
-        "(6.0 * {f}[3])")),
+        "(values[0] + theta * (values[1] + theta * (values[2]"
+        " + theta * values[3])))",
+        "(values[1] + theta * (2.0 * values[2] + theta * (3.0 * values[3])))",
+        "(2.0 * values[2] + 6.0 * values[3] * theta)",
+        "(6.0 * values[3])")),
 }
 
 
@@ -159,9 +161,8 @@ class AngleFunction:
     def __call__(self, theta, order: int = 0):
         if order not in (0, 1, 2, 3):
             raise ValueError("derivative order must be 0, 1, 2 or 3")
-        text = _ANGLE[self.family][1][int(order)].format(f="values")
-        fn = _bind("theta", "", text, {"values": self._values,
-                                       "cos": np.cos, "sin": np.sin})
+        fn = _bind("theta", "", _ANGLE[self.family][1][int(order)],
+                   {"values": self._values, "cos": np.cos, "sin": np.sin})
         th = np.asarray(theta, dtype=float)
         # +-inf and nan give nan (or the family's value), without a warning
         with np.errstate(invalid="ignore", over="ignore"):
@@ -172,12 +173,12 @@ class AngleFunction:
 
 
 def _angles(text: str, **fns: AngleFunction) -> tuple[str, dict]:
-    """text with each {U0}..{U3} set to that order of the angle function
-    passed as U (any name), and the values the filled text reads, by name.
-    """
+    """text with each whole name U0..U3 set to that order of the function
+    passed as U (any name), and then values renamed U; the values by name."""
     for name, fn in fns.items():
-        for n, order in enumerate(_ANGLE[fn.family][1]):
-            text = text.replace(f"{{{name}{n}}}", order.format(f=name))
+        orders = {f"{name}{n}": order
+                  for n, order in enumerate(_ANGLE[fn.family][1])}
+        text = _rename(_rename(text, orders), {"values": name})
     return text, {name: fn._values for name, fn in fns.items()}
 
 
@@ -193,12 +194,12 @@ class _Field:
 
     Each family writes its force once, as _FORCE: text that reads r > 0,
     theta, rdot and the names _formula binds, and sets f_r and f_t; and its
-    curl as _CURL, which sets curl.  _formula fills in the angle functions
-    ({U0}..{V3}).  theta goes to the text as a float, so an int or
-    numpy-scalar angle gets the bits AngleFunction.__call__ gives it, and
-    an infinite one makes the result nan, as in __call__.  A radius so
-    small that a power of it underflows to 0.0 makes the result nan too,
-    as in polar_rhs.
+    curl as _CURL, which sets curl.  _formula fills in the angle functions,
+    the names U0..U3 and V0..V3 (_angles).  theta goes to the text as a
+    float, so an int or numpy-scalar angle gets the bits
+    AngleFunction.__call__ gives it, and an infinite one makes the result
+    nan, as in __call__.  A radius so small that a power of it underflows
+    to 0.0 makes the result nan too, as in polar_rhs.
     """
 
     def _constants(self) -> dict:
@@ -236,9 +237,9 @@ class ErmakovField(_Field):
     V: AngleFunction = AngleFunction.zero()
 
     _FORCE = _power("r3", "r", "3.0", positive=True) + (
-        "f_r = -w2 * r + {U0} / r3\nf_t = -{V1} / r3\n")
+        "f_r = -w2 * r + U0 / r3\nf_t = -V1 / r3\n")
     _CURL = (_power("r4", "r", "4.0", positive=True)
-             + "curl = (2.0 * {V1} - {U1}) / r4\n")
+             + "curl = (2.0 * V1 - U1) / r4\n")
 
     def _constants(self):
         return {"w2": real_power(self.w, 2.0)}
@@ -257,12 +258,12 @@ class GorringeLeachField(_Field):
 
     _FORCE = (_power("r32", "r", "1.5", positive=True)
               + _power("r2", "r", "2.0", positive=True)
-              + "f_r = -(({U2} + {U0}) / r2 + 2.0 * {V1} / r32)\n"
-              "f_t = -{V0} / r32\n")
+              + "f_r = -((U2 + U0) / r2 + 2.0 * V1 / r32)\n"
+              "f_t = -V0 / r32\n")
     _CURL = (_power("r3", "r", "3.0", positive=True)
              + _power("r52", "r", "2.5", positive=True)
-             + "curl = (({U3} + {U1}) / r3\n"
-               "        + (0.5 * {V0} + 2.0 * {V2}) / r52)\n")
+             + "curl = ((U3 + U1) / r3\n"
+               "        + (0.5 * V0 + 2.0 * V2) / r52)\n")
 
 
 def _check_mu(mu: float) -> None:
@@ -335,7 +336,7 @@ def _rhs(args: tuple, body: str, **constants):
     """The public rhs(t, y) -> ndarray of a formula written once, as text.
 
     body reads the time args[0] (none if empty), the state args[1:] and
-    the constants, and sets the slopes {0}, {1}, ...  integrate.integrate
+    the constants, and sets the slopes d0, d1, ...  integrate.integrate
     pastes it into its step loop (rhs.formula, rhs.constants).  The same
     text compiled is rhs.kernel(t, y), which takes a float and a list of
     floats and returns a new list of floats; everyone else calls rhs with
@@ -343,7 +344,7 @@ def _rhs(args: tuple, body: str, **constants):
     """
     outs = [f"d{c}" for c in range(len(args) - 1)]
     kernel = _bind(f"{args[0] or '_'}, y",
-                   f"[{', '.join(args[1:])}] = y\n" + body.format(*outs),
+                   f"[{', '.join(args[1:])}] = y\n" + body,
                    f"[{', '.join(outs)}]", constants)
 
     def rhs(t, y):
@@ -364,16 +365,15 @@ def polar_rhs(field: ForceField):
     stage nan.
     """
     force, constants = field._formula(field._FORCE)
-    outs = ("{0}", "{1}", "{2}", "{3}")
     return _rhs(("", "r", "theta", "rdot", "thetadot"),
                 "if not (r > 0.0):\n"
-                "    {0} = {1} = {2} = {3} = nan\n"
+                "    d0 = d1 = d2 = d3 = nan\n"
                 "else:\n" + _indent(_paste(
-                    force + "{0} = rdot\n"
-                    "{1} = thetadot\n"
-                    "{2} = r * thetadot * thetadot + f_r\n"
-                    "{3} = (f_t - 2.0 * rdot * thetadot) / r",
-                    guard=_FIELD_RAISES, outs=outs), 4),
+                    force + "d0 = rdot\n"
+                    "d1 = thetadot\n"
+                    "d2 = r * thetadot * thetadot + f_r\n"
+                    "d3 = (f_t - 2.0 * rdot * thetadot) / r",
+                    guard=_FIELD_RAISES, outs=("d0", "d1", "d2", "d3")), 4),
                 **constants)
 
 
@@ -394,15 +394,15 @@ def psi_reduced_rhs(I: float, U: AngleFunction, V: AngleFunction,
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; use "
                          + " or ".join(map(repr, _VARIANTS)))
-    body, values = _angles(_paste("h2 = 2.0 * (I - {V0})\n"
+    body, values = _angles(_paste("h2 = 2.0 * (I - V0)\n"
                                   "if h2 == 0.0:\n"
-                                  "    {0} = {1} = nan\n"
+                                  "    d0 = d1 = nan\n"
                                   "else:\n"
-                                  "    h2p = -2.0 * {V1}\n"
-                                  "    {0} = dpsi\n"
-                                  "    {1} = -(factor * h2p / h2) * dpsi"
-                                  " - (1.0 + {U0} / h2) * psi",
-                                  guard=_ANGLE_RAISES, outs=("{0}", "{1}")),
+                                  "    h2p = -2.0 * V1\n"
+                                  "    d0 = dpsi\n"
+                                  "    d1 = -(factor * h2p / h2) * dpsi"
+                                  " - (1.0 + U0 / h2) * psi",
+                                  guard=_ANGLE_RAISES, outs=("d0", "d1")),
                            U=U, V=V)
     return _rhs(("theta", "psi", "dpsi"), body, I=I,
                 factor=_VARIANTS[variant], **values)
@@ -426,11 +426,11 @@ def orbit_polar_rhs(I: float):
     return _rhs(("theta", "r", "rp"),
                 "denom = I - cos(theta)\n"
                 "if not (r > 0.0) or denom == 0.0:\n"
-                "    {0} = {1} = nan\n"
+                "    d0 = d1 = nan\n"
                 "else:\n"
                 "    a = sin(theta) / (2.0 * denom)\n"
-                "    {0} = rp\n"
-                "    {1} = (2.0 * rp * rp - r * rp * a + r * r) / r",
+                "    d0 = rp\n"
+                "    d1 = (2.0 * rp * rp - r * rp * a + r * r) / r",
                 I=I)
 
 
@@ -449,17 +449,17 @@ def raw_ef_rhs(n: float, m: float, a: float, b: float, c: float = 1.0):
     bits of J^n * (a*T + b)^m.
     """
     return _rhs(("J", "T", "Tp"),
-                "{0} = Tp\n" + _power("J_n", "J", "n") + "aTb = a * T + b\n"
-                + _power("aTb_m", "aTb", "m") + "{1} = c * J_n * aTb_m",
+                "d0 = Tp\n" + _power("J_n", "J", "n") + "aTb = a * T + b\n"
+                + _power("aTb_m", "aTb", "m") + "d1 = c * J_n * aTb_m",
                 n=n, m=m, a=a, b=b, c=c)
 
 
 def drag_ef_rhs(lam: float, sigma: float):
     """T'' = T^lambda * T' + J^2 * T^sigma with y = (T, T')."""
     return _rhs(("J", "T", "Tp"),
-                "{0} = Tp\n" + _power("T_lam", "T", "lam")
+                "d0 = Tp\n" + _power("T_lam", "T", "lam")
                 + _power("T_sigma", "T", "sigma")
-                + "{1} = T_lam * Tp + J * J * T_sigma",
+                + "d1 = T_lam * Tp + J * J * T_sigma",
                 lam=lam, sigma=sigma)
 
 
@@ -477,10 +477,10 @@ def geodesic_rhs(lam: float, sigma: float):
     damping term negated instead.
     """
     return _rhs(("", "T", "J", "Td", "Jd"),
-                "jd2 = Jd * Jd\n{0} = Td\n{1} = Jd\n"
+                "jd2 = Jd * Jd\nd0 = Td\nd1 = Jd\n"
                 + _power("T_sigma", "T", "sigma") + _power("T_lam", "T", "lam")
-                + "{2} = J * J * T_sigma * jd2\n"
-                "{3} = -T_lam * jd2",
+                + "d2 = J * J * T_sigma * jd2\n"
+                "d3 = -T_lam * jd2",
                 lam=lam, sigma=sigma)
 
 
@@ -488,12 +488,12 @@ def third_order_rhs(lam: float, sigma: float):
     """Y''' = [(Y'' + (Y')^(2+lambda)) Y'' + Y^2 (Y')^(sigma+3)] / Y'."""
     return _rhs(("", "yy", "yp", "ypp"),
                 "if yp == 0.0:\n"
-                "    {0} = {1} = {2} = nan\n"
+                "    d0 = d1 = d2 = nan\n"
                 "else:\n"
                 + _indent(_power("yp_lam", "yp", "p_lam")
                           + _power("yp_sigma", "yp", "p_sigma"), 4)
                 + "    num = (ypp + yp_lam) * ypp + yy * yy * yp_sigma\n"
-                "    {0} = yp\n    {1} = ypp\n    {2} = num / yp",
+                "    d0 = yp\n    d1 = ypp\n    d2 = num / yp",
                 p_lam=2.0 + lam, p_sigma=sigma + 3.0)
 
 
@@ -513,14 +513,14 @@ def _event(name: str, args: tuple, body: str, **constants) -> Event:
     """An Event whose value is a formula written once, as text.
 
     body reads the time args[0] and the state components args[1:] (an arg
-    left "" is not read) and the constants, and sets {0}.
+    left "" is not read) and the constants, and sets d0.
     integrate.integrate pastes it into its step loop after each accepted
     step (fn.formula, fn.constants); the same text compiled is fn(t, y),
     which bisection and everyone else call with a list of floats.
     """
     feed = [f"y[{c}]" for c in range(len(args) - 1)]
-    fn = _bind(f"{args[0] or '_'}, y", _paste(body.format("g"), args[1:],
-                                              feed=feed), "g", constants)
+    fn = _bind(f"{args[0] or '_'}, y", _paste(body, args[1:], feed=feed,
+                                              outs={"d0": "g"}), "g", constants)
     fn.formula = (args, body, tuple(constants))
     fn.constants = tuple(constants.values())
     return Event(name, fn)
@@ -528,19 +528,19 @@ def _event(name: str, args: tuple, body: str, **constants) -> Event:
 
 def r_floor_event(threshold: float = 1e-8, name: str = "r-floor") -> Event:
     """Stop a polar run when the radius reaches the threshold."""
-    return _event(name, ("", "r"), "{0} = r - threshold", threshold=threshold)
+    return _event(name, ("", "r"), "d0 = r - threshold", threshold=threshold)
 
 
 def h2_singularity_event(I: float, V: AngleFunction,
                          threshold: float = 1e-6) -> Event:
     """Stop a psi-reduction run when h2 = 2*(I - V(theta)) crosses zero."""
-    body, values = _angles(_paste("{0} = abs(2.0 * (I - {V0})) - threshold",
-                                  guard=_ANGLE_RAISES, outs=("{0}",)), V=V)
+    body, values = _angles(_paste("d0 = abs(2.0 * (I - V0)) - threshold",
+                                  guard=_ANGLE_RAISES, outs=("d0",)), V=V)
     return _event("h2-singular", ("theta",), body, I=I, threshold=threshold,
                   **values)
 
 
 def yprime_floor_event(threshold: float = 1e-10) -> Event:
     """Stop a third-order run when |Y'| collapses (equation divides by Y')."""
-    return _event("Yprime-floor", ("", "", "yp"), "{0} = abs(yp) - threshold",
+    return _event("Yprime-floor", ("", "", "yp"), "d0 = abs(yp) - threshold",
                   threshold=threshold)

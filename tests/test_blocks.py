@@ -196,7 +196,7 @@ def test_long_run_holds_one_block_of_python_floats():
         return np.array([y[1], -y[0], y[3], -y[2]])
     rhs.kernel = lambda t, y: [y[1], -y[0], y[3], -y[2]]
     rhs.formula = (("", "s0", "s1", "s2", "s3"),
-                   "{0} = s1\n{1} = -s0\n{2} = s3\n{3} = -s2", ())
+                   "d0 = s1\nd1 = -s0\nd2 = s3\nd3 = -s2", ())
     rhs.constants = ()
     y0 = [1.0, 0.0, 0.5, 0.0]
     steps = 10 * core._BLOCK_ROWS

@@ -18,6 +18,7 @@ import pytest
 import sympy as sp
 
 import curlforce
+from curlforce import core
 from curlforce.core import DomainError, real_power
 from curlforce.integrate import (
     _METHODS,
@@ -134,7 +135,7 @@ class TestAngleFunction:
         # the text a stage pastes, bound as a stage binds it (math's cos and
         # sin from the loop's namespace), gives the same bits; it raises
         # ValueError where __call__ returns nan
-        text, values = _angles(f"{{U{order}}}", U=fn)
+        text, values = _angles(f"U{order}", U=fn)
         stage = _compile("def make(U):\n    def f(theta):\n"
                          f"        return {text}\n    return f\n",
                          "<angle>")(values["U"])
@@ -155,7 +156,7 @@ class TestAngleFunction:
         # (nan where math.cos or math.sin raises) as float, numpy scalar,
         # 0-d array and array, and no numpy warning on any of them
         fn, _ = _SYMBOLIC[name]
-        text, values = _angles(f"{{U{order}}}", U=fn)
+        text, values = _angles(f"U{order}", U=fn)
         stage = _compile("def make(U):\n    def f(theta):\n"
                          f"        return {text}\n    return f\n",
                          "<angle>")(values["U"])
@@ -932,8 +933,8 @@ class TestEventFormulas:
         # node, which ends the run on that step.  "start" is exactly 0.0 at
         # the initial node, which stops nothing; its sign change after t =
         # 0.5 is still seen
-        at_half = _event("half", ("t",), "{0} = t - 0.5")
-        at_start = _event("start", ("t",), "{0} = t * (0.6 - t)")
+        at_half = _event("half", ("t",), "d0 = t - 0.5")
+        at_start = _event("start", ("t",), "d0 = t * (0.6 - t)")
         assert at_half.fn(0.5, [1.0]) == 0.0 == at_start.fn(0.0, [1.0])
 
         def run(*events):
@@ -1080,7 +1081,8 @@ class TestGeneratorHygiene:
                 source = _loop(method, len(y0), (None,) * events,
                                formula).source
                 assert "kernel(" not in source
-                last = formula[1].format(*(f"g{c}" for c in range(len(y0))))
+                last = core._rename(formula[1], {f"d{c}": f"g{c}"
+                                                 for c in range(len(y0))})
                 assert last.splitlines()[-1].strip() in source
 
     def test_new_constants_reuse_the_compiled_loop(self):

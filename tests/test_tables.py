@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curlforce import cli
+from curlforce import cli, core
 
 # rows in one written block (a writer that writes whole tables names none;
 # the sizes below then still check its bytes)
@@ -136,17 +136,19 @@ def test_table_bytes_drawn(rows, names, fmt, labelled):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_table_write_holds_a_block_not_the_table(fmt, tmp_path):
-    """The traced peak of a 200,000-row write stays under a fixed bound.
+def test_table_write_holds_a_block_not_the_table(fmt, tmp_path, monkeypatch):
+    """The traced peak of a 20,000-row write, 128 rows a block, stays
+    under a fixed bound.
 
-    The table's three float columns hold 4.8 MB and its text is 10-13 MB;
-    a writer that holds every row's Python floats or the whole text peaks
-    at several times that.  The bound, 2 MB, is less than half of the
-    columns stacked into one array: it leaves room for a few blocks of
-    rows, their floats and their text, and for nothing that grows with the
-    row count.
+    The table's three float columns hold 480 kB and its text is 1.0-1.3
+    MB; a writer that holds every row's Python floats or the whole text
+    peaks at several times that.  The bound, 200 kB, is less than half of
+    the columns stacked into one array: it leaves room for a few blocks
+    of rows, their floats and their text, and for nothing that grows with
+    the row count.
     """
-    rows = 200_000
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 128)
+    rows = 20_000
     t = np.linspace(0.0, 50.0, rows)
     columns = [t, np.sin(t) * 1e-3, np.cos(t) * 1e5]
     tracemalloc.start()
@@ -155,5 +157,5 @@ def test_table_write_holds_a_block_not_the_table(fmt, tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000, f"{fmt} write peaked at {peak / 1e6:.1f} MB"
+    assert peak < 200_000, f"{fmt} write peaked at {peak / 1e3:.0f} kB"
     assert (tmp_path / f"big.{fmt}").stat().st_size > 10 * rows

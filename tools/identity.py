@@ -27,6 +27,17 @@ perfbench/, README and tools/configs are read, so both trees run the same
 configs.  Each tree's configs are written once, before any run starts.
 Every run uses PYTHONHASHSEED=0; CI's check that a second hash seed writes
 the same bytes is not repeated here.
+
+Each run also records the generated source it compiles: the -c runner
+hooks builtins.compile before curlforce is imported, and keeps the sha256
+of every text that curlforce compiles (all but _paste's own "<paste>"
+probe), as a sorted set of digests in a file beside the run's output
+directory, not in it.  A run whose set differs between the trees is
+printed as well, and the summary line counts both kinds of difference
+apart, but the exit status reflects outputs only: a change that moves
+generated source on purpose, and keeps every output, still passes.  Run
+against the working tree's own revision (CI's self-check), any differing
+set is generated source that is not deterministic across processes.
 """
 
 from __future__ import annotations
@@ -63,7 +74,28 @@ OVERFLOWING = [
     ("orbit", {"mu": -1.999, "r0": 0.0, "r_grid": [1.0, 1.5, 2.0]}),
 ]
 
-_MAIN = "import sys; from curlforce.cli import main; sys.exit(main())"
+# the console script's call, with every text curlforce compiles recorded:
+# the run's first argument is the file its digests go to
+_MAIN = """\
+import builtins, hashlib, sys
+digests, path, compile_ = set(), sys.argv.pop(1), builtins.compile
+
+
+def record(source, filename, *args, **kwargs):
+    caller = sys._getframe(1).f_globals.get("__name__", "")
+    if caller.startswith("curlforce") and filename != "<paste>":
+        digests.add(hashlib.sha256(source.encode()).hexdigest())
+    return compile_(source, filename, *args, **kwargs)
+
+
+builtins.compile = record
+try:
+    from curlforce.cli import main
+    sys.exit(main())
+finally:
+    with open(path, "w") as fh:
+        fh.write("".join(d + "\\n" for d in sorted(digests)))
+"""
 
 
 def identity_set() -> list[tuple[str, str, dict]]:
@@ -106,10 +138,11 @@ def outcome(src: Path, work: Path, name: str, command: str,
     interpreter; its outcome."""
     cfg = work / "configs" / f"{name}.json"
     out = Path("out") / f"{name}-{fmt}"
+    compiled = work / "out" / f"{name}-{fmt}.compiled"
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0",
            "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", _MAIN, command, "--config",
+        [sys.executable, "-c", _MAIN, str(compiled), command, "--config",
          str(cfg.relative_to(work)), "--out", str(out), "--format", fmt],
         cwd=work, env=env, capture_output=True, text=True)
     files = {}
@@ -118,7 +151,8 @@ def outcome(src: Path, work: Path, name: str, command: str,
             files[str(path.relative_to(work / out))] = hashlib.sha256(
                 path.read_bytes()).hexdigest()
     return {"exit": proc.returncode, "stdout": proc.stdout,
-            "stderr": proc.stderr, "files": files}
+            "stderr": proc.stderr, "files": files,
+            "sources": compiled.read_text().split()}
 
 
 def run_tree(src: Path, work: Path, runs) -> dict:
@@ -135,7 +169,8 @@ def run_tree(src: Path, work: Path, runs) -> dict:
 
 
 def diff(key, a: dict, b: dict) -> list[str]:
-    """Lines naming each way the two outcomes of one run differ."""
+    """Lines naming each way the two outcomes of one run differ, its
+    generated sources aside."""
     lines = []
     for field in ("exit", "stdout", "stderr"):
         if a[field] != b[field]:
@@ -157,16 +192,22 @@ def main(argv=None) -> int:
         parent_src = archive(args.rev, tmp / "parent-tree")
         parent = run_tree(parent_src, tmp / "parent", runs)
         change = run_tree(ROOT / "src", tmp / "change", runs)
-    differing = 0
+    differing = sources = 0
     for key in parent:
         lines = diff(key, parent[key], change[key])
+        differing += bool(lines)
+        old, new = set(parent[key]["sources"]), set(change[key]["sources"])
+        if old != new:
+            sources += 1
+            lines.append(f"  generated sources: {len(old - new)} only in "
+                         f"{args.rev}, {len(new - old)} only in the tree")
         if lines:
-            differing += 1
             print(f"{key[0]} --format {key[1]}:")
             print("\n".join(lines))
     codes = sorted({o["exit"] for o in change.values()})
     print(f"{len(parent)} runs ({len(runs)} configs x {len(FORMATS)} "
-          f"formats), exit codes {codes}: {differing} differ from {args.rev}")
+          f"formats), exit codes {codes}: {differing} differ from {args.rev}, "
+          f"{sources} compile different generated sources")
     return 1 if differing else 0
 
 
