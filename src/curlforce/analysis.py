@@ -323,7 +323,7 @@ def _column(formula: tuple):
         "    def column(c0, c1, c2):\n"
         "        out = []\n"
         f"        for {', '.join(f'x_{a}' for a in args)} in zip(c0, c1, c2):\n"
-        + _indent(_paste(body, args, free, prefix="x_", outs=("d0", "d1")), 12)
+        + _indent(_paste(body, (), args + free, "x_", outs=("d0", "d1")), 12)
         + "            out.append(d1)\n"
         "        return out\n"
         "    return column\n", "<residual column>")
@@ -984,7 +984,7 @@ def _simpson(text: str, names: tuple[str, ...], ends: str,
             if body in fragments:
                 yield from expand(fragments[body], indent)
             elif body.startswith("@"):
-                yield _indent(_paste(text, ("r",), feed=(body[1:],),
+                yield _indent(_paste(text, {"r": body[1:]},
                                      guard=_QUAD_RAISES, outs=("v",)), indent)
             elif body.startswith("%"):
                 yield _indent(ratio(body[1:]), indent)

@@ -11,6 +11,7 @@ bound and compiled here (_rename, _paste, _power, _bind, _compile).
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import re
@@ -109,7 +110,8 @@ def _indent(text: str, n: int) -> str:
 @functools.cache
 def _words(names: frozenset) -> re.Pattern:
     """A pattern matching each of names as a whole name, not an attribute."""
-    return re.compile(r"(?<![\w.])(" + "|".join(sorted(names)) + r")(?!\w)")
+    return re.compile("|".join(rf"{name}(?<![\w.]{name})(?!\w)"
+                               for name in sorted(names)))
 
 
 def _rename(text: str, names: Mapping[str, str]) -> str:
@@ -121,33 +123,39 @@ def _rename(text: str, names: Mapping[str, str]) -> str:
 def _renamed(text: str, pairs: tuple) -> str:
     """_rename, cached as _compile is: formula texts are few."""
     names = dict(pairs)
-    return _words(frozenset(names)).sub(lambda m: names[m[1]], text)
+    return _words(frozenset(names)).sub(lambda m: names[m[0]], text)
 
 
-def _paste(text: str, args=(), free=(), feed=(), prefix: str = "",
-           guard=(), outs=(), otherwise: str = "nan") -> str:
+@functools.cache
+def _names(text: str) -> tuple[frozenset, frozenset]:
+    """The names text binds, and all it binds or reads (not attributes)."""
+    found = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Name)]
+    return (frozenset(n.id for n in found if not isinstance(n.ctx, ast.Load)),
+            frozenset(n.id for n in found))
+
+
+def _paste(text: str, feed=(), free=(), prefix: str = "", guard=(),
+           outs=(), otherwise: str = "nan") -> str:
     """text as lines to paste into generated source.
 
-    text is a formula's body, plain Python that sets its outputs outs; it
-    reads the inputs args (an arg "" is not read) and the constants free.
-    outs is the names the text sets, or a mapping from each to the name it
-    takes where it is pasted.  feed holds each input's expression, and a
-    line assigns an input only where the text names it.  With a prefix,
-    every other name the text binds, takes as an input or reads as a
-    constant becomes prefix + name, apart from the names around it.  With
-    a guard, a tuple of exception names, the text runs in try, and where
-    one of those is raised each out is set to otherwise.  Every pasted
-    formula and every guard goes through here: the step loop's stages and
-    events, the quadrature's integrand and comparator call, the residual
-    columns, and the formulas that guard themselves (systems).
+    text is a formula's body, plain Python that sets its outputs outs and
+    reads the constants free and its inputs.  feed maps each input (a
+    mapping or pairs) to its expression, set by a line only where the
+    text names it ("" never).  outs is the names the text sets, or a
+    mapping from each to its name where pasted.  With a prefix, every
+    other name the text binds, each input and each of free becomes
+    prefix + name; the names come from one parse (_names).  With a guard,
+    a tuple of exception names, the text runs in try, and where one of
+    those is raised each out is set to otherwise.  Every pasted formula
+    and guard goes through here: the step loop's stages and events, the
+    quadrature's integrand and comparator call, and the residual columns.
     """
-    lines = [f"{prefix}{a} = {x}" for a, x in zip(args, feed)
-             if a and _words(frozenset([a])).search(text)]
+    feed = dict(feed)
+    bound, named = _names(text) if feed or prefix else ((), ())
+    lines = [f"{prefix}{a} = {x}" for a, x in feed.items() if a in named]
     names = dict(outs) if isinstance(outs, dict) else {}
     if prefix:
-        code = compile("def body():\n" + _indent(text, 4), "<paste>", "exec")
-        names |= {a: prefix + a for a in {*code.co_consts[0].co_varnames,
-                                          *args, *free} - {"", *outs}}
+        names |= {a: prefix + a for a in {*bound, *feed, *free} - {"", *outs}}
     if guard:
         text = ("try:\n" + _indent(text, 4) + f"except ({', '.join(guard)}):\n"
                 f"    {' = '.join(outs)} = {otherwise}\n")

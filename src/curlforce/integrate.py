@@ -394,8 +394,8 @@ def _event_lines(k: int, formula, dim: int) -> tuple[list, list]:
     args, body, free = formula or (
         ("t_", *(f"s{c}" for c in range(dim))),
         f"d0 = float(fn(t_, [{state}]))", ("fn",))
-    text = _paste(body, args, free, ("t_new", *(f"z{c}" for c in range(dim))),
-                  f"e{k}_", outs={"d0": f"e{k}"})
+    text = _paste(body, zip(args, ("t_new", *(f"z{c}" for c in range(dim)))),
+                  free, f"e{k}_", outs={"d0": f"e{k}"})
     return text.splitlines(), [f"e{k}_{name}" for name in free]
 
 
@@ -447,7 +447,7 @@ def _loop_source(method: str, dim: int, events=(), stage=None) -> str:
 
     def stage(slope: str, time: str, state: list) -> list:
         # the body evaluated at time and state, one expression a component
-        return _paste(text, args, feed=(time, *state),
+        return _paste(text, zip(args, (time, *state)),
                       outs={f"d{c}": f"{slope}{c}" for c in comps}).splitlines()
 
     def check(*slopes: str) -> str:

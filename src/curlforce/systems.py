@@ -173,13 +173,12 @@ class AngleFunction:
 
 
 def _angles(text: str, **fns: AngleFunction) -> tuple[str, dict]:
-    """text with each whole name U0..U3 set to that order of the function
-    passed as U (any name), and then values renamed U; the values by name."""
-    for name, fn in fns.items():
-        orders = {f"{name}{n}": order
-                  for n, order in enumerate(_ANGLE[fn.family][1])}
-        text = _rename(_rename(text, orders), {"values": name})
-    return text, {name: fn._values for name, fn in fns.items()}
+    """text with each whole name U0..U3 set, in one pass, to that order
+    of the function passed as U (any name) reading U; the values by name."""
+    orders = {f"{name}{n}": _rename(order, {"values": name})
+              for name, fn in fns.items()
+              for n, order in enumerate(_ANGLE[fn.family][1])}
+    return _rename(text, orders), {name: fn._values for name, fn in fns.items()}
 
 
 # the exceptions a field's formula turns into nan: a power of a tiny r
@@ -518,9 +517,9 @@ def _event(name: str, args: tuple, body: str, **constants) -> Event:
     step (fn.formula, fn.constants); the same text compiled is fn(t, y),
     which bisection and everyone else call with a list of floats.
     """
-    feed = [f"y[{c}]" for c in range(len(args) - 1)]
-    fn = _bind(f"{args[0] or '_'}, y", _paste(body, args[1:], feed=feed,
-                                              outs={"d0": "g"}), "g", constants)
+    feed = {a: f"y[{c}]" for c, a in enumerate(args[1:])}
+    fn = _bind(f"{args[0] or '_'}, y", _paste(body, feed, outs={"d0": "g"}),
+               "g", constants)
     fn.formula = (args, body, tuple(constants))
     fn.constants = tuple(constants.values())
     return Event(name, fn)

@@ -182,7 +182,7 @@ def test_vpow_in_blocks(monkeypatch):
             assert got.tobytes() == want.tobytes()
 
 
-def test_long_run_holds_one_block_of_python_floats():
+def test_long_run_holds_one_block_of_python_floats(monkeypatch):
     """The traced peak of an rk4 run of ten blocks and one node stays
     within its arrays' float64 bytes plus one block's worth of Python
     floats (24 bytes each, and a list's 8-byte slot).
@@ -190,8 +190,12 @@ def test_long_run_holds_one_block_of_python_floats():
     The run keeps 9 floats a node (t, and a 4-component state and slope);
     a loop that keeps every node as a Python float peaks at several times
     its arrays.  At this length the storage's growth (a sixteenth of it at
-    a time) and Trajectory's checks fit in the block's allowance.
+    a time) and Trajectory's checks fit in the block's allowance.  A block
+    of 256 rows keeps the run short; the node count and the allowance
+    scale with it.
     """
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 256, raising=False)
+
     def rhs(t, y):
         return np.array([y[1], -y[0], y[3], -y[2]])
     rhs.kernel = lambda t, y: [y[1], -y[0], y[3], -y[2]]

@@ -1003,11 +1003,10 @@ class TestGeneratorHygiene:
     def test_body_names_disjoint_from_loop_locals(self, name):
         make, y0, _, _ = _BUILDERS[name]
         args, body, constants = make().formula
-        outs = [f"out{c}" for c in range(len(y0))]
         code = compile("def stage():\n" + "".join(
-            f"    {line}\n" for line in body.format(*outs).splitlines()),
+            f"    {line}\n" for line in body.splitlines()),
             "<stage>", "exec").co_consts[0]
-        assigned = set(code.co_varnames) - set(outs)
+        assigned = set(code.co_varnames) - {f"d{c}" for c in range(len(y0))}
         for names in (assigned, set(args) - {""}, set(constants)):
             assert not names & _loop_locals(len(y0)), name
 
@@ -1160,11 +1159,10 @@ class TestMethodTableHygiene:
     def test_body_names_disjoint_from_every_loops_locals(self, name):
         make, y0, _, _ = _BUILDERS[name]
         args, body, constants = make().formula
-        outs = [f"out{c}" for c in range(len(y0))]
         code = compile("def stage():\n" + "".join(
-            f"    {line}\n" for line in body.format(*outs).splitlines()),
+            f"    {line}\n" for line in body.splitlines()),
             "<stage>", "exec").co_consts[0]
-        assigned = set(code.co_varnames) - set(outs)
+        assigned = set(code.co_varnames) - {f"d{c}" for c in range(len(y0))}
         locals_ = {n for method, events in self._KEYS
                    for n in _loop(method, len(y0), (None,) * events)(
                        None, *(None,) * events).__code__.co_varnames}

@@ -30,14 +30,14 @@ the same bytes is not repeated here.
 
 Each run also records the generated source it compiles: the -c runner
 hooks builtins.compile before curlforce is imported, and keeps the sha256
-of every text that curlforce compiles (all but _paste's own "<paste>"
-probe), as a sorted set of digests in a file beside the run's output
-directory, not in it.  A run whose set differs between the trees is
-printed as well, and the summary line counts both kinds of difference
-apart, but the exit status reflects outputs only: a change that moves
-generated source on purpose, and keeps every output, still passes.  Run
-against the working tree's own revision (CI's self-check), any differing
-set is generated source that is not deterministic across processes.
+of every text that curlforce compiles, as a sorted set of digests in a
+file beside the run's output directory, not in it.  A run whose set
+differs between the trees is printed as well, and the summary line counts
+both kinds of difference apart, but the exit status reflects outputs
+only: a change that moves generated source on purpose, and keeps every
+output, still passes.  Run against the working tree's own revision (CI's
+self-check, which also reads the summary line), any differing set is
+generated source that is not deterministic across processes.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ digests, path, compile_ = set(), sys.argv.pop(1), builtins.compile
 
 def record(source, filename, *args, **kwargs):
     caller = sys._getframe(1).f_globals.get("__name__", "")
-    if caller.startswith("curlforce") and filename != "<paste>":
+    if caller.startswith("curlforce"):
         digests.add(hashlib.sha256(source.encode()).hexdigest())
     return compile_(source, filename, *args, **kwargs)
 
